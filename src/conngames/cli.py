@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import warnings
@@ -18,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from . import powerindex, reductions, stability, trees
-from .domain import classify, domain_from_dict, domain_to_dict, validate
+from .domain import classify, domain_from_dict, domain_to_dict
 from .errors import CapExceededError, DegenerateDomainError, NotTreeError
 
 SCHEMA_VERSION = 1
@@ -48,7 +49,7 @@ def _load_json(path: str):
 def _load_domain(path: str):
     data = _load_json(path)
     domain = domain_from_dict(data)
-    report = validate(domain)
+    report = domain._validation
     if not report.ok:
         raise ValueError(f"{path} failed validation: " + "; ".join(report.violations))
     return domain
@@ -67,7 +68,10 @@ def _resolve_cap(value: int | None, env_name: str, default: int) -> int:
     if value is not None:
         return value
     env = os.environ.get(env_name)
-    return int(env) if env else default
+    try:
+        return int(env) if env else default
+    except ValueError:
+        raise ValueError(f"{env_name} must be an integer, got {env!r}") from None
 
 
 def _rational(value) -> str | None:
@@ -167,10 +171,10 @@ def _render_indices_csv(payloads) -> None:
 def cmd_indices(args) -> int:
     try:
         domain = _load_domain(args.domain)
+        cap = _resolve_cap(args.exact_cap, ENV_EXACT_CAP, powerindex.DEFAULT_ENUMERATION_CAP)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
     classification = classify(domain)
-    cap = _resolve_cap(args.exact_cap, ENV_EXACT_CAP, powerindex.DEFAULT_ENUMERATION_CAP)
     kinds = ["banzhaf", "shapley"] if args.index == "both" else [args.index]
 
     method = args.method
@@ -257,15 +261,17 @@ def cmd_core(args) -> int:
 # ---------------------------------------------------------------- ecm
 
 def cmd_ecm(args) -> int:
+    if not math.isfinite(args.epsilon):
+        return _fail("epsilon must be a finite number", EXIT_INPUT)
     if args.epsilon < 0:
         return _fail("epsilon must be nonnegative", EXIT_INPUT)
     try:
         domain = _load_domain(args.domain)
         payoffs = _load_imputation(args.imputation)
+        cap = _resolve_cap(args.exact_cap, ENV_EXACT_CAP, powerindex.DEFAULT_ENUMERATION_CAP)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
     classification = classify(domain)
-    cap = _resolve_cap(args.exact_cap, ENV_EXACT_CAP, powerindex.DEFAULT_ENUMERATION_CAP)
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -325,6 +331,7 @@ def cmd_ecm(args) -> int:
 def cmd_leastcore(args) -> int:
     try:
         domain = _load_domain(args.domain)
+        lp_cap = _resolve_cap(args.lp_cap, ENV_LP_CAP, stability.DEFAULT_LP_CAP)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
     classification = classify(domain)
@@ -333,7 +340,6 @@ def cmd_leastcore(args) -> int:
             else "all coalitions lose"
         return _fail(f"degenerate domain ({kind}); least-core queries refused",
                      EXIT_DEGENERATE)
-    lp_cap = _resolve_cap(args.lp_cap, ENV_LP_CAP, stability.DEFAULT_LP_CAP)
 
     try:
         tree = trees.tree_core(domain)

@@ -359,19 +359,20 @@ def _merge_primaries(domain: ConnectivityDomain) -> ConnectivityDomain | None:
 
 
 def classify(domain: ConnectivityDomain) -> DomainClassification:
-    """Degeneracy flags, tree detection, and the primary-merged domain."""
-    domain.ensure_valid()
-    n = domain.n_agents
-    grand = (1 << n) - 1
-    all_win = _value_of_mask(domain, 0) == 1
-    all_lose = _value_of_mask(domain, grand) == 0
-    is_tree = (len(domain.edges) == domain.vertex_count - 1) and _is_connected(domain)
-    return DomainClassification(
-        degenerate_all_win=all_win,
-        degenerate_all_lose=all_lose,
-        is_tree=is_tree,
-        merged=_merge_primaries(domain),
-    )
+    """Degeneracy flags, tree detection, and the primary-merged domain;
+    memoized on the domain instance."""
+    cached = domain.__dict__.get("_classification_cache")
+    if cached is None:
+        domain.ensure_valid()
+        grand = (1 << domain.n_agents) - 1
+        is_tree = (len(domain.edges) == domain.vertex_count - 1) and _is_connected(domain)
+        cached = domain.__dict__["_classification_cache"] = DomainClassification(
+            degenerate_all_win=_value_of_mask(domain, 0) == 1,
+            degenerate_all_lose=_value_of_mask(domain, grand) == 0,
+            is_tree=is_tree,
+            merged=_merge_primaries(domain),
+        )
+    return cached
 
 
 def domain_to_dict(domain: ConnectivityDomain) -> dict:

@@ -1,20 +1,20 @@
-"""Vectorized evaluation of the characteristic function over all coalitions.
+"""Bit-sliced evaluation of the characteristic function over all coalitions.
 
-The exact solvers enumerate all 2^n coalitions. Rather than running one graph
-traversal per coalition in Python, reachability is propagated for a whole
-block of coalitions at once: each coalition's reached-set is an int64 bitmask
-over vertices, and one numpy pass per vertex ORs its neighborhood into every
-coalition whose reached-set already contains it. Results are memoized on the
-domain instance, so repeated queries on the same domain reuse the table.
+The exact solvers enumerate all 2^n coalitions in blocks of 2^k. Each vertex
+holds a packed bitset over the block whose bit m says whether coalition m
+reaches it from the first primary. Sweeps of R_v = U_v & OR(R_u, u in N(v)) in
+breadth-first order run to a fixed point, U_v being the owner's usable bitset
+(periodic for agents below k, constant above), and a coalition wins where every
+primary is reached. No vertex-count limit; tables are memoized on the domain.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .domain import ConnectivityDomain, _value_of_mask
+from .domain import ConnectivityDomain
 
-_CHUNK_BITS = 18  # bounds the int64 working arrays to 2 MB per chunk
+_CHUNK_BITS = 18  # 2^18-coalition blocks: 32 KB per vertex, 2 MB at 62 vertices
 _WIN_CACHE_KEY = "_win_table_cache"
 
 
@@ -30,53 +30,59 @@ def win_table(domain: ConnectivityDomain) -> np.ndarray:
     return table
 
 
+def _agent_bitset(i: int, k: int, high: int, nbytes: int) -> np.ndarray:
+    """Bit m set iff agent i is in coalition ``high << k | m``, packed little-endian."""
+    if i >= k:
+        return np.full(nbytes, 0xFF if high >> (i - k) & 1 else 0, dtype=np.uint8)
+    if i < 3:
+        return np.full(nbytes, (0xAA, 0xCC, 0xF0)[i], dtype=np.uint8)
+    return np.tile(np.repeat(np.array([0, 0xFF], np.uint8), 1 << (i - 3)), nbytes >> (i - 2))
+
+
 def _compute_win_table(domain: ConnectivityDomain) -> np.ndarray:
     n = domain.n_agents
-    total = 1 << n
-    pm = domain._primary_mask
-    if pm & (pm - 1) == 0:
-        return np.ones(total, dtype=bool)
-    if domain.vertex_count > 62:
-        # Vertex bitmasks no longer fit an int64 lane; fall back to the
-        # per-coalition kernel.
-        return np.fromiter(
-            (_value_of_mask(domain, m) for m in range(total)), dtype=bool, count=total
-        )
+    if len(domain.primary) < 2:
+        return np.ones(1 << n, dtype=bool)
+    k = min(n, _CHUNK_BITS)
+    nbytes = max(1, 1 << k >> 3)
+    start = min(domain.primary)
+    nbrs = [list(vs) for vs in domain._adjacency]
+    nbrs[start].append(start)  # a self-loop keeps the start vertex reached
+    order = [start]
+    for v in order:
+        order += [u for u in nbrs[v] if u not in order]
+    acc = np.empty(nbytes, dtype=np.uint8)
+    out = np.empty((1 << (n - k), 1 << k), dtype=bool)
+    for high, row in enumerate(out):
+        usable = {v: _agent_bitset(i, k, high, nbytes) for i, v in enumerate(domain.standard)}
+        reached = np.zeros((domain.vertex_count, nbytes), dtype=np.uint8)
+        reached[start] = 0xFF
+        stale = set(order)
+        while stale:
+            for v in [u for u in order if u in stale]:
+                stale.discard(v)
+                np.bitwise_or.reduce(reached[nbrs[v]], axis=0, out=acc)
+                if v in usable:
+                    acc &= usable[v]
+                if not np.array_equal(acc, reached[v]):
+                    reached[v] = acc
+                    stale.update(nbrs[v])
+        wins = np.bitwise_and.reduce(reached[list(domain.primary)])
+        row[:] = np.unpackbits(wins, count=row.size, bitorder="little")
+    return out.reshape(-1)
 
-    adj = domain._adjacency_masks
-    base = domain._base_usable_mask
-    standard = domain.standard
-    start = pm & -pm
-    out = np.empty(total, dtype=bool)
-    chunk = 1 << min(_CHUNK_BITS, n)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        masks = np.arange(lo, hi, dtype=np.int64)
-        usable = np.full(hi - lo, base, dtype=np.int64)
-        for i in range(n):
-            usable |= ((masks >> i) & 1) << standard[i]
-        reached = np.full(hi - lo, start, dtype=np.int64)
-        while True:
-            nbr = np.zeros(hi - lo, dtype=np.int64)
-            for v in range(domain.vertex_count):
-                a = adj[v]
-                if a:
-                    hit = ((reached >> v) & 1).astype(bool)
-                    nbr |= np.where(hit, a, 0)
-            new = reached | (nbr & usable)
-            if np.array_equal(new, reached):
-                break
-            reached = new
-        out[lo:hi] = (reached & pm) == pm
-    return out
+
+def _subset_sums(weights, dtype) -> np.ndarray:
+    """Entry m is the sum of ``weights[i]`` over the bits i of m, filled by doubling."""
+    table = np.zeros(1 << len(weights), dtype=dtype)
+    for i, w in enumerate(weights):
+        np.add(table[: 1 << i], w, out=table[1 << i: 1 << (i + 1)])
+    return table
 
 
 def size_table(n: int) -> np.ndarray:
     """uint8 array of length 2^n holding the popcount of each mask."""
-    sizes = np.zeros(1 << n, dtype=np.uint8)
-    for i in range(n):
-        sizes[1 << i: 1 << (i + 1)] = sizes[: 1 << i] + 1
-    return sizes
+    return _subset_sums([1] * n, np.uint8)
 
 
 def criticality_counts(win: np.ndarray, n: int) -> list[int]:

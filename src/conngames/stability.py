@@ -9,11 +9,12 @@ connectivity checks.
 
 Maximal excess is found by exhaustive enumeration: for nonnegative payoffs the
 worst-off constraint comes from a minimally paid winning coalition (losing
-coalitions have nonpositive excess), so the scan reduces to a vectorized
-minimum over the winning entries of the coalition table, re-verified in exact
-rational arithmetic. The least core solves  min eps  s.t.  p(C) >= v(C) - eps
-over nonempty coalitions, with constraints generated lazily from the same
-min-payment search.
+coalitions have nonpositive excess), so the scan reduces to a minimum payment
+over the winning entries of the coalition table. Float payments, built block
+by block, shortlist the candidates; exact rational arithmetic decides. The
+least core solves  min eps  s.t.  p(C) >= v(C) - eps  over nonempty
+coalitions, with constraints generated lazily from the same min-payment
+search.
 """
 
 from __future__ import annotations
@@ -36,6 +37,8 @@ EXACT_LP = "exact-lp"
 FLOAT_LP = "float-lp"
 
 IMPUTATION_TOL = Fraction(1, 10 ** 9)
+
+_SCAN_BITS = 16  # payment blocks of 2^16 floats: 512 KB each
 
 
 def _to_fraction(value) -> Fraction:
@@ -141,19 +144,6 @@ def is_in_core(domain: ConnectivityDomain, payoffs) -> bool:
     return abs(veto_total - 1) <= IMPUTATION_TOL
 
 
-def _chunked_payments(n: int, pfl: np.ndarray):
-    total = 1 << n
-    chunk = 1 << min(20, n)
-    for lo in range(0, total, chunk):
-        hi = min(lo + chunk, total)
-        masks = np.arange(lo, hi, dtype=np.int64)
-        pay = np.zeros(hi - lo, dtype=np.float64)
-        for i in range(n):
-            if pfl[i]:
-                pay += pfl[i] * ((masks >> i) & 1)
-        yield lo, masks, pay
-
-
 def _exact_payment(mask: int, payoffs: Sequence[Fraction]) -> Fraction:
     total = Fraction(0)
     m = mask
@@ -168,29 +158,26 @@ def _min_payment_mask(select: np.ndarray, payoffs: Sequence[Fraction],
                       n: int) -> tuple[int, Fraction] | None:
     """Mask minimizing the coalition payment among ``select`` entries.
 
-    Float arithmetic shortlists near-minimal masks; exact rationals decide.
-    Ties break to the smallest coalition, then the smallest mask.
+    Float payments shortlist near-minimal masks, one block of the low
+    ``_SCAN_BITS`` agents at a time; exact rationals decide. Ties break to
+    the smallest coalition, then the smallest mask.
     """
     if not select.any():
         return None
     pfl = np.array([float(x) for x in payoffs], dtype=np.float64)
     slack = 1e-6 * max(1.0, float(np.abs(pfl).sum()))
-    best_float = np.inf
-    for lo, _, pay in _chunked_payments(n, pfl):
-        sel = select[lo:lo + len(pay)]
-        if sel.any():
-            best_float = min(best_float, float(pay[sel].min()))
-    best: tuple[Fraction, int, int] | None = None
-    for lo, masks, pay in _chunked_payments(n, pfl):
-        sel = select[lo:lo + len(pay)]
-        for mask in masks[sel & (pay <= best_float + slack)]:
-            mask = int(mask)
-            exact = _exact_payment(mask, payoffs)
-            key = (exact, mask.bit_count(), mask)
-            if best is None or key < best:
-                best = key
-    assert best is not None
-    return best[2], best[0]
+    bits = min(n, _SCAN_BITS)
+    low = enumeration._subset_sums(pfl[:bits], np.float64)
+    offsets = enumeration._subset_sums(pfl[bits:], np.float64)
+    blocks = select.reshape(len(offsets), len(low))
+    minima = [float(np.min(low, where=sel, initial=np.inf)) + offset
+              for sel, offset in zip(blocks, offsets)]
+    threshold = min(minima) + slack
+    shortlist = (h << bits | int(m) for h, (sel, offset) in enumerate(zip(blocks, offsets))
+                 if minima[h] <= threshold
+                 for m in np.flatnonzero(sel & (low + offset <= threshold)))
+    payment, _, mask = min((_exact_payment(m, payoffs), m.bit_count(), m) for m in shortlist)
+    return mask, payment
 
 
 def max_excess(domain: ConnectivityDomain, payoffs, *,

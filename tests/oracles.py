@@ -191,6 +191,21 @@ def random_graph_domain(rng: random.Random, max_agents=8, edge_prob=0.4,
     raise RuntimeError("failed to sample a non-degenerate graph domain")
 
 
+def connected_graph_domain(rng: random.Random, n_agents: int,
+                           n_edges: int) -> ConnectivityDomain:
+    """Connected graph on n_agents + 5 vertices (4 primaries, 1 backbone): a
+    random spanning tree plus random chords up to ``n_edges`` edges."""
+    total = n_agents + 5
+    edges = {(rng.randrange(v), v) for v in range(1, total)}
+    while len(edges) < n_edges:
+        u, v = sorted(rng.sample(range(total), 2))
+        edges.add((u, v))
+    ids = list(range(total))
+    rng.shuffle(ids)
+    return ConnectivityDomain(total, tuple(sorted(edges)), primary=tuple(ids[:4]),
+                              backbone=(ids[4],), standard=tuple(ids[5:]))
+
+
 def random_imputation(rng: random.Random, n: int, allow_negative=False) -> list[float]:
     if allow_negative and n >= 2:
         weights = [rng.uniform(-0.5, 1.0) for _ in range(n)]

@@ -127,6 +127,19 @@ def test_indices_auto_falls_back_to_mc_over_cap(files, capsys, monkeypatch):
     assert "monte-carlo" in out
 
 
+@pytest.mark.parametrize("env, argv", [
+    ("CONNGAMES_EXACT_CAP", ["indices", "cycle4"]),
+    ("CONNGAMES_EXACT_CAP", ["ecm", "cycle4", "half", "--epsilon", "0.5"]),
+    ("CONNGAMES_LP_CAP", ["leastcore", "cycle4"]),
+])
+def test_non_integer_env_cap_exit2(files, capsys, monkeypatch, env, argv):
+    monkeypatch.setenv(env, "abc")
+    code, out, err = run(capsys, [files.get(a, a) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {env} must be an integer, got 'abc'\n"
+
+
 def test_core_tree(files, capsys):
     code, out, _ = run(capsys, ["core", files["path4"], "--imputation",
                                 files["half"]])
@@ -184,6 +197,15 @@ def test_ecm_negative_epsilon_exit2(files, capsys):
                                 "--epsilon", "-0.1"])
     assert code == 2
     assert "nonnegative" in err
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan"])
+def test_ecm_non_finite_epsilon_exit2(files, capsys, epsilon):
+    code, out, err = run(capsys, ["ecm", files["cycle4"], files["half"],
+                                  "--epsilon", epsilon])
+    assert code == 2
+    assert out == ""
+    assert err == "error: epsilon must be a finite number\n"
 
 
 def test_ecm_non_tree_over_cap_exit3(files, capsys, monkeypatch):

@@ -117,6 +117,11 @@ def test_classify_all_lose():
     assert c.degenerate_all_lose and not c.degenerate_all_win
 
 
+def test_classify_cached_per_domain():
+    domain = oracles.cycle4()
+    assert classify(domain) is classify(domain)
+
+
 def test_all_lose_every_subset_loses():
     domain = oracles.all_lose_domain()
     for mask in range(1 << domain.n_agents):

@@ -1,9 +1,14 @@
 import random
+import tracemalloc
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
 
 import oracles
-from conngames import ConnectivityDomain
+import strategies
+from conngames import ConnectivityDomain, enumeration
+from conngames.domain import _value_of_mask
 from conngames.enumeration import (
     criticality_counts,
     criticality_size_counts,
@@ -36,6 +41,30 @@ def test_win_table_python_fallback_for_wide_graphs():
         standard=(1,))
     assert domain.vertex_count > 62
     assert win_table(domain).tolist() == [False, True]
+
+
+@pytest.mark.parametrize("chunk_bits", [3, enumeration._CHUNK_BITS])
+@settings(max_examples=150, deadline=None)
+@given(domain=strategies.domains())
+def test_win_table_matches_scalar_evaluator(chunk_bits, domain):
+    # 3-bit blocks split n > 3 into blocks with fixed high agents, and pad
+    # n < 3 into a partly used byte.
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_CHUNK_BITS", chunk_bits)
+        table = win_table(domain)
+    expected = [bool(_value_of_mask(domain, m)) for m in range(1 << domain.n_agents)]
+    assert table.tolist() == expected
+
+
+def test_win_table_memory_at_18_agents():
+    domain = oracles.connected_graph_domain(random.Random(18), 18, n_edges=85)
+    tracemalloc.start()
+    try:
+        win_table(domain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_win_table_cached_per_domain():

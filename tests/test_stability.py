@@ -1,9 +1,14 @@
 import random
+import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import oracles
+import strategies
 from conngames import (
     CapExceededError,
     DegenerateDomainError,
@@ -14,6 +19,7 @@ from conngames import (
     is_in_core,
     least_core_value,
     max_excess,
+    stability,
     tree_core,
     vertexcover_to_ecm,
     veto_players,
@@ -202,6 +208,53 @@ def test_max_excess_negative_full_scan_matches_bruteforce():
                                             allow_negative=True)
         report = max_excess(domain, payoffs, allow_negative=True)
         assert report.max_excess == oracles.max_excess_bruteforce(domain, payoffs)
+
+
+def _payment(mask, payoffs):
+    return sum((p for i, p in enumerate(payoffs) if mask >> i & 1), Fraction(0))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n=st.integers(0, 8), scan_bits=st.sampled_from([1, 2, 16]))
+def test_min_payment_mask_matches_bruteforce(data, n, scan_bits):
+    select = np.array(data.draw(st.lists(st.booleans(), min_size=1 << n,
+                                         max_size=1 << n)), dtype=bool)
+    payoffs = data.draw(strategies.payoffs(n))
+    keys = [(_payment(m, payoffs), m.bit_count(), m) for m in range(1 << n) if select[m]]
+    expected = (min(keys)[2], min(keys)[0]) if keys else None
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "_SCAN_BITS", scan_bits)
+        assert stability._min_payment_mask(select, payoffs, n) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), scan_bits=st.sampled_from([2, 16]))
+def test_max_excess_full_scan_matches_bruteforce_with_ties(data, scan_bits):
+    domain = data.draw(strategies.domains(max_agents=7, wide=False))
+    n = domain.n_agents
+    grand = coalition_value(domain, (1 << n) - 1)
+    assume(n > 0 or grand == 0)
+    payoffs = data.draw(strategies.payoffs(n, total=grand))
+    # Largest excess, then the smallest coalition, then the smallest mask.
+    expected = min((_payment(m, payoffs) - coalition_value(domain, m), m.bit_count(), m)
+                   for m in range(1 << n))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "_SCAN_BITS", scan_bits)
+        report = max_excess(domain, payoffs, allow_negative=True)
+    assert (report.max_excess, report.witness.mask) == (-expected[0], expected[2])
+
+
+def test_max_excess_memory_at_18_agents():
+    domain = oracles.connected_graph_domain(random.Random(18), 18, n_edges=85)
+    win_table(domain)
+    payoffs = [Fraction(1, 18)] * 18
+    tracemalloc.start()
+    try:
+        max_excess(domain, payoffs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_max_excess_on_all_win_domain_empty_coalition():
