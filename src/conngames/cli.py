@@ -10,6 +10,7 @@ values without per-value method tags, and contain nothing run-dependent
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -64,14 +65,20 @@ def _load_imputation(path: str) -> list:
     return data
 
 
-def _resolve_cap(value: int | None, env_name: str, default: int) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get(env_name)
-    try:
-        return int(env) if env else default
-    except ValueError:
-        raise ValueError(f"{env_name} must be an integer, got {env!r}") from None
+def _resolve_cap(value: int | None, flag: str, env_name: str, default: int) -> int:
+    source = flag
+    if value is None:
+        env = os.environ.get(env_name)
+        if not env:
+            return default
+        source = env_name
+        try:
+            value = int(env)
+        except ValueError:
+            raise ValueError(f"{env_name} must be an integer, got {env!r}") from None
+    if value < 0:
+        raise ValueError(f"{source} must be nonnegative, got {value}")
+    return value
 
 
 def _rational(value) -> str | None:
@@ -171,7 +178,8 @@ def _render_indices_csv(payloads) -> None:
 def cmd_indices(args) -> int:
     try:
         domain = _load_domain(args.domain)
-        cap = _resolve_cap(args.exact_cap, ENV_EXACT_CAP, powerindex.DEFAULT_ENUMERATION_CAP)
+        cap = _resolve_cap(args.exact_cap, "--exact-cap", ENV_EXACT_CAP,
+                           powerindex.DEFAULT_ENUMERATION_CAP)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
     classification = classify(domain)
@@ -268,7 +276,8 @@ def cmd_ecm(args) -> int:
     try:
         domain = _load_domain(args.domain)
         payoffs = _load_imputation(args.imputation)
-        cap = _resolve_cap(args.exact_cap, ENV_EXACT_CAP, powerindex.DEFAULT_ENUMERATION_CAP)
+        cap = _resolve_cap(args.exact_cap, "--exact-cap", ENV_EXACT_CAP,
+                           powerindex.DEFAULT_ENUMERATION_CAP)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
     classification = classify(domain)
@@ -331,7 +340,7 @@ def cmd_ecm(args) -> int:
 def cmd_leastcore(args) -> int:
     try:
         domain = _load_domain(args.domain)
-        lp_cap = _resolve_cap(args.lp_cap, ENV_LP_CAP, stability.DEFAULT_LP_CAP)
+        lp_cap = _resolve_cap(args.lp_cap, "--lp-cap", ENV_LP_CAP, stability.DEFAULT_LP_CAP)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
     classification = classify(domain)
@@ -493,8 +502,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # One parser per process: building one costs about 1 ms and leaves a few
+    # hundred objects in reference cycles, which outlive the query as garbage.
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     return args.func(args)
 
 

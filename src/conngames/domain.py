@@ -9,6 +9,7 @@ primary and backbone vertices, connect every pair of primary vertices.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Iterator
@@ -385,6 +386,16 @@ def domain_to_dict(domain: ConnectivityDomain) -> dict:
     }
 
 
+def _strict_int(value, field: str) -> int:
+    """``value`` as an int; bools, floats and strings are refused, not coerced."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{field}: expected an integer, got {value!r}")
+
+
 def domain_from_dict(data: dict) -> ConnectivityDomain:
     """Build a domain from the JSON schema; unknown top-level keys are ignored.
 
@@ -394,11 +405,12 @@ def domain_from_dict(data: dict) -> ConnectivityDomain:
     if not isinstance(data, dict):
         raise ValueError("domain document must be a JSON object")
     try:
-        vertices = int(data["vertices"])
-        edges = tuple((int(u), int(v)) for u, v in data["edges"])
-        primary = tuple(int(v) for v in data["primary"])
-        backbone = tuple(int(v) for v in data["backbone"])
-        standard = tuple(int(v) for v in data["standard"])
+        vertices = _strict_int(data["vertices"], "vertices")
+        edges = tuple((_strict_int(u, "edges"), _strict_int(v, "edges"))
+                      for u, v in data["edges"])
+        primary = tuple(_strict_int(v, "primary") for v in data["primary"])
+        backbone = tuple(_strict_int(v, "backbone") for v in data["backbone"])
+        standard = tuple(_strict_int(v, "standard") for v in data["standard"])
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed domain document: {exc}") from exc
     return ConnectivityDomain(vertices, edges, primary, backbone, standard)

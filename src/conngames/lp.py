@@ -1,13 +1,23 @@
-"""Small exact-rational linear-program solver (two-phase primal simplex).
+"""Small exact linear-program solver (two-phase primal simplex) in integers.
 
-Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0  over
-``fractions.Fraction``. Bland's rule is used for both the entering and the
-leaving variable, which rules out cycling. Dimensions here are tiny (the
-least-core solver generates constraints lazily), so a dense tableau is fine.
+Solves  min c.x  s.t.  A_ub x <= b_ub,  A_eq x = b_eq,  x >= 0  for rational
+data and returns ``fractions.Fraction`` values. Bland's rule is used for both
+the entering and the leaving variable, which rules out cycling. Dimensions
+here are tiny (the least-core solver generates constraints lazily), so a
+dense tableau is fine.
+
+The tableau is fraction-free (integer-preserving elimination, after Bareiss
+1968): each row is a primitive integer list, a positive multiple of the
+rational row whose basic coefficient is 1. Its basic variable's value is
+``Fraction(rhs, coefficient)``. The reduced costs are an integer row updated
+by the same elimination. Positive multiples keep every sign, and the ratio
+test compares by cross-multiplication, so the pivots are those of the
+rational tableau.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -27,47 +37,56 @@ class LPSolution:
     objective: Fraction
 
 
+def _primitive(row: list[int]) -> list[int]:
+    g = math.gcd(*row)
+    return [v // g for v in row] if g > 1 else row
+
+
+def _scaled(values: Sequence[Fraction | int]) -> list[int]:
+    """``values`` times the lcm of their denominators."""
+    scale = math.lcm(*(v.denominator for v in values))
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _eliminate(row: list[int], prow: list[int], col: int) -> list[int]:
+    """A positive multiple of ``row`` minus a multiple of ``prow`` that is 0 at ``col``."""
+    f = row[col]
+    if f == 0:
+        return row
+    p = prow[col]
+    return _primitive([p * v - f * w for v, w in zip(row, prow)])
+
+
 def _pivot(tableau, basis, row, col):
-    piv = tableau[row][col]
-    tableau[row] = [v / piv for v in tableau[row]]
+    if tableau[row][col] < 0:
+        tableau[row] = [-v for v in tableau[row]]
+    prow = tableau[row]
     for r, other in enumerate(tableau):
-        if r != row and other[col] != 0:
-            factor = other[col]
-            prow = tableau[row]
-            tableau[r] = [v - factor * p for v, p in zip(other, prow)]
+        if r != row:
+            tableau[r] = _eliminate(other, prow, col)
     basis[row] = col
 
 
-def _optimize(tableau, basis, costs, banned):
-    width = len(costs)
+def _optimize(tableau, basis, costs, limit):
+    """Bland's-rule simplex over the first ``limit`` columns for the integer ``costs``."""
+    reduced = costs + [0]
+    for r, b in enumerate(basis):
+        reduced = _eliminate(reduced, tableau[r], b)
     while True:
-        cb = [costs[b] for b in basis]
-        entering = -1
-        for j in range(width):
-            if j in banned or j in basis:
-                continue
-            reduced = costs[j]
-            for r, row in enumerate(tableau):
-                if row[j] != 0 and cb[r] != 0:
-                    reduced -= cb[r] * row[j]
-            if reduced < 0:
-                entering = j
-                break
+        entering = next((j for j in range(limit) if reduced[j] < 0), -1)
         if entering == -1:
             return
-        leaving = -1
-        best_ratio = None
+        leaving, num, den = -1, 1, 0  # best ratio num/den, +inf to start
         for r, row in enumerate(tableau):
             a = row[entering]
             if a > 0:
-                ratio = row[-1] / a
-                if (best_ratio is None or ratio < best_ratio
-                        or (ratio == best_ratio and basis[r] < basis[leaving])):
-                    best_ratio = ratio
-                    leaving = r
+                lhs, rhs = row[-1] * den, num * a
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[leaving]):
+                    leaving, num, den = r, row[-1], a
         if leaving == -1:
             raise LPUnbounded("objective unbounded below")
         _pivot(tableau, basis, leaving, entering)
+        reduced = _eliminate(reduced, tableau[leaving], entering)
 
 
 def solve_exact(c: Sequence, a_ub: Sequence[Sequence] = (), b_ub: Sequence = (),
@@ -81,52 +100,42 @@ def solve_exact(c: Sequence, a_ub: Sequence[Sequence] = (), b_ub: Sequence = (),
         rows.append(([Fraction(v) for v in coeffs], Fraction(b), False))
     m = len(rows)
     n_slack = sum(1 for _, _, has_slack in rows if has_slack)
-    width = nv + n_slack + m  # artificial variable per row
-    zero = Fraction(0)
+    artificial = nv + n_slack
+    width = artificial + m  # artificial variable per row
 
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
     basis: list[int] = []
     slack_at = nv
     for r, (coeffs, b, has_slack) in enumerate(rows):
-        row = [zero] * (width + 1)
-        for j, v in enumerate(coeffs):
-            row[j] = v
+        sign = -1 if b < 0 else 1
+        row = [0] * (width + 1)
+        row[:nv] = [sign * v for v in coeffs]
         if has_slack:
-            row[slack_at] = Fraction(1)
+            row[slack_at] = sign
             slack_at += 1
-        row[-1] = b
-        if b < 0:
-            row = [-v for v in row]
-        art = nv + n_slack + r
-        row[art] = Fraction(1)
-        tableau.append(row)
-        basis.append(art)
+        row[-1] = sign * b
+        row[artificial + r] = 1
+        tableau.append(_primitive(_scaled(row)))
+        basis.append(artificial + r)
 
     # Phase 1: drive the artificial variables to zero.
-    phase1 = [zero] * width
-    for j in range(nv + n_slack, width):
-        phase1[j] = Fraction(1)
-    _optimize(tableau, basis, phase1, banned=frozenset())
-    residual = sum((tableau[r][-1] for r in range(m) if basis[r] >= nv + n_slack),
-                   start=zero)
-    if residual != 0:
+    _optimize(tableau, basis, [0] * artificial + [1] * m, limit=width)
+    if any(tableau[r][-1] for r in range(m) if basis[r] >= artificial):
         raise LPInfeasible("no feasible point")
     for r in range(m):
-        if basis[r] >= nv + n_slack:
+        if basis[r] >= artificial:
             # Basic artificial at value zero: pivot it out if the row has any
             # structural coefficient; otherwise the row is redundant.
-            for j in range(nv + n_slack):
+            for j in range(artificial):
                 if tableau[r][j] != 0:
                     _pivot(tableau, basis, r, j)
                     break
 
-    phase2 = c + [zero] * (n_slack + m)
-    banned = frozenset(range(nv + n_slack, width))
-    _optimize(tableau, basis, phase2, banned=banned)
+    _optimize(tableau, basis, _scaled(c) + [0] * (n_slack + m), limit=artificial)
 
-    x = [zero] * nv
+    x = [Fraction(0)] * nv
     for r, b in enumerate(basis):
         if b < nv:
-            x[b] = tableau[r][-1]
-    objective = sum((ci * xi for ci, xi in zip(c, x)), start=zero)
+            x[b] = Fraction(tableau[r][-1], tableau[r][b])
+    objective = sum((ci * xi for ci, xi in zip(c, x)), start=Fraction(0))
     return LPSolution(tuple(x), objective)

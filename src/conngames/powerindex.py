@@ -16,7 +16,6 @@ of the true index with probability at least 1 - delta.
 
 from __future__ import annotations
 
-import hashlib
 import math
 import random
 from dataclasses import dataclass
@@ -114,6 +113,10 @@ def shapley_exact(domain: ConnectivityDomain, *, cap: int = DEFAULT_ENUMERATION_
 
 def derive_seed(seed: int, label: str) -> int:
     """Stable per-label sub-seed, used to give each agent its own sample stream."""
+    # Imported here: only Monte Carlo needs it, and loading hashlib (OpenSSL)
+    # adds about 4 MB of resident memory to every process that imports the CLI.
+    import hashlib
+
     digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
 

@@ -11,14 +11,15 @@ Maximal excess is found by exhaustive enumeration: for nonnegative payoffs the
 worst-off constraint comes from a minimally paid winning coalition (losing
 coalitions have nonpositive excess), so the scan reduces to a minimum payment
 over the winning entries of the coalition table. Float payments, built block
-by block, shortlist the candidates; exact rational arithmetic decides. The
-least core solves  min eps  s.t.  p(C) >= v(C) - eps  over nonempty
-coalitions, with constraints generated lazily from the same min-payment
-search.
+by block, shortlist the candidates; exact integer payments, with the payoffs
+scaled to their least common denominator, decide. The least core solves
+min eps  s.t.  p(C) >= v(C) - eps  over nonempty coalitions, with
+constraints generated lazily from the same min-payment search.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -144,13 +145,12 @@ def is_in_core(domain: ConnectivityDomain, payoffs) -> bool:
     return abs(veto_total - 1) <= IMPUTATION_TOL
 
 
-def _exact_payment(mask: int, payoffs: Sequence[Fraction]) -> Fraction:
-    total = Fraction(0)
-    m = mask
-    while m:
-        low = m & -m
-        total += payoffs[low.bit_length() - 1]
-        m ^= low
+def _scaled_payment(mask: int, weights: Sequence[int]) -> int:
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
     return total
 
 
@@ -159,8 +159,9 @@ def _min_payment_mask(select: np.ndarray, payoffs: Sequence[Fraction],
     """Mask minimizing the coalition payment among ``select`` entries.
 
     Float payments shortlist near-minimal masks, one block of the low
-    ``_SCAN_BITS`` agents at a time; exact rationals decide. Ties break to
-    the smallest coalition, then the smallest mask.
+    ``_SCAN_BITS`` agents at a time; integer payments, with the payoffs
+    scaled by the lcm of their denominators, decide. Ties break to the
+    smallest coalition, then the smallest mask.
     """
     if not select.any():
         return None
@@ -176,8 +177,10 @@ def _min_payment_mask(select: np.ndarray, payoffs: Sequence[Fraction],
     shortlist = (h << bits | int(m) for h, (sel, offset) in enumerate(zip(blocks, offsets))
                  if minima[h] <= threshold
                  for m in np.flatnonzero(sel & (low + offset <= threshold)))
-    payment, _, mask = min((_exact_payment(m, payoffs), m.bit_count(), m) for m in shortlist)
-    return mask, payment
+    scale = math.lcm(*(x.denominator for x in payoffs))
+    weights = [x.numerator * (scale // x.denominator) for x in payoffs]
+    total, _, mask = min((_scaled_payment(m, weights), m.bit_count(), m) for m in shortlist)
+    return mask, Fraction(total, scale)
 
 
 def max_excess(domain: ConnectivityDomain, payoffs, *,
@@ -204,22 +207,22 @@ def max_excess(domain: ConnectivityDomain, payoffs, *,
             "negative payoffs rejected; pass allow_negative=True for the full scan")
 
     win = enumeration.win_table(domain)
-    candidates: list[int] = []
+    candidates: list[tuple[int, Fraction]] = []
     winning = _min_payment_mask(win, p, n)
     if winning is not None:
-        candidates.append(winning[0])
+        candidates.append(winning)
     if has_negative:
         losing = _min_payment_mask(~win, p, n)
         if losing is not None:
-            candidates.append(losing[0])
+            candidates.append(losing)
     elif not win[0]:
-        candidates.append(0)  # empty coalition: excess exactly 0
+        candidates.append((0, Fraction(0)))  # empty coalition: excess exactly 0
 
     best_mask = 0
     best_excess = None
     best_key = None
-    for mask in candidates:
-        excess = Fraction(int(win[mask])) - _exact_payment(mask, p)
+    for mask, payment in candidates:
+        excess = int(win[mask]) - payment
         key = (-excess, mask.bit_count(), mask)
         if best_key is None or key < best_key:
             best_excess, best_mask, best_key = excess, mask, key
@@ -265,9 +268,10 @@ def least_core_value(domain: ConnectivityDomain, *,
                      exact_cap: int = DEFAULT_EXACT_LP_CAP) -> LeastCoreResult:
     """Smallest eps whose eps-core is non-empty, with an optimal imputation.
 
-    Deviating coalitions are the nonempty ones. Exact rational arithmetic up
-    to ``exact_cap`` agents (lazy constraint generation over a rational
-    simplex); a floating-point LP over the minimal winning coalitions above.
+    Deviating coalitions are the nonempty ones. Exact rationals up to
+    ``exact_cap`` agents (lazy constraint generation over the integer
+    simplex of ``lp``); a floating-point LP over the minimal winning
+    coalitions above.
     """
     domain.ensure_valid()
     n = domain.n_agents

@@ -2,8 +2,9 @@
 
 The oracles deliberately use a different route than the code they check:
 set-based BFS instead of bitmask kernels, literal permutation / subset sums
-instead of the vectorized counting, and full-enumeration definitions for veto
-players and core membership.
+instead of the vectorized counting, full-enumeration definitions for veto
+players and core membership, and a ``Fraction`` tableau for the integer
+simplex.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from conngames import (
     classify,
     coalition_value,
 )
+from conngames.lp import LPInfeasible, LPSolution, LPUnbounded
 
 
 # ----------------------------------------------------------- value oracle
@@ -136,6 +138,112 @@ def essential_by_removal(domain: ConnectivityDomain) -> tuple[int, ...]:
     grand = (1 << n) - 1
     return tuple(i for i in range(n)
                  if coalition_value(domain, grand ^ (1 << i)) == 0)
+
+
+# ----------------------------------------------------------- LP oracle
+
+def _fraction_pivot(tableau, basis, row, col):
+    piv = tableau[row][col]
+    tableau[row] = [v / piv for v in tableau[row]]
+    for r, other in enumerate(tableau):
+        if r != row and other[col] != 0:
+            factor = other[col]
+            prow = tableau[row]
+            tableau[r] = [v - factor * p for v, p in zip(other, prow)]
+    basis[row] = col
+
+
+def _fraction_optimize(tableau, basis, costs, banned):
+    width = len(costs)
+    while True:
+        cb = [costs[b] for b in basis]
+        entering = -1
+        for j in range(width):
+            if j in banned or j in basis:
+                continue
+            reduced = costs[j]
+            for r, row in enumerate(tableau):
+                if row[j] != 0 and cb[r] != 0:
+                    reduced -= cb[r] * row[j]
+            if reduced < 0:
+                entering = j
+                break
+        if entering == -1:
+            return
+        leaving = -1
+        best_ratio = None
+        for r, row in enumerate(tableau):
+            a = row[entering]
+            if a > 0:
+                ratio = row[-1] / a
+                if (best_ratio is None or ratio < best_ratio
+                        or (ratio == best_ratio and basis[r] < basis[leaving])):
+                    best_ratio = ratio
+                    leaving = r
+        if leaving == -1:
+            raise LPUnbounded("objective unbounded below")
+        _fraction_pivot(tableau, basis, leaving, entering)
+
+
+def fraction_simplex(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPSolution:
+    """Reference for ``lp.solve_exact``: the same two-phase Bland's-rule
+    simplex on a tableau of ``Fraction`` rows, with every reduced cost
+    recomputed from the basis on each iteration."""
+    c = [Fraction(v) for v in c]
+    nv = len(c)
+    rows = []
+    for coeffs, b in zip(a_ub, b_ub):
+        rows.append(([Fraction(v) for v in coeffs], Fraction(b), True))
+    for coeffs, b in zip(a_eq, b_eq):
+        rows.append(([Fraction(v) for v in coeffs], Fraction(b), False))
+    m = len(rows)
+    n_slack = sum(1 for _, _, has_slack in rows if has_slack)
+    width = nv + n_slack + m  # artificial variable per row
+    zero = Fraction(0)
+
+    tableau = []
+    basis = []
+    slack_at = nv
+    for r, (coeffs, b, has_slack) in enumerate(rows):
+        row = [zero] * (width + 1)
+        for j, v in enumerate(coeffs):
+            row[j] = v
+        if has_slack:
+            row[slack_at] = Fraction(1)
+            slack_at += 1
+        row[-1] = b
+        if b < 0:
+            row = [-v for v in row]
+        art = nv + n_slack + r
+        row[art] = Fraction(1)
+        tableau.append(row)
+        basis.append(art)
+
+    phase1 = [zero] * width
+    for j in range(nv + n_slack, width):
+        phase1[j] = Fraction(1)
+    _fraction_optimize(tableau, basis, phase1, banned=frozenset())
+    residual = sum((tableau[r][-1] for r in range(m) if basis[r] >= nv + n_slack),
+                   start=zero)
+    if residual != 0:
+        raise LPInfeasible("no feasible point")
+    for r in range(m):
+        if basis[r] >= nv + n_slack:
+            for j in range(nv + n_slack):
+                if tableau[r][j] != 0:
+                    _fraction_pivot(tableau, basis, r, j)
+                    break
+
+    phase2 = c + [zero] * (n_slack + m)
+    banned = frozenset(range(nv + n_slack, width))
+    _fraction_optimize(tableau, basis, phase2, banned=banned)
+
+    x = [zero] * nv
+    for r, b in enumerate(basis):
+        if b < nv:
+            x[b] = tableau[r][-1]
+    objective = sum((ci * xi for ci, xi in zip(c, x)), start=zero)
+    return LPSolution(tuple(x), objective)
 
 
 # ----------------------------------------------------------- generators

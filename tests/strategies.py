@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
 from hypothesis import strategies as st
 
@@ -44,12 +45,77 @@ def domains(draw, max_agents: int = 10, wide: bool | None = None) -> Connectivit
                               tuple(standard))
 
 
-def payoffs(n: int, total: int = 1) -> st.SearchStrategy[list[Fraction]]:
-    """n - 1 quarter-step payoffs in [-1, 1] plus one that brings the sum to
-    ``total``: few distinct values, so coalitions often tie, and negative
-    entries."""
+@st.composite
+def payoffs(draw, n: int, total: int = 1) -> list[Fraction]:
+    """n - 1 payoffs in about [-1, 1] plus one that brings the sum to
+    ``total``. Each is a multiple of 1/4, or of 1/3 or 1/7 (mixed
+    denominators), optionally shifted by a few 10^-12 so that distinct
+    payments tie as floats. A sparse draw pays nothing to most agents, like
+    a simplex optimum. Few distinct values, so coalitions often tie, and
+    negative entries."""
     if n == 0:
-        return st.just([])
-    quarters = st.lists(st.integers(-4, 4), min_size=n - 1, max_size=n - 1)
-    return quarters.map(lambda qs: [Fraction(q, 4) for q in qs]
-                        + [total - sum((Fraction(q, 4) for q in qs), Fraction(0))])
+        return []
+    denominators = draw(st.sampled_from([(4,), (3, 7)]))
+    shifted = draw(st.booleans())
+    sparse = draw(st.booleans())
+    values = []
+    for _ in range(n - 1):
+        if sparse and draw(st.integers(0, 3)):
+            values.append(Fraction(0))
+            continue
+        d = draw(st.sampled_from(denominators))
+        value = Fraction(draw(st.integers(-d, d)), d)
+        if shifted:
+            value += Fraction(draw(st.integers(-3, 3)), 10 ** 12)
+        values.append(value)
+    return values + [total - sum(values, Fraction(0))]
+
+
+_COEFFICIENTS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
+_RHS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 5]))
+
+
+@st.composite
+def linear_programs(draw, max_vars: int = 6, max_rows: int = 8):
+    """``(c, a_ub, b_ub, a_eq, b_eq)`` with rational coefficients, right-hand
+    sides of either sign, mixed ``<=`` and ``=`` rows, sometimes a redundant
+    equality (a combination of two others) and sometimes a row bounding the
+    sum of the variables, so that optima are common as well as infeasible
+    and unbounded programs. Half the draws take their right-hand sides from
+    a point x0 >= 0, which makes infeasible programs rarer."""
+    nv = draw(st.integers(1, max_vars))
+    row = st.lists(_COEFFICIENTS, min_size=nv, max_size=nv)
+    n_ub = draw(st.integers(0, max_rows))
+    n_eq = draw(st.integers(0, max_rows - n_ub))
+    a_ub = draw(st.lists(row, min_size=n_ub, max_size=n_ub))
+    a_eq = draw(st.lists(row, min_size=n_eq, max_size=n_eq))
+    if draw(st.booleans()):
+        x0 = draw(st.lists(st.builds(Fraction, st.integers(0, 3), st.sampled_from([1, 2])),
+                           min_size=nv, max_size=nv))
+        b_ub = [sum(map(mul, a, x0), Fraction(0)) + draw(st.integers(0, 2)) for a in a_ub]
+        b_eq = [sum(map(mul, a, x0), Fraction(0)) for a in a_eq]
+    else:
+        b_ub = draw(st.lists(_RHS, min_size=n_ub, max_size=n_ub))
+        b_eq = draw(st.lists(_RHS, min_size=n_eq, max_size=n_eq))
+    if n_eq and n_ub + n_eq < max_rows and draw(st.booleans()):
+        i, j = draw(st.integers(0, n_eq - 1)), draw(st.integers(0, n_eq - 1))
+        f, g = draw(_COEFFICIENTS), draw(_COEFFICIENTS)
+        a_eq.append([f * u + g * v for u, v in zip(a_eq[i], a_eq[j])])
+        b_eq.append(f * b_eq[i] + g * b_eq[j])
+    if len(a_ub) + len(a_eq) < max_rows and draw(st.booleans()):
+        a_ub.append([Fraction(1)] * nv)
+        b_ub.append(Fraction(draw(st.integers(0, 5))))
+    c = draw(row)
+    return c, a_ub, b_ub, a_eq, b_eq
+
+
+@st.composite
+def least_core_programs(draw, max_agents: int = 5, max_rows: int = 7):
+    """The least-core LP over drawn coalitions C: min eps (or 0) s.t.
+    p(C) + eps >= 1 and p(N) = 1. Its rows tie in the ratio test, so the
+    tie-breaks decide which optimal vertex is returned."""
+    n = draw(st.integers(2, max_agents))
+    masks = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=max_rows))
+    a_ub = [[-(mask >> i & 1) for i in range(n)] + [-1] for mask in masks]
+    c = [0] * n + [draw(st.integers(0, 1))]
+    return c, a_ub, [-1] * len(masks), [[1] * n + [0]], [1]

@@ -3,7 +3,7 @@ import json
 import pytest
 
 import oracles
-from conngames import domain_to_dict, validate, domain_from_dict
+from conngames import cli, domain_to_dict, validate, domain_from_dict
 from conngames.cli import main
 
 
@@ -138,6 +138,50 @@ def test_non_integer_env_cap_exit2(files, capsys, monkeypatch, env, argv):
     assert code == 2
     assert out == ""
     assert err == f"error: {env} must be an integer, got 'abc'\n"
+
+
+@pytest.mark.parametrize("env, argv, source", [
+    (None, ["indices", "cycle4", "--exact-cap", "-5"], "--exact-cap"),
+    ("CONNGAMES_EXACT_CAP", ["indices", "cycle4"], "CONNGAMES_EXACT_CAP"),
+    (None, ["ecm", "cycle4", "half", "--epsilon", "0.5", "--exact-cap", "-5"],
+     "--exact-cap"),
+    ("CONNGAMES_EXACT_CAP", ["ecm", "cycle4", "half", "--epsilon", "0.5"],
+     "CONNGAMES_EXACT_CAP"),
+    (None, ["leastcore", "cycle4", "--lp-cap", "-5"], "--lp-cap"),
+    ("CONNGAMES_LP_CAP", ["leastcore", "cycle4"], "CONNGAMES_LP_CAP"),
+])
+def test_negative_cap_exit2(files, capsys, monkeypatch, env, argv, source):
+    if env is not None:
+        monkeypatch.setenv(env, "-5")
+    code, out, err = run(capsys, [files.get(a, a) for a in argv])
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {source} must be nonnegative, got -5\n"
+
+
+def test_zero_cap_is_accepted(files, capsys):
+    code, out, _ = run(capsys, ["indices", files["cycle4"], "--index", "banzhaf",
+                                "--exact-cap", "0"])
+    assert code == 0
+    assert "monte-carlo" in out
+
+
+@pytest.mark.parametrize("field, value", [
+    ("vertices", True),
+    ("vertices", 4.5),
+    ("edges", [[0, 2], [2, 1.7]]),
+    ("primary", [0, False]),
+    ("standard", ["2"]),
+])
+def test_non_integer_domain_entry_exit2(files, capsys, field, value):
+    data = {"vertices": 3, "edges": [[0, 2], [2, 1]], "primary": [0, 1],
+            "backbone": [], "standard": [2]}
+    data[field] = value
+    path = write_json(files["tmp"] / "strict.json", data)
+    code, out, err = run(capsys, ["indices", path])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: malformed domain document: {field}: expected an integer")
 
 
 def test_core_tree(files, capsys):
@@ -316,3 +360,20 @@ def test_cli_reruns_are_byte_identical(files, capsys, tmp_path):
     run(capsys, ["generate", "vertexcover", files["k3"], "--out", str(out_path)])
     assert out_path.read_bytes() == blob1
     assert (tmp_path / "gen.imputation.json").read_bytes() == side1
+
+
+def test_main_reuses_its_parser_without_carrying_state(files, capsys):
+    exact = ["indices", files["cycle4"], "--index", "banzhaf"]
+    leastcore = ["leastcore", files["cycle4"], "--format", "json"]
+    first = [run(capsys, exact), run(capsys, leastcore)]
+    parser = cli._parser()
+    # A flag given to one call does not leak into the next one.
+    assert "monte-carlo" in run(capsys, exact + ["--exact-cap", "0"])[1]
+    # Usage errors exit through argparse with status 2.
+    for argv in (["leastcore"], ["indices", files["cycle4"], "--method", "bogus"], []):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert [run(capsys, exact), run(capsys, leastcore)] == first
+    assert cli._parser() is parser

@@ -211,3 +211,20 @@ def test_domain_json_malformed():
         domain_from_dict({"vertices": 3})
     with pytest.raises(ValueError):
         domain_from_dict([1, 2, 3])
+
+
+@pytest.mark.parametrize("field, value", [
+    ("vertices", True),
+    ("vertices", 3.0),
+    ("vertices", "3"),
+    ("edges", [[0, 1.7]]),
+    ("edges", [[True, 2]]),
+    ("primary", [0, 1.5]),
+    ("backbone", [None]),
+    ("standard", [False]),
+])
+def test_domain_json_rejects_non_integers(field, value):
+    data = domain_to_dict(oracles.path3())
+    data[field] = value
+    with pytest.raises(ValueError, match=f"{field}: expected an integer"):
+        domain_from_dict(data)

@@ -18,6 +18,7 @@ from conngames import (
     ecm,
     is_in_core,
     least_core_value,
+    lp,
     max_excess,
     stability,
     tree_core,
@@ -60,6 +61,36 @@ def test_lp_unbounded():
 def test_lp_degenerate_redundant_rows():
     solution = solve_exact([1, 1], a_eq=[[1, 1], [2, 2]], b_eq=[1, 2])
     assert solution.objective == 1
+
+
+def _lp_outcome(solver, problem):
+    try:
+        return solver(*problem)
+    except (LPInfeasible, LPUnbounded) as exc:
+        return type(exc)
+
+
+@settings(max_examples=500, deadline=None)
+@given(problem=st.one_of(strategies.linear_programs(), strategies.least_core_programs()))
+def test_lp_matches_fraction_simplex(problem):
+    assert _lp_outcome(solve_exact, problem) == \
+        _lp_outcome(oracles.fraction_simplex, problem)
+
+
+def test_lp_matches_fraction_simplex_on_least_core_lps(corpus, monkeypatch):
+    problems = []
+
+    def recording(*problem):
+        problems.append(problem)
+        return solve_exact(*problem)
+
+    monkeypatch.setattr(lp, "solve_exact", recording)
+    for _, domain in corpus:
+        least_core_value(domain)
+    monkeypatch.undo()
+    assert max(len(problem[1]) for problem in problems) >= 5
+    for problem in problems:
+        assert solve_exact(*problem) == oracles.fraction_simplex(*problem)
 
 
 # ----------------------------------------------------------- veto players
