@@ -1,11 +1,17 @@
-"""Bit-sliced evaluation of the characteristic function over all coalitions.
+"""Bit-sliced evaluation of the characteristic function over batches of coalitions.
 
-The exact solvers enumerate all 2^n coalitions in blocks of 2^k. Each vertex
-holds a packed bitset over the block whose bit m says whether coalition m
-reaches it from the first primary. Sweeps of R_v = U_v & OR(R_u, u in N(v)) in
-breadth-first order run to a fixed point, U_v being the owner's usable bitset
-(periodic for agents below k, constant above), and a coalition wins where every
-primary is reached. No vertex-count limit; tables are memoized on the domain.
+One kernel evaluates a batch of coalitions at once. Each agent brings a
+packed membership bitset over the batch (bit t: the agent is in coalition t)
+and each vertex holds a packed bitset of the coalitions that reach it from
+the first primary. Sweeps of R_v = U_v & OR(R_u, u in N(v)) in breadth-first
+order run to a fixed point, U_v being the owner's membership bitset (all ones
+for primaries and backbones), and a coalition wins where every primary is
+reached. There is no vertex-count limit.
+
+The win table runs the kernel over all 2^n coalitions in blocks of 2^k, with
+periodic bitsets for agents below k and constant ones above; tables are
+memoized on the domain. The Monte Carlo estimators in :mod:`.powerindex` run
+it over blocks of sampled coalitions.
 """
 
 from __future__ import annotations
@@ -30,10 +36,8 @@ def win_table(domain: ConnectivityDomain) -> np.ndarray:
     return table
 
 
-def _agent_bitset(i: int, k: int, high: int, nbytes: int) -> np.ndarray:
-    """Bit m set iff agent i is in coalition ``high << k | m``, packed little-endian."""
-    if i >= k:
-        return np.full(nbytes, 0xFF if high >> (i - k) & 1 else 0, dtype=np.uint8)
+def _periodic_bitset(i: int, nbytes: int) -> np.ndarray:
+    """Bit m set iff bit i of m is set, packed little-endian over ``nbytes`` bytes."""
     if i < 3:
         return np.full(nbytes, (0xAA, 0xCC, 0xF0)[i], dtype=np.uint8)
     return np.tile(np.repeat(np.array([0, 0xFF], np.uint8), 1 << (i - 3)), nbytes >> (i - 2))
@@ -41,20 +45,40 @@ def _agent_bitset(i: int, k: int, high: int, nbytes: int) -> np.ndarray:
 
 def _compute_win_table(domain: ConnectivityDomain) -> np.ndarray:
     n = domain.n_agents
-    if len(domain.primary) < 2:
-        return np.ones(1 << n, dtype=bool)
     k = min(n, _CHUNK_BITS)
     nbytes = max(1, 1 << k >> 3)
-    start = min(domain.primary)
+    win_bits = _win_bits_evaluator(domain)
+    usable = [_periodic_bitset(i, nbytes) for i in range(k)]
+    constant = (np.zeros(nbytes, dtype=np.uint8), np.full(nbytes, 0xFF, dtype=np.uint8))
+    out = np.empty((1 << (n - k), 1 << k), dtype=bool)
+    for high, row in enumerate(out):
+        usable[k:] = [constant[high >> (i - k) & 1] for i in range(k, n)]
+        row[:] = np.unpackbits(win_bits(usable, nbytes), count=row.size, bitorder="little")
+    return out.reshape(-1)
+
+
+def _win_bits_evaluator(domain: ConnectivityDomain):
+    """The batched kernel for one domain: returns ``win_bits(usable, nbytes)``.
+
+    ``usable[i]`` is agent i's packed membership bitset over a batch of
+    coalitions: ``nbytes`` uint8 values whose bit t (little-endian) says
+    whether agent i is in coalition t. ``win_bits`` returns the batch's
+    packed win bits. The neighbour lists and the sweep order are built here,
+    once, and shared by every batch.
+    """
+    primary = list(domain.primary)
+    if len(primary) < 2:
+        return lambda usable, nbytes: np.full(nbytes, 0xFF, dtype=np.uint8)
+    start = min(primary)
     nbrs = [list(vs) for vs in domain._adjacency]
     nbrs[start].append(start)  # a self-loop keeps the start vertex reached
     order = [start]
     for v in order:
         order += [u for u in nbrs[v] if u not in order]
-    acc = np.empty(nbytes, dtype=np.uint8)
-    out = np.empty((1 << (n - k), 1 << k), dtype=bool)
-    for high, row in enumerate(out):
-        usable = {v: _agent_bitset(i, k, high, nbytes) for i, v in enumerate(domain.standard)}
+    owner = {v: i for i, v in enumerate(domain.standard)}
+
+    def win_bits(usable, nbytes: int) -> np.ndarray:
+        acc = np.empty(nbytes, dtype=np.uint8)
         reached = np.zeros((domain.vertex_count, nbytes), dtype=np.uint8)
         reached[start] = 0xFF
         stale = set(order)
@@ -62,14 +86,14 @@ def _compute_win_table(domain: ConnectivityDomain) -> np.ndarray:
             for v in [u for u in order if u in stale]:
                 stale.discard(v)
                 np.bitwise_or.reduce(reached[nbrs[v]], axis=0, out=acc)
-                if v in usable:
-                    acc &= usable[v]
-                if not np.array_equal(acc, reached[v]):
+                if v in owner:
+                    acc &= usable[owner[v]]
+                if acc.tobytes() != reached[v].tobytes():
                     reached[v] = acc
                     stale.update(nbrs[v])
-        wins = np.bitwise_and.reduce(reached[list(domain.primary)])
-        row[:] = np.unpackbits(wins, count=row.size, bitorder="little")
-    return out.reshape(-1)
+        return np.bitwise_and.reduce(reached[primary])
+
+    return win_bits
 
 
 def _subset_sums(weights, dtype) -> np.ndarray:

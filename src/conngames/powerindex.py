@@ -11,21 +11,41 @@ Exact solvers enumerate all 2^n coalitions in rational arithmetic:
 
 Monte Carlo estimators carry a two-sided Hoeffding guarantee: with
 m = ceil(ln(2/delta) / (2 epsilon^2)) samples the estimate is within epsilon
-of the true index with probability at least 1 - delta.
+of the true index with probability at least 1 - delta. Each agent draws its
+m samples from its own seeded stream: uniform subsets of the other agents
+(Banzhaf) or its predecessors in a shuffled order (Shapley). The samples of
+all agents are cut into blocks, and each block's coalitions, every sample
+without and then with its agent, are evaluated by one call of the batched
+kernel in :mod:`.enumeration`; memory does not grow with m.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import enumeration
-from .domain import ConnectivityDomain, _value_of_mask
+from .domain import ConnectivityDomain
 from .errors import CapExceededError
 
+# The builtin SHA-256 module, tried first as random.py does for SHA-512:
+# hashlib loads OpenSSL, which adds about 4 MB of resident memory to every
+# process that derives a seed (3.12+ has _sha2, 3.10 and 3.11 have _sha256).
+try:
+    from _sha2 import sha256 as _sha256
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
 DEFAULT_ENUMERATION_CAP = 24
+_BLOCK_BITS = 12  # Monte Carlo coalitions per kernel call: 2^12, 512 bytes per vertex
 
 BANZHAF = "banzhaf"
 SHAPLEY = "shapley"
@@ -113,20 +133,8 @@ def shapley_exact(domain: ConnectivityDomain, *, cap: int = DEFAULT_ENUMERATION_
 
 def derive_seed(seed: int, label: str) -> int:
     """Stable per-label sub-seed, used to give each agent its own sample stream."""
-    # Imported here: only Monte Carlo needs it, and loading hashlib (OpenSSL)
-    # adds about 4 MB of resident memory to every process that imports the CLI.
-    import hashlib
-
-    digest = hashlib.sha256(f"{seed}:{label}".encode()).digest()
+    digest = _sha256(f"{seed}:{label}".encode()).digest()
     return int.from_bytes(digest[:8], "big")
-
-
-def _cached_value(domain, cache, mask):
-    value = cache.get(mask)
-    if value is None:
-        value = _value_of_mask(domain, mask)
-        cache[mask] = value
-    return value
 
 
 def banzhaf_mc(domain: ConnectivityDomain, agent: int, params: ApproxParams) -> float:
@@ -136,21 +144,7 @@ def banzhaf_mc(domain: ConnectivityDomain, agent: int, params: ApproxParams) -> 
     included independently with probability 1/2) and returns the fraction in
     which the agent is critical once added. Deterministic given the seed.
     """
-    domain.ensure_valid()
-    n = domain.n_agents
-    if not 0 <= agent < n:
-        raise ValueError(f"agent index {agent} out of range")
-    rng = random.Random(params.seed)
-    bit = 1 << agent
-    others = ((1 << n) - 1) ^ bit
-    cache: dict[int, int] = {}
-    hits = 0
-    m = params.samples
-    for _ in range(m):
-        sample = rng.getrandbits(n) & others
-        if _cached_value(domain, cache, sample | bit) and not _cached_value(domain, cache, sample):
-            hits += 1
-    return hits / m
+    return _single_estimate(domain, BANZHAF, agent, params)
 
 
 def shapley_mc(domain: ConnectivityDomain, agent: int, params: ApproxParams) -> float:
@@ -159,46 +153,105 @@ def shapley_mc(domain: ConnectivityDomain, agent: int, params: ApproxParams) -> 
     Averages the agent's marginal contribution over uniformly sampled agent
     permutations; same (epsilon, delta) contract as :func:`banzhaf_mc`.
     """
-    domain.ensure_valid()
-    n = domain.n_agents
-    if not 0 <= agent < n:
-        raise ValueError(f"agent index {agent} out of range")
-    rng = random.Random(params.seed)
-    order = list(range(n))
-    cache: dict[int, int] = {}
-    bit = 1 << agent
-    hits = 0
-    m = params.samples
-    for _ in range(m):
-        rng.shuffle(order)
-        predecessors = 0
-        for j in order:
-            if j == agent:
-                break
-            predecessors |= 1 << j
-        if _cached_value(domain, cache, predecessors | bit) and not _cached_value(
-                domain, cache, predecessors):
-            hits += 1
-    return hits / m
-
-
-def _mc_vector(domain, params, kind, estimator) -> IndexVector:
-    values = []
-    for agent in range(domain.n_agents):
-        sub = ApproxParams(params.epsilon, params.delta,
-                           derive_seed(params.seed, f"{kind}:{agent}"))
-        values.append(estimator(domain, agent, sub))
-    return IndexVector(kind, tuple(values), MONTE_CARLO,
-                       samples=params.samples, seed=params.seed)
+    return _single_estimate(domain, SHAPLEY, agent, params)
 
 
 def banzhaf_mc_all(domain: ConnectivityDomain, params: ApproxParams) -> IndexVector:
     """Banzhaf estimates for every agent; each agent gets a derived sub-seed."""
-    domain.ensure_valid()
-    return _mc_vector(domain, params, BANZHAF, banzhaf_mc)
+    return _mc_vector(domain, params, BANZHAF)
 
 
 def shapley_mc_all(domain: ConnectivityDomain, params: ApproxParams) -> IndexVector:
     """Shapley estimates for every agent; each agent gets a derived sub-seed."""
+    return _mc_vector(domain, params, SHAPLEY)
+
+
+def _single_estimate(domain, kind, agent, params) -> float:
     domain.ensure_valid()
-    return _mc_vector(domain, params, SHAPLEY, shapley_mc)
+    if not 0 <= agent < domain.n_agents:
+        raise ValueError(f"agent index {agent} out of range")
+    return _estimates(domain, kind, [(agent, params.seed)], params.samples)[0]
+
+
+def _mc_vector(domain, params, kind) -> IndexVector:
+    domain.ensure_valid()
+    streams = [(agent, derive_seed(params.seed, f"{kind}:{agent}"))
+               for agent in range(domain.n_agents)]
+    return IndexVector(kind, tuple(_estimates(domain, kind, streams, params.samples)),
+                       MONTE_CARLO, samples=params.samples, seed=params.seed)
+
+
+def _banzhaf_draws(n: int, agent: int, seed: int):
+    """``draw(count)``: the next ``count`` coalitions of the agent's stream,
+    as rows of agent membership, the agent itself left out."""
+    getrandbits = random.Random(seed).getrandbits
+    width = (n + 7) >> 3
+
+    def draw(count: int) -> np.ndarray:
+        raw = b"".join([getrandbits(n).to_bytes(width, "little") for _ in range(count)])
+        rows = np.unpackbits(np.frombuffer(raw, np.uint8).reshape(count, width), axis=1,
+                             count=n, bitorder="little").view(bool)
+        rows[:, agent] = False
+        return rows
+
+    return draw
+
+
+def _shapley_draws(n: int, agent: int, seed: int):
+    """``draw(count)``: the agent's predecessors in the next ``count``
+    permutations of its stream, as rows of agent membership."""
+    shuffle = random.Random(seed).shuffle
+    order = list(range(n))
+    typecode = "H" if n <= 1 << 16 else "L"
+
+    def draw(count: int) -> np.ndarray:
+        perms = array(typecode)
+        for _ in range(count):
+            shuffle(order)
+            perms.fromlist(order)
+        perms = np.frombuffer(perms, dtype=f"u{perms.itemsize}").reshape(count, n)
+        position = np.empty_like(perms)
+        np.put_along_axis(position, perms, np.arange(n, dtype=perms.dtype), axis=1)
+        return position < position[:, agent, None]
+
+    return draw
+
+
+def _estimates(domain, kind, streams, m: int) -> list[float]:
+    """Per (agent, seed) stream, the fraction of its m samples in which the
+    agent is critical: the coalition wins with the agent and loses without.
+
+    Streams are drawn in order, m samples each, and their samples are cut
+    into blocks of 2^(_BLOCK_BITS - 1) across streams; each block's
+    coalitions, every sample without and then with its agent, go to the
+    win-table kernel in one call.
+    """
+    n = domain.n_agents
+    draws = _banzhaf_draws if kind == BANZHAF else _shapley_draws
+    win_bits = enumeration._win_bits_evaluator(domain)
+    agents = np.array([agent for agent, _ in streams], dtype=np.intp)
+    counts = np.zeros(len(streams), dtype=np.int64)
+    total = len(streams) * m
+    capacity = 1 << (_BLOCK_BITS - 1)
+    current, draw = -1, None
+    for lo in range(0, total, capacity):
+        hi = min(lo + capacity, total)
+        rows = []
+        g = lo
+        while g < hi:
+            stream, done = divmod(g, m)
+            if stream != current:
+                current = stream
+                draw = draws(n, *streams[stream])
+            take = min(hi - g, m - done)
+            rows.append(draw(take))
+            g += take
+        size = hi - lo
+        stream_of = np.arange(lo, hi) // m
+        members = np.concatenate(rows * 2)
+        members[np.arange(size, 2 * size), agents[stream_of]] = True
+        usable = np.packbits(members.T, axis=1, bitorder="little")
+        wins = np.unpackbits(win_bits(usable, usable.shape[1]), count=2 * size,
+                             bitorder="little").view(bool)
+        counts += np.bincount(stream_of[wins[size:] & ~wins[:size]], minlength=len(streams))
+    return [hits / m for hits in counts.tolist()]

@@ -10,6 +10,7 @@ simplex.
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -20,7 +21,9 @@ from conngames import (
     VertexCoverInstance,
     classify,
     coalition_value,
+    derive_seed,
 )
+from conngames.domain import _value_of_mask
 from conngames.lp import LPInfeasible, LPSolution, LPUnbounded
 
 
@@ -244,6 +247,47 @@ def fraction_simplex(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPSolution:
             x[b] = tableau[r][-1]
     objective = sum((ci * xi for ci, xi in zip(c, x)), start=zero)
     return LPSolution(tuple(x), objective)
+
+
+# ----------------------------------------------------------- Monte Carlo
+
+def banzhaf_mc_scalar(domain: ConnectivityDomain, agent: int, params) -> float:
+    """The sampling loop of ``banzhaf_mc``, one scalar evaluation per coalition."""
+    rng = random.Random(params.seed)
+    bit = 1 << agent
+    others = ((1 << domain.n_agents) - 1) ^ bit
+    hits = 0
+    for _ in range(params.samples):
+        sample = rng.getrandbits(domain.n_agents) & others
+        hits += _value_of_mask(domain, sample | bit) and not _value_of_mask(domain, sample)
+    return hits / params.samples
+
+
+def shapley_mc_scalar(domain: ConnectivityDomain, agent: int, params) -> float:
+    """The sampling loop of ``shapley_mc``: the agent's predecessors in each
+    shuffled order, built as an int mask."""
+    rng = random.Random(params.seed)
+    order = list(range(domain.n_agents))
+    bit = 1 << agent
+    hits = 0
+    for _ in range(params.samples):
+        rng.shuffle(order)
+        predecessors = 0
+        for j in order:
+            if j == agent:
+                break
+            predecessors |= 1 << j
+        hits += _value_of_mask(domain, predecessors | bit) and not _value_of_mask(
+            domain, predecessors)
+    return hits / params.samples
+
+
+def mc_all_scalar(domain: ConnectivityDomain, params, kind: str) -> list[float]:
+    """Per-agent scalar estimates with the sub-seeds ``*_mc_all`` derives."""
+    estimator = banzhaf_mc_scalar if kind == "banzhaf" else shapley_mc_scalar
+    return [estimator(domain, agent, replace(params, seed=derive_seed(params.seed,
+                                                                      f"{kind}:{agent}")))
+            for agent in range(domain.n_agents)]
 
 
 # ----------------------------------------------------------- generators

@@ -119,3 +119,33 @@ def least_core_programs(draw, max_agents: int = 5, max_rows: int = 7):
     a_ub = [[-(mask >> i & 1) for i in range(n)] + [-1] for mask in masks]
     c = [0] * n + [draw(st.integers(0, 1))]
     return c, a_ub, [-1] * len(masks), [[1] * n + [0]], [1]
+
+
+@st.composite
+def sparse_domains(draw, max_agents: int = 70) -> ConnectivityDomain:
+    """Connected domain with 0..max_agents agents, 2-3 primaries and up to 2
+    backbones: a random tree (each vertex joined to an earlier one) plus a
+    few chords, so coalition masks pass 64 bits while the draw stays small.
+    Some draws are reshaped: all-win (the primaries joined by direct edges),
+    all-lose (the first primary isolated) or a single primary (the others
+    become backbones)."""
+    n = draw(st.integers(0, max_agents))
+    n_primary = draw(st.integers(2, 3))
+    n_backbone = draw(st.integers(0, 2))
+    size = n + n_primary + n_backbone
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, size)}
+    vertex = st.integers(0, size - 1)
+    chords = draw(st.lists(st.tuples(vertex, vertex), max_size=size // 4))
+    edges |= {(min(u, v), max(u, v)) for u, v in chords if u != v}
+    kinds = draw(st.permutations(range(size)))
+    primary = kinds[:n_primary]
+    shape = draw(st.sampled_from(["random", "random", "all-win", "all-lose", "one-primary"]))
+    if shape == "all-win":
+        edges |= {(min(u, v), max(u, v)) for u, v in zip(primary, primary[1:])}
+    elif shape == "all-lose":
+        edges = {e for e in edges if primary[0] not in e}
+    elif shape == "one-primary":
+        primary = primary[:1]
+    return ConnectivityDomain(size, tuple(sorted(edges)), tuple(primary),
+                              tuple(kinds[len(primary):n_primary + n_backbone]),
+                              tuple(kinds[n_primary + n_backbone:]))

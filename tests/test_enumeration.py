@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 import strategies
@@ -54,6 +55,19 @@ def test_win_table_matches_scalar_evaluator(chunk_bits, domain):
         table = win_table(domain)
     expected = [bool(_value_of_mask(domain, m)) for m in range(1 << domain.n_agents)]
     assert table.tolist() == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(domain=st.one_of(strategies.domains(), strategies.sparse_domains()), data=st.data())
+def test_batched_kernel_matches_scalar_evaluator(domain, data):
+    n = domain.n_agents
+    masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
+    members = np.array([[mask >> i & 1 for mask in masks] for i in range(n)],
+                       dtype=np.uint8).reshape(n, len(masks))
+    usable = np.packbits(members, axis=1, bitorder="little")
+    wins = enumeration._win_bits_evaluator(domain)(usable, usable.shape[1])
+    got = np.unpackbits(wins, count=len(masks), bitorder="little").tolist()
+    assert got == [_value_of_mask(domain, mask) for mask in masks]
 
 
 def test_win_table_memory_at_18_agents():

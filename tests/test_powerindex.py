@@ -1,10 +1,19 @@
+import json
 import math
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import strategies
 from conngames import (
     ApproxParams,
     CapExceededError,
@@ -13,6 +22,8 @@ from conngames import (
     banzhaf_mc,
     banzhaf_mc_all,
     coalition_value,
+    domain_to_dict,
+    powerindex,
     setcover_to_cg,
     shapley_exact,
     shapley_mc,
@@ -176,3 +187,79 @@ def test_add_dummy_preserves_exact_indices():
     for mask in range(4):
         assert coalition_value(base, mask) == coalition_value(grown, mask)
         assert coalition_value(grown, mask | 4) == coalition_value(grown, mask)
+
+
+# Hoeffding sample counts 3, 8, 18 and 31 at delta 0.5: mostly not multiples of 8.
+MC_EPSILONS = [0.5, 0.3, 0.2, 0.15]
+
+
+@pytest.mark.parametrize("block_bits", [3, powerindex._BLOCK_BITS])
+@settings(max_examples=30, deadline=None)
+@given(domain=strategies.sparse_domains(), epsilon=st.sampled_from(MC_EPSILONS),
+       seed=st.integers(0, 2 ** 64), pick=st.integers(0, 10 ** 6))
+def test_mc_matches_scalar_reference(block_bits, domain, epsilon, seed, pick):
+    # 2^3-coalition blocks hold 4 samples, so agents straddle blocks and a
+    # block holds the end of one agent's samples and the start of the next.
+    params = ApproxParams(epsilon, 0.5, seed=seed)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(powerindex, "_BLOCK_BITS", block_bits)
+        for kind, all_agents, one_agent, reference in (
+                ("banzhaf", banzhaf_mc_all, banzhaf_mc, oracles.banzhaf_mc_scalar),
+                ("shapley", shapley_mc_all, shapley_mc, oracles.shapley_mc_scalar)):
+            vector = all_agents(domain, params)
+            assert list(vector.values) == oracles.mc_all_scalar(domain, params, kind)
+            assert (vector.samples, vector.seed) == (params.samples, seed)
+            if domain.n_agents:
+                agent = pick % domain.n_agents
+                assert one_agent(domain, agent, params) == reference(domain, agent, params)
+
+
+@pytest.mark.parametrize("n_agents", [33, 64, 65, 70])
+def test_mc_matches_scalar_reference_past_64_agents(n_agents):
+    domain = oracles.connected_graph_domain(random.Random(n_agents), n_agents,
+                                            n_edges=3 * n_agents // 2)
+    params = ApproxParams(0.15, 0.5, seed=n_agents)
+    for kind, estimator in (("banzhaf", banzhaf_mc_all), ("shapley", shapley_mc_all)):
+        expected = oracles.mc_all_scalar(domain, params, kind)
+        assert any(0 < value < 1 for value in expected)
+        for block_bits in (3, powerindex._BLOCK_BITS):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(powerindex, "_BLOCK_BITS", block_bits)
+                assert list(estimator(domain, params).values) == expected
+
+
+def test_single_agent_mc_rejects_out_of_range_agent():
+    params = ApproxParams(0.2, 0.2, seed=1)
+    for estimator in (banzhaf_mc, shapley_mc):
+        for agent in (-1, 2):
+            with pytest.raises(ValueError, match="out of range"):
+                estimator(oracles.cycle4(), agent, params)
+
+
+@pytest.mark.parametrize("estimator", [banzhaf_mc_all, shapley_mc_all])
+def test_mc_memory_stays_flat_in_the_sample_count(estimator):
+    # m = 4612 samples per agent, about 440k coalitions: the blocks are
+    # reused, so nothing held grows with m.
+    domain = oracles.connected_graph_domain(random.Random(48), 48, n_edges=72)
+    params = ApproxParams(0.02, 0.05, seed=3)
+    assert params.samples == 4612
+    tracemalloc.start()
+    try:
+        estimator(domain, params)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2 ** 20
+
+
+def test_mc_run_does_not_load_openssl(tmp_path):
+    path = tmp_path / "cycle4.json"
+    path.write_text(json.dumps(domain_to_dict(oracles.cycle4())), encoding="utf-8")
+    script = ("import sys\n"
+              "from conngames.cli import main\n"
+              f"assert main(['indices', {str(path)!r}, '--method', 'mc']) == 0\n"
+              "print('_hashlib' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(powerindex.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.splitlines()[-1] == "False"
