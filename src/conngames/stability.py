@@ -189,9 +189,10 @@ def max_excess(domain: ConnectivityDomain, payoffs, *,
                epsilon: float | None = None) -> ExcessReport:
     """Maximal excess v(C) - p(C) over all coalitions, with a witness.
 
-    For nonnegative payoffs the maximum is max(0, 1 - min winning payment);
-    negative payoffs are rejected unless ``allow_negative`` routes them to the
-    full scan (losing coalitions can then have positive excess too).
+    For nonnegative payoffs the maximum is max(0, 1 - min winning payment).
+    Payoffs below -IMPUTATION_TOL are rejected unless ``allow_negative`` is
+    set; any negative payoff adds the scan of losing coalitions, which can
+    then have positive excess too.
     """
     domain.ensure_valid()
     n = domain.n_agents
@@ -201,10 +202,12 @@ def max_excess(domain: ConnectivityDomain, payoffs, *,
             f"enumeration cap of {cap}", cap)
     p = _as_payoffs(payoffs, n)
     _check_total(domain, p)
-    has_negative = any(x < -IMPUTATION_TOL for x in p)
-    if has_negative and not allow_negative:
+    if not allow_negative and any(x < -IMPUTATION_TOL for x in p):
         raise ValueError(
             "negative payoffs rejected; pass allow_negative=True for the full scan")
+    # Payoffs tolerated as nonnegative may still be slightly negative; a
+    # losing coalition of such agents then has a small positive excess.
+    has_negative = any(x < 0 for x in p)
 
     win = enumeration.win_table(domain)
     candidates: list[tuple[int, Fraction]] = []

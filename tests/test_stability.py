@@ -11,6 +11,7 @@ import oracles
 import strategies
 from conngames import (
     CapExceededError,
+    ConnectivityDomain,
     DegenerateDomainError,
     Imputation,
     add_dummy,
@@ -239,6 +240,15 @@ def test_max_excess_negative_full_scan_matches_bruteforce():
                                             allow_negative=True)
         report = max_excess(domain, payoffs, allow_negative=True)
         assert report.max_excess == oracles.max_excess_bruteforce(domain, payoffs)
+
+
+def test_max_excess_scans_losing_coalitions_for_tolerated_negative_payoff():
+    # Agent 0 alone loses; paid -1e-12, within the tolerance, its excess is 1e-12.
+    domain = ConnectivityDomain(4, ((0, 1), (0, 2), (0, 3), (2, 3)), (1, 2), (), (3, 0))
+    payoffs = [Fraction(-1, 10 ** 12), 1 + Fraction(1, 10 ** 12)]
+    for allow_negative in (False, True):
+        report = max_excess(domain, payoffs, allow_negative=allow_negative)
+        assert (report.max_excess, report.witness.mask) == (Fraction(1, 10 ** 12), 1)
 
 
 def _payment(mask, payoffs):
