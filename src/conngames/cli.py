@@ -117,6 +117,20 @@ def _summary_lines(summary: dict) -> list[str]:
             f"{summary['agents']} agents{suffix}"]
 
 
+def _refuse_degenerate(classification, queries: str) -> int:
+    kind = "all coalitions win" if classification.degenerate_all_win \
+        else "all coalitions lose"
+    return _fail(f"degenerate domain ({kind}); {queries} queries refused", EXIT_DEGENERATE)
+
+
+def _tree_essentials(domain):
+    """The essential set when the tree closed forms apply, else None."""
+    try:
+        return trees.essential_vertices(domain)
+    except (NotTreeError, DegenerateDomainError):
+        return None
+
+
 def _value_cell(value) -> str:
     rational = _rational(value)
     if rational is None:
@@ -187,10 +201,9 @@ def cmd_indices(args) -> int:
 
     method = args.method
     if method == "auto":
-        try:
-            trees.essential_vertices(domain)
+        if _tree_essentials(domain) is not None:
             method = "tree"
-        except (NotTreeError, DegenerateDomainError):
+        else:
             method = "exact" if domain.n_agents <= cap else "mc"
 
     vectors = []
@@ -234,9 +247,7 @@ def cmd_core(args) -> int:
         return _fail(str(exc), EXIT_INPUT)
     classification = classify(domain)
     if classification.degenerate:
-        kind = "all coalitions win" if classification.degenerate_all_win \
-            else "all coalitions lose"
-        return _fail(f"degenerate domain ({kind}); core queries refused", EXIT_DEGENERATE)
+        return _refuse_degenerate(classification, "core")
 
     core = stability.veto_players(domain)
     report = {
@@ -288,10 +299,7 @@ def cmd_ecm(args) -> int:
         "domain": _domain_summary(domain, classification),
         "epsilon": args.epsilon,
     }
-    try:
-        essential = trees.essential_vertices(domain)
-    except (NotTreeError, DegenerateDomainError):
-        essential = None
+    essential = _tree_essentials(domain)
     try:
         if essential is not None:
             verdict = trees.tree_ecm(domain, payoffs, args.epsilon)
@@ -345,17 +353,13 @@ def cmd_leastcore(args) -> int:
         return _fail(str(exc), EXIT_INPUT)
     classification = classify(domain)
     if classification.degenerate:
-        kind = "all coalitions win" if classification.degenerate_all_win \
-            else "all coalitions lose"
-        return _fail(f"degenerate domain ({kind}); least-core queries refused",
-                     EXIT_DEGENERATE)
+        return _refuse_degenerate(classification, "least-core")
 
-    try:
-        tree = trees.tree_core(domain)
+    if _tree_essentials(domain) is not None:
         epsilon: Fraction | float = Fraction(0)
-        imputation = tree.canonical_imputation
+        imputation = trees.tree_core(domain).canonical_imputation
         method = powerindex.TREE_CLOSED_FORM
-    except (NotTreeError, DegenerateDomainError):
+    else:
         try:
             result = stability.least_core_value(domain, lp_cap=lp_cap)
         except CapExceededError as exc:

@@ -5,6 +5,10 @@ primary, backbone, and standard vertices. Each standard vertex is owned by one
 agent (agent ``i`` owns ``standard[i]``, which is also bit ``i`` in coalition
 encodings). A coalition wins when the vertices it owns, together with all
 primary and backbone vertices, connect every pair of primary vertices.
+
+Primary and backbone vertices are usable in every coalition, so contracting
+each connected region of them keeps every coalition's value. A domain builds
+that quotient at most once (``_quotient``), and the tree solvers run on it.
 """
 
 from __future__ import annotations
@@ -150,6 +154,78 @@ class ConnectivityDomain:
         return tuple(tuple(ns) for ns in nbrs)
 
     @cached_property
+    def _component_count(self) -> int:
+        """Connected components of the graph; a graph is a forest iff it has
+        ``vertex_count - _component_count`` edges."""
+        seen = [False] * self.vertex_count
+        adj = self._adjacency
+        components = 0
+        for root in range(self.vertex_count):
+            if seen[root]:
+                continue
+            components += 1
+            seen[root] = True
+            stack = [root]
+            while stack:
+                for v in adj[stack.pop()]:
+                    if not seen[v]:
+                        seen[v] = True
+                        stack.append(v)
+        return components
+
+    @cached_property
+    def _quotient(self) -> ConnectivityDomain:
+        """This domain with each connected always-usable region contracted to
+        one vertex (primary if the region holds a primary, backbone otherwise).
+
+        Such a region is connected for every coalition, so every coalition
+        keeps its value; standard vertices map to themselves, so agent
+        indices are preserved.
+        """
+        parent = list(range(self.vertex_count))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        usable = set(self.primary) | set(self.backbone)
+        for u, v in self.edges:
+            if u in usable and v in usable:
+                parent[find(u)] = find(v)
+
+        new_id: dict[int, int] = {}
+        kinds: list[str] = []  # parallel to new ids: "p", "b", or "s"
+        primary_roots = {find(p) for p in self.primary}
+
+        def map_vertex(v: int) -> int:
+            key = find(v) if v in usable else v
+            if key not in new_id:
+                new_id[key] = len(kinds)
+                if v in usable:
+                    kinds.append("p" if key in primary_roots else "b")
+                else:
+                    kinds.append("s")
+            return new_id[key]
+
+        standard = tuple(map_vertex(v) for v in self.standard)
+        for v in range(self.vertex_count):
+            map_vertex(v)
+        edges = set()
+        for u, v in self.edges:
+            a, b = map_vertex(u), map_vertex(v)
+            if a != b:
+                edges.add((min(a, b), max(a, b)))
+        return ConnectivityDomain(
+            vertex_count=len(kinds),
+            edges=tuple(sorted(edges)),
+            primary=tuple(i for i, k in enumerate(kinds) if k == "p"),
+            backbone=tuple(i for i, k in enumerate(kinds) if k == "b"),
+            standard=standard,
+        )
+
+    @cached_property
     def _adjacency_masks(self) -> tuple[int, ...]:
         masks = [0] * self.vertex_count
         for u, v in self.edges:
@@ -174,16 +250,11 @@ class ConnectivityDomain:
 
 @dataclass(frozen=True)
 class DomainClassification:
-    """Degeneracy flags, tree-ness, and the primary-merged form of a domain.
-
-    ``merged`` is None when no two primary vertices are reachable from each
-    other through primary/backbone vertices only (nothing to contract).
-    """
+    """Degeneracy flags and tree-ness of a domain."""
 
     degenerate_all_win: bool
     degenerate_all_lose: bool
     is_tree: bool
-    merged: ConnectivityDomain | None
 
     @property
     def degenerate(self) -> bool:
@@ -197,19 +268,31 @@ def validate(domain: ConnectivityDomain) -> ValidationReport:
     if n_vertices < 0:
         return ValidationReport(("negative vertex count",))
 
-    label_count = [0] * n_vertices
+    # Labels are counted per labeled vertex and only the first 10 unlabeled
+    # vertices are named, so the cost follows the document, not vertex_count.
+    label_count: dict[int, int] = {}
     for name, vertices in ((PRIMARY, domain.primary), (BACKBONE, domain.backbone),
                            (STANDARD, domain.standard)):
         for v in vertices:
             if not 0 <= v < n_vertices:
                 violations.append(f"{name} label references unknown vertex {v}")
             else:
-                label_count[v] += 1
-    for v, count in enumerate(label_count):
-        if count == 0:
+                label_count[v] = label_count.get(v, 0) + 1
+    unlabeled = n_vertices - len(label_count)
+    named: list[int] = []
+    v = 0
+    while len(named) < min(unlabeled, 10):
+        if v not in label_count:
+            named.append(v)
+        v += 1
+    for v in sorted(named + [v for v, count in label_count.items() if count > 1]):
+        if v not in label_count:
             violations.append(f"vertex {v} has no kind label (non-partition labels)")
-        elif count > 1:
+        else:
             violations.append(f"vertex {v} labeled more than once (non-partition labels)")
+    if unlabeled > len(named):
+        violations.append(f"... and {unlabeled - len(named)} more vertices have no "
+                          f"kind label (non-partition labels)")
     if len(set(domain.standard)) != len(domain.standard):
         violations.append("agent map is not a bijection: repeated standard vertex")
 
@@ -288,90 +371,18 @@ def is_critical(domain: ConnectivityDomain, agent: int, coalition) -> bool:
     return _value_of_mask(domain, mask) == 1 and _value_of_mask(domain, mask ^ bit) == 0
 
 
-def _is_connected(domain: ConnectivityDomain) -> bool:
-    if domain.vertex_count == 0:
-        return True
-    seen = [False] * domain.vertex_count
-    stack = [0]
-    seen[0] = True
-    adj = domain._adjacency
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = True
-                stack.append(v)
-    return all(seen)
-
-
-def _merge_primaries(domain: ConnectivityDomain) -> ConnectivityDomain | None:
-    """Contract groups of primary vertices that reach each other through
-    primary/backbone vertices only. Returns None when nothing contracts.
-
-    Standard vertices (and hence agent indices) are untouched, so every
-    coalition keeps its value on the merged domain.
-    """
-    parent = list(range(domain.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    always = set(domain.primary) | set(domain.backbone)
-    for u, v in domain.edges:
-        if u in always and v in always:
-            parent[find(u)] = find(v)
-
-    rep: dict[int, int] = {}
-    group_rep: dict[int, int] = {}
-    dropped: set[int] = set()
-    for p in sorted(domain.primary):
-        root = find(p)
-        if root in group_rep:
-            rep[p] = group_rep[root]
-            dropped.add(p)
-        else:
-            group_rep[root] = p
-            rep[p] = p
-    if not dropped:
-        return None
-
-    kept = [v for v in range(domain.vertex_count) if v not in dropped]
-    new_id = {v: i for i, v in enumerate(kept)}
-
-    def map_vertex(v: int) -> int:
-        return new_id[rep.get(v, v)]
-
-    new_edges = set()
-    for u, v in domain.edges:
-        a, b = map_vertex(u), map_vertex(v)
-        if a != b:
-            new_edges.add((min(a, b), max(a, b)))
-
-    return ConnectivityDomain(
-        vertex_count=len(kept),
-        edges=tuple(sorted(new_edges)),
-        primary=tuple(new_id[p] for p in domain.primary if p not in dropped),
-        backbone=tuple(new_id[b] for b in domain.backbone),
-        standard=tuple(new_id[s] for s in domain.standard),
-    )
-
-
 def classify(domain: ConnectivityDomain) -> DomainClassification:
-    """Degeneracy flags, tree detection, and the primary-merged domain;
-    memoized on the domain instance."""
+    """Degeneracy flags and tree detection; memoized on the domain instance."""
     cached = domain.__dict__.get("_classification_cache")
     if cached is None:
         domain.ensure_valid()
         grand = (1 << domain.n_agents) - 1
-        is_tree = (len(domain.edges) == domain.vertex_count - 1) and _is_connected(domain)
+        is_tree = (domain._component_count == 1
+                   and len(domain.edges) == domain.vertex_count - 1)
         cached = domain.__dict__["_classification_cache"] = DomainClassification(
             degenerate_all_win=_value_of_mask(domain, 0) == 1,
             degenerate_all_lose=_value_of_mask(domain, grand) == 0,
             is_tree=is_tree,
-            merged=_merge_primaries(domain),
         )
     return cached
 

@@ -10,13 +10,14 @@ Shapley value, each has Banzhaf index 2^(1-m), the veto set is the essential
 set, and an imputation is in the eps-core iff its essential payment reaches
 1 - eps.
 
-The solvers accept forests, and more generally any domain whose quotient is a
-forest once every connected region of always-usable vertices (primaries plus
-backbones) is contracted to a single vertex: such regions are internally
-connected for every coalition, so contracting them preserves each coalition's
-value while removing the only cycles that do not matter. Acyclicity of that
-quotient is what the closed forms need; primary connectivity is enforced by
-the non-degeneracy precondition.
+The solvers run on the domain's cached quotient, in which every connected
+region of always-usable vertices (primaries plus backbones) is one vertex:
+such regions are internally connected for every coalition, so the quotient
+keeps each coalition's value while removing the only cycles that do not
+matter. The closed forms apply exactly when that quotient is a forest (edges
+= vertices - components) and the domain is non-degenerate, which enforces
+primary connectivity. ``essential_vertices`` makes that decision and
+memoizes the essential set on the domain.
 """
 
 from __future__ import annotations
@@ -53,79 +54,11 @@ class TreeCoreResult:
     canonical_imputation: tuple[Fraction, ...]
 
 
-def _is_forest(domain: ConnectivityDomain) -> bool:
-    parent = list(range(domain.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in domain.edges:
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return False
-        parent[ru] = rv
-    return True
-
-
-def _collapse_usable(domain: ConnectivityDomain) -> ConnectivityDomain:
-    """Quotient domain with each connected always-usable region contracted to
-    one vertex (primary if the region holds a primary, backbone otherwise).
-
-    Standard vertices map to themselves, so agent indices and every
-    coalition's value are preserved.
-    """
-    parent = list(range(domain.vertex_count))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    usable = set(domain.primary) | set(domain.backbone)
-    for u, v in domain.edges:
-        if u in usable and v in usable:
-            parent[find(u)] = find(v)
-
-    new_id: dict[int, int] = {}
-    kinds: list[str] = []  # parallel to new ids: "p", "b", or "s"
-    primary_roots = {find(p) for p in domain.primary}
-
-    def map_vertex(v: int) -> int:
-        key = find(v) if v in usable else v
-        if key not in new_id:
-            new_id[key] = len(kinds)
-            if v in usable:
-                kinds.append("p" if key in primary_roots else "b")
-            else:
-                kinds.append("s")
-        return new_id[key]
-
-    standard = tuple(map_vertex(v) for v in domain.standard)
-    for v in range(domain.vertex_count):
-        map_vertex(v)
-    edges = set()
-    for u, v in domain.edges:
-        a, b = map_vertex(u), map_vertex(v)
-        if a != b:
-            edges.add((min(a, b), max(a, b)))
-    return ConnectivityDomain(
-        vertex_count=len(kinds),
-        edges=tuple(sorted(edges)),
-        primary=tuple(i for i, k in enumerate(kinds) if k == "p"),
-        backbone=tuple(i for i, k in enumerate(kinds) if k == "b"),
-        standard=standard,
-    )
-
-
 def _tree_form(domain: ConnectivityDomain) -> ConnectivityDomain:
     """The quotient domain the closed forms run on; rejects cycles and degeneracy."""
     domain.ensure_valid()
-    quotient = _collapse_usable(domain)
-    if not _is_forest(quotient):
+    quotient = domain._quotient
+    if len(quotient.edges) != quotient.vertex_count - quotient._component_count:
         raise NotTreeError(
             "domain has a cycle through standard vertices; use the general solvers")
     classification = classify(domain)
@@ -143,8 +76,12 @@ def essential_vertices(domain: ConnectivityDomain) -> EssentialSet:
 
     Iteratively prunes non-primary vertices of degree <= 1; what survives is
     the subtree spanning the primaries, whose standard vertices are exactly
-    the agents present in every winning coalition.
+    the agents present in every winning coalition. Memoized on the domain
+    instance.
     """
+    cached = domain.__dict__.get("_essential_cache")
+    if cached is not None:
+        return cached
     tree = _tree_form(domain)
     degree = [0] * tree.vertex_count
     for u, v in tree.edges:
@@ -166,26 +103,28 @@ def essential_vertices(domain: ConnectivityDomain) -> EssentialSet:
                 if degree[u] <= 1 and u not in primary:
                     queue.append(u)
     members = tuple(agent for agent, vertex in enumerate(tree.standard) if alive[vertex])
-    return EssentialSet(members)
+    cached = domain.__dict__["_essential_cache"] = EssentialSet(members)
+    return cached
+
+
+def _essential_vector(domain: ConnectivityDomain, essential: EssentialSet,
+                      share: Fraction) -> tuple[Fraction, ...]:
+    """``share`` for each essential agent and 0 for every other agent."""
+    members = set(essential.members)
+    return tuple(share if i in members else Fraction(0) for i in range(domain.n_agents))
 
 
 def tree_shapley(domain: ConnectivityDomain) -> IndexVector:
     """Shapley values on a tree: 1/m for each of the m essential agents, else 0."""
     essential = essential_vertices(domain)
-    share = Fraction(1, essential.size)
-    members = set(essential.members)
-    values = tuple(share if i in members else Fraction(0)
-                   for i in range(domain.n_agents))
+    values = _essential_vector(domain, essential, Fraction(1, essential.size))
     return IndexVector(SHAPLEY, values, TREE_CLOSED_FORM)
 
 
 def tree_banzhaf(domain: ConnectivityDomain) -> IndexVector:
     """Banzhaf indices on a tree: 2^(1-m) for essential agents, else 0."""
     essential = essential_vertices(domain)
-    share = Fraction(1, 1 << (essential.size - 1))
-    members = set(essential.members)
-    values = tuple(share if i in members else Fraction(0)
-                   for i in range(domain.n_agents))
+    values = _essential_vector(domain, essential, Fraction(1, 1 << (essential.size - 1)))
     return IndexVector(BANZHAF, values, TREE_CLOSED_FORM)
 
 
@@ -193,13 +132,10 @@ def tree_core(domain: ConnectivityDomain) -> TreeCoreResult:
     """Core of a tree domain: never empty, veto set = essential set, and the
     equal split over essential agents as a canonical core imputation."""
     essential = essential_vertices(domain)
-    share = Fraction(1, essential.size)
-    members = set(essential.members)
-    canonical = tuple(share if i in members else Fraction(0)
-                      for i in range(domain.n_agents))
     return TreeCoreResult(
         core=CoreDescription(veto_agents=essential.members, is_empty=False),
-        canonical_imputation=canonical,
+        canonical_imputation=_essential_vector(domain, essential,
+                                               Fraction(1, essential.size)),
     )
 
 

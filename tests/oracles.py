@@ -143,6 +143,42 @@ def essential_by_removal(domain: ConnectivityDomain) -> tuple[int, ...]:
                  if coalition_value(domain, grand ^ (1 << i)) == 0)
 
 
+def quotient_has_cycle(domain: ConnectivityDomain) -> bool:
+    """Whether a cycle is left once every connected region of primary and
+    backbone vertices is one vertex: regions by set-based search, then
+    vertices of degree <= 1 are stripped until none is left."""
+    usable = set(domain.primary) | set(domain.backbone)
+    adjacency: dict[int, set[int]] = {}
+    for u, v in domain.edges:
+        adjacency.setdefault(u, set()).add(v)
+        adjacency.setdefault(v, set()).add(u)
+    region: dict[int, int] = {}
+    for start in sorted(usable):
+        if start in region:
+            continue
+        region[start] = start
+        stack = [start]
+        while stack:
+            for v in adjacency.get(stack.pop(), ()):
+                if v in usable and v not in region:
+                    region[v] = start
+                    stack.append(v)
+    neighbours: dict[int, set[int]] = {}
+    for u, v in domain.edges:
+        a, b = region.get(u, u), region.get(v, v)
+        if a != b:
+            neighbours.setdefault(a, set()).add(b)
+            neighbours.setdefault(b, set()).add(a)
+    leaves = [v for v, ns in neighbours.items() if len(ns) <= 1]
+    while leaves:
+        v = leaves.pop()
+        for u in neighbours.pop(v, ()):
+            neighbours[u].discard(v)
+            if len(neighbours[u]) <= 1:
+                leaves.append(u)
+    return bool(neighbours)
+
+
 # ----------------------------------------------------------- LP oracle
 
 def _fraction_pivot(tableau, basis, row, col):

@@ -13,19 +13,24 @@ WIDE_VERTICES = 63  # past the width of one int64 lane
 
 
 @st.composite
-def domains(draw, max_agents: int = 10, wide: bool | None = None) -> ConnectivityDomain:
+def domains(draw, max_agents: int = 10, wide: bool | None = None,
+            tree: bool = False) -> ConnectivityDomain:
     """Random domain with 0..max_agents agents, 0..4 primaries and a few
-    backbones on arbitrary vertex ids. A wide domain is padded past 62
-    vertices: its first edge is subdivided by a chain of backbones (which
-    keeps every coalition's value) and the rest are isolated backbones."""
+    backbones on arbitrary vertex ids; with ``tree``, its graph is a random
+    spanning tree. A wide domain is padded past 62 vertices: its first edge
+    is subdivided by a chain of backbones (which keeps every coalition's
+    value) and the rest are isolated backbones."""
     n = draw(st.integers(0, max_agents))
     n_primary = draw(st.integers(0, 4))
     n_backbone = draw(st.integers(0, 3))
     size = n + n_primary + n_backbone
-    pairs = [(u, v) for u in range(size) for v in range(u + 1, size)]
-    density = draw(st.sampled_from([20, 35, 50]))
-    rolls = draw(st.lists(st.integers(0, 99), min_size=len(pairs), max_size=len(pairs)))
-    edges = [pair for pair, roll in zip(pairs, rolls) if roll < density]
+    if tree:
+        edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, size)]
+    else:
+        pairs = [(u, v) for u in range(size) for v in range(u + 1, size)]
+        density = draw(st.sampled_from([20, 35, 50]))
+        rolls = draw(st.lists(st.integers(0, 99), min_size=len(pairs), max_size=len(pairs)))
+        edges = [pair for pair, roll in zip(pairs, rolls) if roll < density]
     kinds = draw(st.permutations(range(size)))
     primary = kinds[:n_primary]
     backbone = list(kinds[n_primary:n_primary + n_backbone])

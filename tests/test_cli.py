@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 import oracles
-from conngames import cli, domain_to_dict, validate, domain_from_dict
+from conngames import ConnectivityDomain, cli, domain_to_dict, validate, domain_from_dict
 from conngames.cli import main
 
 
@@ -114,6 +114,16 @@ def test_indices_validation_failure_exit2(files, capsys):
     code, _, err = run(capsys, ["indices", files["invalid"]])
     assert code == 2
     assert "self-loop" in err
+
+
+def test_huge_unlabeled_vertex_count_gives_a_short_message(tmp_path, capsys):
+    path = write_json(tmp_path / "huge.json", {"vertices": 200000, "edges": [],
+                                               "primary": [0, 1], "backbone": [],
+                                               "standard": [2]})
+    code, out, err = run(capsys, ["core", path])
+    assert (code, out) == (2, "")
+    assert "... and 199987 more vertices have no kind label" in err
+    assert len(err) < 1000
 
 
 def test_indices_cap_exceeded_exit3(files, capsys, monkeypatch):
@@ -269,6 +279,24 @@ def test_leastcore_tree_shortcut(files, capsys):
     assert "tree-closed-form" in out
     assert "least-core epsilon: 0" in out
     assert "agent 0: 1/2" in out
+
+
+@pytest.mark.parametrize("argv", [["indices", "{path4}", "--index", "both"],
+                                  ["ecm", "{path4}", "{half}", "--epsilon", "0"],
+                                  ["leastcore", "{path4}"]])
+def test_tree_query_builds_the_quotient_at_most_once(files, capsys, monkeypatch, argv):
+    built = []  # every domain constructed: the loaded one, then its quotients
+    post_init = ConnectivityDomain.__post_init__
+
+    def counting(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(ConnectivityDomain, "__post_init__", counting)
+    code, out, _ = run(capsys, [arg.format(**files) for arg in argv])
+    assert code == 0
+    assert "tree" in out
+    assert len(built) <= 2
 
 
 def test_leastcore_cycle(files, capsys):

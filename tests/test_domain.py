@@ -34,6 +34,29 @@ def test_validate_missing_label():
     assert any("vertex 2 has no kind label" in v for v in report.violations)
 
 
+def _unlabeled(v):
+    return f"vertex {v} has no kind label (non-partition labels)"
+
+
+def test_validate_names_up_to_ten_unlabeled_vertices_in_order():
+    # Vertex 5 is labeled twice and sits among the unlabeled vertices 1-4, 6-11.
+    twice = "vertex 5 labeled more than once (non-partition labels)"
+    named = (*map(_unlabeled, range(1, 5)), twice, *map(_unlabeled, range(6, 12)))
+    domain = ConnectivityDomain(13, (), primary=(0, 5), backbone=(5,), standard=(12,))
+    assert validate(domain).violations == named
+    domain = ConnectivityDomain(14, (), primary=(0, 5), backbone=(5,), standard=(12,))
+    assert validate(domain).violations == named + (
+        "... and 1 more vertices have no kind label (non-partition labels)",)
+
+
+@pytest.mark.parametrize("vertices", [200000, 10 ** 12])
+def test_validate_cost_follows_the_document_not_the_vertex_count(vertices):
+    domain = ConnectivityDomain(vertices, (), primary=(0, 1), backbone=(), standard=(2,))
+    assert validate(domain).violations == (
+        *map(_unlabeled, range(3, 13)),
+        f"... and {vertices - 13} more vertices have no kind label (non-partition labels)")
+
+
 def test_validate_self_loop():
     domain = ConnectivityDomain(2, ((0, 0),), primary=(0,), backbone=(), standard=(1,))
     assert any("self-loop" in v for v in validate(domain).violations)
@@ -99,11 +122,11 @@ def test_classify_single_primary_all_win():
 
 
 def test_classify_adjacent_primaries_merge():
-    c = classify(oracles.adjacent_primaries_domain())
-    assert c.degenerate_all_win
-    assert c.merged is not None
-    assert len(c.merged.primary) == 1
-    assert c.merged.n_agents == 1
+    domain = oracles.adjacent_primaries_domain()
+    assert classify(domain).degenerate_all_win
+    quotient = domain._quotient
+    assert len(quotient.primary) == 1
+    assert quotient.n_agents == 1
 
 
 def test_classify_path3_tree():
@@ -147,19 +170,18 @@ def test_monotonicity_sampled():
             assert coalition_value(domain, a | b) >= coalition_value(domain, a)
 
 
-def test_merge_preserves_values_exhaustively():
-    rng = random.Random(23)
+def test_quotient_preserves_values_exhaustively():
     checked = 0
-    for _ in range(40):
-        domain = oracles.random_graph_domain(rng, max_agents=6, edge_prob=0.5)
-        merged = classify(domain).merged
-        if merged is None:
-            continue
-        checked += 1
-        assert merged.n_agents == domain.n_agents
-        for mask in range(1 << domain.n_agents):
-            assert coalition_value(domain, mask) == coalition_value(merged, mask)
-    assert checked >= 3  # the sample must actually exercise merging
+    for seed, count, edge_prob in ((23, 40, 0.5), (500, 25, 0.4)):
+        rng = random.Random(seed)
+        for _ in range(count):
+            domain = oracles.random_graph_domain(rng, max_agents=6, edge_prob=edge_prob)
+            quotient = domain._quotient
+            assert quotient.n_agents == domain.n_agents
+            checked += len(quotient.primary) < len(domain.primary)
+            for mask in range(1 << domain.n_agents):
+                assert coalition_value(domain, mask) == coalition_value(quotient, mask)
+    assert checked >= 3  # the samples must actually exercise merging primaries
 
 
 def test_value_ignores_edges_between_unusable_vertices():

@@ -2,15 +2,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
+import strategies
 from conngames import (
     ConnectivityDomain,
     DegenerateDomainError,
     NotTreeError,
     add_dummy,
     banzhaf_exact,
-    coalition_value,
     ecm,
     essential_vertices,
     shapley_exact,
@@ -20,7 +22,6 @@ from conngames import (
     tree_shapley,
     veto_players,
 )
-from conngames.trees import _collapse_usable
 
 HALF = Fraction(1, 2)
 
@@ -60,14 +61,37 @@ def test_tree_solvers_run_on_merged_domain():
     assert tree_shapley(domain).values == (Fraction(1),)
 
 
-def test_collapse_usable_preserves_values():
-    rng = random.Random(500)
-    for _ in range(25):
-        domain = oracles.random_graph_domain(rng, max_agents=6)
-        quotient = _collapse_usable(domain)
-        assert quotient.n_agents == domain.n_agents
-        for mask in range(1 << domain.n_agents):
-            assert coalition_value(domain, mask) == coalition_value(quotient, mask)
+@settings(max_examples=100, deadline=None)
+@given(domain=strategies.domains(max_agents=7))
+def test_quotient_keeps_every_coalition_value(domain):
+    quotient = domain._quotient
+    assert quotient.n_agents == domain.n_agents
+    for mask in range(1 << domain.n_agents):
+        members = [i for i in range(domain.n_agents) if mask >> i & 1]
+        assert oracles.reference_value(quotient, members) == \
+            oracles.reference_value(domain, members)
+
+
+@settings(max_examples=200, deadline=None)
+@given(domain=st.one_of(strategies.domains(max_agents=8),
+                        strategies.domains(max_agents=8, tree=True)))
+def test_tree_decision_and_closed_forms_match_oracles(domain):
+    n = domain.n_agents
+    if oracles.quotient_has_cycle(domain):
+        with pytest.raises(NotTreeError):
+            essential_vertices(domain)
+    elif oracles.reference_value(domain, []) or not oracles.reference_value(domain, range(n)):
+        with pytest.raises(DegenerateDomainError):
+            essential_vertices(domain)
+    else:
+        assert essential_vertices(domain).members == oracles.essential_by_removal(domain)
+        assert tree_banzhaf(domain).values == banzhaf_exact(domain).values
+        assert tree_shapley(domain).values == shapley_exact(domain).values
+
+
+def test_essential_vertices_memoized_per_domain():
+    domain = oracles.path4()
+    assert essential_vertices(domain) is essential_vertices(domain)
 
 
 def test_tree_with_primaries_linked_through_backbone_path():
