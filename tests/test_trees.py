@@ -13,6 +13,7 @@ from conngames import (
     NotTreeError,
     add_dummy,
     banzhaf_exact,
+    coalition_value,
     ecm,
     essential_vertices,
     shapley_exact,
@@ -59,6 +60,16 @@ def test_tree_solvers_run_on_merged_domain():
                                 backbone=(), standard=(2,))
     assert essential_vertices(domain).members == (0,)
     assert tree_shapley(domain).values == (Fraction(1),)
+
+
+def test_collapse_usable_preserves_values():
+    rng = random.Random(500)
+    for _ in range(25):
+        domain = oracles.random_graph_domain(rng, max_agents=6)
+        quotient = domain._quotient
+        assert quotient.n_agents == domain.n_agents
+        for mask in range(1 << domain.n_agents):
+            assert coalition_value(domain, mask) == coalition_value(quotient, mask)
 
 
 @settings(max_examples=100, deadline=None)
