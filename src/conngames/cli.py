@@ -131,11 +131,8 @@ def _tree_essentials(domain):
         return None
 
 
-def _value_cell(value) -> str:
-    rational = _rational(value)
-    if rational is None:
-        return repr(float(value))
-    return f"{rational} ({float(value)!r})"
+def _value_cell(value: Fraction) -> str:
+    return f"{value} ({float(value)!r})"
 
 
 # ---------------------------------------------------------------- indices
@@ -356,7 +353,7 @@ def cmd_leastcore(args) -> int:
         return _refuse_degenerate(classification, "least-core")
 
     if _tree_essentials(domain) is not None:
-        epsilon: Fraction | float = Fraction(0)
+        epsilon = Fraction(0)
         imputation = trees.tree_core(domain).canonical_imputation
         method = powerindex.TREE_CLOSED_FORM
     else:
@@ -385,11 +382,8 @@ def cmd_leastcore(args) -> int:
             print(line)
         print(f"method: {method}")
         print(f"least-core epsilon: {_value_cell(epsilon)}")
-        for row in report["imputation"]:
-            rational = row["value_rational"]
-            shown = (f"{rational} ({row['value_float']!r})" if rational is not None
-                     else repr(row["value_float"]))
-            print(f"  agent {row['agent']}: {shown}")
+        for i, v in enumerate(imputation):
+            print(f"  agent {i}: {_value_cell(v)}")
     return EXIT_OK
 
 

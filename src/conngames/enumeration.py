@@ -129,12 +129,3 @@ def criticality_size_counts(win: np.ndarray, n: int) -> list[np.ndarray]:
         out.append(np.bincount(s[:, 1, :][crit], minlength=n + 1))
     return out
 
-
-def minimal_winning_masks(win: np.ndarray, n: int) -> np.ndarray:
-    """Masks of winning coalitions in which every member is critical."""
-    minimal = win.copy()
-    for i in range(n):
-        m = minimal.reshape(-1, 2, 1 << i)
-        w = win.reshape(-1, 2, 1 << i)
-        m[:, 1, :] &= ~w[:, 0, :]
-    return np.flatnonzero(minimal)

@@ -89,15 +89,20 @@ def _optimize(tableau, basis, costs, limit):
         reduced = _eliminate(reduced, tableau[leaving], entering)
 
 
+def _rational(v) -> int | Fraction:
+    """``v`` itself if it is an int, else as an exact ``Fraction``."""
+    return v if isinstance(v, int) else Fraction(v)
+
+
 def solve_exact(c: Sequence, a_ub: Sequence[Sequence] = (), b_ub: Sequence = (),
                 a_eq: Sequence[Sequence] = (), b_eq: Sequence = ()) -> LPSolution:
-    c = [Fraction(v) for v in c]
+    c = [_rational(v) for v in c]
     nv = len(c)
-    rows: list[tuple[list[Fraction], Fraction, bool]] = []
+    rows: list[tuple[list[int | Fraction], int | Fraction, bool]] = []
     for coeffs, b in zip(a_ub, b_ub):
-        rows.append(([Fraction(v) for v in coeffs], Fraction(b), True))
+        rows.append(([_rational(v) for v in coeffs], _rational(b), True))
     for coeffs, b in zip(a_eq, b_eq):
-        rows.append(([Fraction(v) for v in coeffs], Fraction(b), False))
+        rows.append(([_rational(v) for v in coeffs], _rational(b), False))
     m = len(rows)
     n_slack = sum(1 for _, _, has_slack in rows if has_slack)
     artificial = nv + n_slack
@@ -137,5 +142,5 @@ def solve_exact(c: Sequence, a_ub: Sequence[Sequence] = (), b_ub: Sequence = (),
     for r, b in enumerate(basis):
         if b < nv:
             x[b] = Fraction(tableau[r][-1], tableau[r][b])
-    objective = sum((ci * xi for ci, xi in zip(c, x)), start=Fraction(0))
+    objective = sum((ci * xi for ci, xi in zip(c, x) if ci), start=Fraction(0))
     return LPSolution(tuple(x), objective)

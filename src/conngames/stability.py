@@ -10,10 +10,11 @@ connectivity checks.
 Maximal excess is found by exhaustive enumeration: for nonnegative payoffs the
 worst-off constraint comes from a minimally paid winning coalition (losing
 coalitions have nonpositive excess), so the scan reduces to a minimum payment
-over the winning entries of the coalition table. Float payments, built block
-by block, shortlist the candidates; exact integer payments, with the payoffs
-scaled to their least common denominator, decide. The least core solves
-min eps  s.t.  p(C) >= v(C) - eps  over nonempty coalitions, with
+over the winning entries of the coalition table. Payments are int64 subset
+sums of the payoffs scaled to their least common denominator, built block by
+block; weights too large for int64 are shifted right, and the few masks the
+rounding cannot separate are scored in Python integers. The least core solves
+min eps  s.t.  p(C) >= v(C) - eps  over nonempty coalitions, exactly, with
 constraints generated lazily from the same min-payment search.
 """
 
@@ -32,14 +33,14 @@ from .errors import CapExceededError, DegenerateDomainError
 from .powerindex import DEFAULT_ENUMERATION_CAP
 
 DEFAULT_LP_CAP = 16
-DEFAULT_EXACT_LP_CAP = 12
 
 EXACT_LP = "exact-lp"
-FLOAT_LP = "float-lp"
 
 IMPUTATION_TOL = Fraction(1, 10 ** 9)
 
-_SCAN_BITS = 16  # payment blocks of 2^16 floats: 512 KB each
+_SCAN_BITS = 16  # payment blocks of 2^16 int64 values: 512 KB each
+_INT64_BITS = 62  # sum of |weights| below 2^62: subset sums and margins fit int64
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _to_fraction(value) -> Fraction:
@@ -94,8 +95,8 @@ class ExcessReport:
 
 @dataclass(frozen=True)
 class LeastCoreResult:
-    epsilon: Fraction | float
-    imputation: tuple
+    epsilon: Fraction
+    imputation: tuple[Fraction, ...]
     method: str
 
 
@@ -158,27 +159,37 @@ def _min_payment_mask(select: np.ndarray, payoffs: Sequence[Fraction],
                       n: int) -> tuple[int, Fraction] | None:
     """Mask minimizing the coalition payment among ``select`` entries.
 
-    Float payments shortlist near-minimal masks, one block of the low
-    ``_SCAN_BITS`` agents at a time; integer payments, with the payoffs
-    scaled by the lcm of their denominators, decide. Ties break to the
-    smallest coalition, then the smallest mask.
+    The payoffs, scaled by the lcm of their denominators, are integer
+    weights. They are shifted right until their absolute sum fits in
+    ``_INT64_BITS``, and int64 subset sums are scanned one block of the low
+    ``_SCAN_BITS`` agents at a time. A floored sum lies within n of the true
+    sum over 2^shift, so unshifted weights decide exactly and every mask
+    within n of the shifted minimum is scored in Python integers. Ties break
+    to the smallest coalition, then the smallest mask.
     """
     if not select.any():
         return None
-    pfl = np.array([float(x) for x in payoffs], dtype=np.float64)
-    slack = 1e-6 * max(1.0, float(np.abs(pfl).sum()))
-    bits = min(n, _SCAN_BITS)
-    low = enumeration._subset_sums(pfl[:bits], np.float64)
-    offsets = enumeration._subset_sums(pfl[bits:], np.float64)
-    blocks = select.reshape(len(offsets), len(low))
-    minima = [float(np.min(low, where=sel, initial=np.inf)) + offset
-              for sel, offset in zip(blocks, offsets)]
-    threshold = min(minima) + slack
-    shortlist = (h << bits | int(m) for h, (sel, offset) in enumerate(zip(blocks, offsets))
-                 if minima[h] <= threshold
-                 for m in np.flatnonzero(sel & (low + offset <= threshold)))
     scale = math.lcm(*(x.denominator for x in payoffs))
     weights = [x.numerator * (scale // x.denominator) for x in payoffs]
+    shift = max(0, sum(map(abs, weights)).bit_length() - _INT64_BITS)
+    window = n if shift else 0
+    bits = min(n, _SCAN_BITS)
+    floored = [w >> shift for w in weights]
+    low = enumeration._subset_sums(floored[:bits], np.int64)
+    offsets = enumeration._subset_sums(floored[bits:], np.int64)
+    sizes = enumeration.size_table(bits)
+    blocks = select.reshape(len(offsets), len(low))
+    minima = [int(np.min(low, where=sel, initial=_INT64_MAX)) + int(offset)
+              if sel.any() else math.inf for sel, offset in zip(blocks, offsets)]
+    threshold = min(minima) + window
+    shortlist = []
+    for h, (sel, offset) in enumerate(zip(blocks, offsets)):
+        if minima[h] > threshold:
+            continue
+        found = np.flatnonzero(sel & (low <= threshold - int(offset)))
+        if not shift:  # exact sums: the block's smallest coalition, then its smallest mask
+            found = found[[np.argmin(sizes[found])]]
+        shortlist += (h << bits | int(m) for m in found)
     total, _, mask = min((_scaled_payment(m, weights), m.bit_count(), m) for m in shortlist)
     return mask, Fraction(total, scale)
 
@@ -248,33 +259,19 @@ def ecm(domain: ConnectivityDomain, payoffs, epsilon, *,
 
 def _solve_active_exact(active: list[int], n: int, grand_value: int) -> lp.LPSolution:
     # Variables: p_0..p_{n-1}, eps; constraint p(C) + eps >= 1 per active mask.
-    a_ub = []
-    b_ub = []
-    for mask in active:
-        row = [0] * (n + 1)
-        m = mask
-        while m:
-            low = m & -m
-            row[low.bit_length() - 1] = -1
-            m ^= low
-        row[n] = -1
-        a_ub.append(row)
-        b_ub.append(-1)
-    c = [0] * n + [1]
-    a_eq = [[1] * n + [0]]
-    b_eq = [grand_value]
-    return lp.solve_exact(c, a_ub, b_ub, a_eq, b_eq)
+    a_ub = [[-(mask >> i & 1) for i in range(n)] + [-1] for mask in active]
+    return lp.solve_exact([0] * n + [1], a_ub, [-1] * len(active),
+                          [[1] * n + [0]], [grand_value])
 
 
 def least_core_value(domain: ConnectivityDomain, *,
-                     lp_cap: int = DEFAULT_LP_CAP,
-                     exact_cap: int = DEFAULT_EXACT_LP_CAP) -> LeastCoreResult:
+                     lp_cap: int = DEFAULT_LP_CAP) -> LeastCoreResult:
     """Smallest eps whose eps-core is non-empty, with an optimal imputation.
 
-    Deviating coalitions are the nonempty ones. Exact rationals up to
-    ``exact_cap`` agents (lazy constraint generation over the integer
-    simplex of ``lp``); a floating-point LP over the minimal winning
-    coalitions above.
+    Deviating coalitions are the nonempty ones. Both eps and the imputation
+    are exact rationals, up to ``lp_cap`` agents: the min-payment scan over
+    the win table generates the constraints lazily, and the integer simplex
+    of ``lp`` solves each restricted program.
     """
     domain.ensure_valid()
     n = domain.n_agents
@@ -285,59 +282,20 @@ def least_core_value(domain: ConnectivityDomain, *,
             f"dichotomy", lp_cap)
     if n == 0:
         return LeastCoreResult(Fraction(0), (), EXACT_LP)
-    grand_value = _value_of_mask(domain, (1 << n) - 1)
+    grand_mask = (1 << n) - 1
+    grand_value = _value_of_mask(domain, grand_mask)
     win = enumeration.win_table(domain).copy()
     win[0] = False
-
-    if n <= exact_cap:
-        result = _least_core_exact(domain, win, n, grand_value)
-    else:
-        result = _least_core_float(win, n, grand_value)
-
-    classification = classify(domain)
-    if not classification.degenerate:
-        is_zero = (result.epsilon == 0 if result.method == EXACT_LP
-                   else abs(result.epsilon) <= 1e-9)
-        if is_zero == veto_players(domain).is_empty:
-            raise RuntimeError(
-                "least-core solution inconsistent with the veto-player analysis")
-    return result
-
-
-def _least_core_exact(domain, win, n, grand_value) -> LeastCoreResult:
-    grand_mask = (1 << n) - 1
     active: list[int] = [grand_mask] if win[grand_mask] else []
     for _ in range(int(win.sum()) + 2):
         solution = _solve_active_exact(active, n, grand_value)
-        p_star = solution.x[:n]
-        eps_star = solution.x[n]
+        p_star, eps_star = solution.x[:n], solution.x[n]
         worst = _min_payment_mask(win, p_star, n)
-        if worst is None or Fraction(1) - worst[1] <= eps_star:
-            return LeastCoreResult(eps_star, p_star, EXACT_LP)
+        if worst is None or 1 - worst[1] <= eps_star:
+            break
         active.append(worst[0])
-    raise RuntimeError("least-core constraint generation failed to converge")
-
-
-def _least_core_float(win, n, grand_value) -> LeastCoreResult:
-    from scipy.optimize import linprog
-
-    minimal = enumeration.minimal_winning_masks(win, n)
-    a_ub = np.zeros((len(minimal), n + 1))
-    for r, mask in enumerate(minimal):
-        for i in range(n):
-            if mask >> i & 1:
-                a_ub[r, i] = -1.0
-        a_ub[r, n] = -1.0
-    b_ub = np.full(len(minimal), -1.0)
-    c = np.zeros(n + 1)
-    c[n] = 1.0
-    a_eq = np.ones((1, n + 1))
-    a_eq[0, n] = 0.0
-    result = linprog(c, A_ub=a_ub if len(minimal) else None,
-                     b_ub=b_ub if len(minimal) else None,
-                     A_eq=a_eq, b_eq=[float(grand_value)],
-                     bounds=[(0, None)] * (n + 1), method="highs")
-    if not result.success:
-        raise RuntimeError(f"least-core LP failed: {result.message}")
-    return LeastCoreResult(float(result.x[n]), tuple(float(v) for v in result.x[:n]),
-                           FLOAT_LP)
+    else:
+        raise RuntimeError("least-core constraint generation failed to converge")
+    if not classify(domain).degenerate and (eps_star == 0) == veto_players(domain).is_empty:
+        raise RuntimeError("least-core solution inconsistent with the veto-player analysis")
+    return LeastCoreResult(eps_star, p_star, EXACT_LP)

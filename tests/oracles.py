@@ -14,6 +14,8 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
+import numpy as np
+
 from conngames import (
     Coalition,
     ConnectivityDomain,
@@ -135,6 +137,16 @@ def max_excess_bruteforce(domain: ConnectivityDomain, payoffs) -> Fraction:
     return best
 
 
+def minimal_winning_masks(win: np.ndarray, n: int) -> np.ndarray:
+    """Masks of winning coalitions in which every member is critical."""
+    minimal = win.copy()
+    for i in range(n):
+        m = minimal.reshape(-1, 2, 1 << i)
+        w = win.reshape(-1, 2, 1 << i)
+        m[:, 1, :] &= ~w[:, 0, :]
+    return np.flatnonzero(minimal)
+
+
 def essential_by_removal(domain: ConnectivityDomain) -> tuple[int, ...]:
     """Removal test: agent is essential iff the coalition of everyone else loses."""
     n = domain.n_agents
@@ -143,10 +155,9 @@ def essential_by_removal(domain: ConnectivityDomain) -> tuple[int, ...]:
                  if coalition_value(domain, grand ^ (1 << i)) == 0)
 
 
-def quotient_has_cycle(domain: ConnectivityDomain) -> bool:
-    """Whether a cycle is left once every connected region of primary and
-    backbone vertices is one vertex: regions by set-based search, then
-    vertices of degree <= 1 are stripped until none is left."""
+def _usable_regions(domain: ConnectivityDomain):
+    """Adjacency sets, and the region (its smallest vertex) of every primary
+    or backbone vertex: connected always-usable regions by set-based search."""
     usable = set(domain.primary) | set(domain.backbone)
     adjacency: dict[int, set[int]] = {}
     for u, v in domain.edges:
@@ -163,6 +174,14 @@ def quotient_has_cycle(domain: ConnectivityDomain) -> bool:
                 if v in usable and v not in region:
                     region[v] = start
                     stack.append(v)
+    return adjacency, region
+
+
+def quotient_has_cycle(domain: ConnectivityDomain) -> bool:
+    """Whether a cycle is left once every connected region of primary and
+    backbone vertices is one vertex: regions by set-based search, then
+    vertices of degree <= 1 are stripped until none is left."""
+    _, region = _usable_regions(domain)
     neighbours: dict[int, set[int]] = {}
     for u, v in domain.edges:
         a, b = region.get(u, u), region.get(v, v)
@@ -177,6 +196,54 @@ def quotient_has_cycle(domain: ConnectivityDomain) -> bool:
             if len(neighbours[u]) <= 1:
                 leaves.append(u)
     return bool(neighbours)
+
+
+def min_agent_cut(domain: ConnectivityDomain) -> int:
+    """Fewest agents whose removal separates the two primary regions
+    (Menger): a max-flow with unit agent capacities, one breadth-first
+    augmenting path at a time. Each agent's vertex v splits into an arc
+    (v, "in") -> (v, "out") of capacity 1; each always-usable region is one
+    uncapacitated node, and every edge is a pair of uncapacitated arcs."""
+    adjacency, region = _usable_regions(domain)
+    terminals = sorted({region[p] for p in domain.primary})
+    if len(terminals) != 2:
+        raise ValueError(f"{len(terminals)} primary regions, not 2")
+    source, sink = terminals
+    unbounded = len(domain.standard) + 1
+    capacity: dict[tuple, dict[tuple, int]] = {}
+
+    def arc(a, b, cap):  # and its residual reverse arc, at 0 unless an arc itself
+        capacity.setdefault(a, {})[b] = cap
+        capacity.setdefault(b, {}).setdefault(a, 0)
+
+    def node(v, side):
+        return (region[v], "region") if v in region else (v, side)
+
+    for v in domain.standard:
+        arc((v, "in"), (v, "out"), 1)
+    for u, vs in adjacency.items():
+        for v in vs:
+            if node(u, "out") != node(v, "in"):
+                arc(node(u, "out"), node(v, "in"), unbounded)
+    start, goal = (source, "region"), (sink, "region")
+    flow = 0
+    while True:
+        previous = {start: None}
+        queue = [start]
+        for a in queue:
+            for b, cap in capacity.get(a, {}).items():
+                if cap > 0 and b not in previous:
+                    previous[b] = a
+                    queue.append(b)
+        if goal not in previous:
+            return flow
+        b = goal
+        while previous[b] is not None:
+            a = previous[b]
+            capacity[a][b] -= 1
+            capacity[b][a] += 1
+            b = a
+        flow += 1
 
 
 # ----------------------------------------------------------- LP oracle
@@ -392,6 +459,29 @@ def connected_graph_domain(rng: random.Random, n_agents: int,
     rng.shuffle(ids)
     return ConnectivityDomain(total, tuple(sorted(edges)), primary=tuple(ids[:4]),
                               backbone=(ids[4],), standard=tuple(ids[5:]))
+
+
+def two_region_domain(rng: random.Random, n_agents: int) -> ConnectivityDomain:
+    """Non-degenerate domain whose quotient has exactly two primary regions:
+    2-3 primaries and 0-2 backbones on a random spanning tree plus chords."""
+    for _ in range(1000):
+        n_primary = rng.randint(2, 3)
+        n_backbone = rng.randint(0, 2)
+        total = n_agents + n_primary + n_backbone
+        edges = {(rng.randrange(v), v) for v in range(1, total)}
+        for _ in range(rng.randint(0, 2 * total)):
+            u, v = sorted(rng.sample(range(total), 2))
+            edges.add((u, v))
+        ids = list(range(total))
+        rng.shuffle(ids)
+        domain = ConnectivityDomain(
+            total, tuple(sorted(edges)), primary=tuple(ids[:n_primary]),
+            backbone=tuple(ids[n_primary:n_primary + n_backbone]),
+            standard=tuple(ids[n_primary + n_backbone:]))
+        _, region = _usable_regions(domain)
+        if len({region[p] for p in domain.primary}) == 2 and not classify(domain).degenerate:
+            return domain
+    raise RuntimeError("failed to sample a two-region domain")
 
 
 def random_imputation(rng: random.Random, n: int, allow_negative=False) -> list[float]:

@@ -53,25 +53,42 @@ def domains(draw, max_agents: int = 10, wide: bool | None = None,
 @st.composite
 def payoffs(draw, n: int, total: int = 1) -> list[Fraction]:
     """n - 1 payoffs in about [-1, 1] plus one that brings the sum to
-    ``total``. Each is a multiple of 1/4, or of 1/3 or 1/7 (mixed
-    denominators), optionally shifted by a few 10^-12 so that distinct
-    payments tie as floats. A sparse draw pays nothing to most agents, like
-    a simplex optimum. Few distinct values, so coalitions often tie, and
-    negative entries."""
+    ``total``. Each is of one drawn kind:
+
+    - a multiple of 1/4, or of 1/3 or 1/7 (mixed denominators);
+    - float-derived, such as ``Fraction(0.001)`` or ``Fraction(0.25 + 1e-9)``
+      (binary denominators up to about 2^80);
+    - a multiple of 1/d for a large d, about 2^30 to 2^100 (coprime in
+      practice), some of them 0 or +-1/d.
+
+    A sparse draw (two in three) pays nothing to most agents, like a simplex
+    optimum. Any payoff, zeros included, is optionally shifted by a few
+    10^-12 or (twice as often) 10^-25. Scaled sums of the huge-denominator
+    kinds pass int64, and payments that differ by a few 10^-25 then tie
+    after the shift into int64. Few distinct values, so coalitions often
+    tie, and negative entries."""
     if n == 0:
         return []
+    kind = draw(st.sampled_from(["small", "small", "float", "huge"]))
     denominators = draw(st.sampled_from([(4,), (3, 7)]))
-    shifted = draw(st.booleans())
-    sparse = draw(st.booleans())
+    tiny = draw(st.sampled_from([None, 10 ** 12, 10 ** 25, 10 ** 25]))
+    sparse = draw(st.sampled_from([False, True, True]))
     values = []
     for _ in range(n - 1):
         if sparse and draw(st.integers(0, 3)):
-            values.append(Fraction(0))
-            continue
-        d = draw(st.sampled_from(denominators))
-        value = Fraction(draw(st.integers(-d, d)), d)
-        if shifted:
-            value += Fraction(draw(st.integers(-3, 3)), 10 ** 12)
+            value = Fraction(0)
+        elif kind == "float":
+            value = Fraction(draw(st.integers(-4, 4)) / 4
+                             + draw(st.sampled_from([0.0, 0.001, -0.001, 1e-9, -1e-9])))
+        elif kind == "huge":
+            d = draw(st.integers(2 ** 30, 2 ** 100))
+            value = Fraction(draw(st.one_of(st.sampled_from([0, 1, -1]),
+                                            st.integers(-d, d))), d)
+        else:
+            d = draw(st.sampled_from(denominators))
+            value = Fraction(draw(st.integers(-d, d)), d)
+        if tiny:
+            value += Fraction(draw(st.sampled_from([-3, -2, -1, 1, 2, 3])), tiny)
         values.append(value)
     return values + [total - sum(values, Fraction(0))]
 

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -419,3 +422,25 @@ def test_indices_mc_output_is_pinned(capsys):
                                   "--method", "mc", "--seed", "11", "--format", "json"])
     assert (code, err) == (0, "")
     assert out.encode() == (DATA / "mc30_seed11.json").read_bytes()
+
+
+def test_leastcore_exact_output_is_pinned(capsys):
+    # A 14-agent non-tree graph: an exact rational least core where a float
+    # LP answered before.
+    code, out, err = run(capsys, ["leastcore", str(DATA / "leastcore14_domain.json"),
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "leastcore14.json").read_bytes()
+
+
+def test_leastcore_run_does_not_load_scipy():
+    path = DATA / "leastcore14_domain.json"
+    script = ("import sys\n"
+              "from conngames.cli import main\n"
+              f"assert main(['leastcore', {str(path)!r}]) == 0\n"
+              "print('scipy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert "method: exact-lp" in out
+    assert out.splitlines()[-1] == "False"

@@ -13,7 +13,6 @@ from conngames.domain import _value_of_mask
 from conngames.enumeration import (
     criticality_counts,
     criticality_size_counts,
-    minimal_winning_masks,
     size_table,
     win_table,
 )
@@ -130,4 +129,4 @@ def test_minimal_winning_masks_against_definition():
         table = win_table(domain)
         expected = [mask for mask in range(1 << n) if table[mask] and all(
             not table[mask ^ (1 << i)] for i in range(n) if mask >> i & 1)]
-        assert minimal_winning_masks(np.array(table), n).tolist() == expected
+        assert oracles.minimal_winning_masks(np.array(table), n).tolist() == expected

@@ -26,7 +26,7 @@ from conngames import (
     vertexcover_to_ecm,
     veto_players,
 )
-from conngames.enumeration import minimal_winning_masks, win_table
+from conngames.enumeration import win_table
 from conngames.lp import LPInfeasible, LPUnbounded, solve_exact
 
 HALF = Fraction(1, 2)
@@ -268,6 +268,17 @@ def test_min_payment_mask_matches_bruteforce(data, n, scan_bits):
         assert stability._min_payment_mask(select, payoffs, n) == expected
 
 
+def test_min_payment_mask_scores_masks_the_shift_cannot_separate():
+    # Scaled by 10^25, the weights pass int64 and are shifted right: agent 0
+    # floors to -1 and agent 1 to 0, so {0, 1} has the smaller shifted sum
+    # though the empty coalition pays less.
+    tiny = Fraction(1, 10 ** 25)
+    payoffs = [-tiny, 2 * tiny, 1 - tiny]
+    select = np.zeros(8, dtype=bool)
+    select[[0b000, 0b011]] = True
+    assert stability._min_payment_mask(select, payoffs, 3) == (0, 0)
+
+
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), scan_bits=st.sampled_from([2, 16]))
 def test_max_excess_full_scan_matches_bruteforce_with_ties(data, scan_bits):
@@ -390,7 +401,7 @@ def test_least_core_witness_is_feasible_and_optimal(corpus):
         if tightened < 0:
             continue
         rows, bounds = [], []
-        for mask in minimal_winning_masks(table, n):
+        for mask in oracles.minimal_winning_masks(table, n):
             row = [0] * n
             for i in range(n):
                 if mask >> i & 1:
@@ -411,12 +422,54 @@ def test_least_core_zero_iff_veto(corpus):
         assert (result.epsilon == 0) == has_veto, name
 
 
-def test_least_core_float_path_on_larger_tree(tree_corpus):
+def test_least_core_exact_on_larger_tree(tree_corpus):
+    checked = 0
     for name, domain in tree_corpus:
         if domain.n_agents <= 12:
             continue
         result = least_core_value(domain)
-        assert result.method == "float-lp", name
-        assert abs(result.epsilon) <= 1e-9, name
+        assert result.method == "exact-lp", name
+        assert type(result.epsilon) is Fraction and result.epsilon == 0, name
+        assert all(type(v) is Fraction for v in result.imputation), name
+        assert is_in_core(domain, result.imputation), name
         canonical = tree_core(domain).canonical_imputation
         assert sum(canonical) == 1
+        checked += 1
+    assert checked == 2
+
+
+def test_min_agent_cut_matches_largest_losing_coalition():
+    # Removing a minimum agent cut leaves the largest losing coalition.
+    rng = random.Random(1414)
+    for n in [*range(1, 11), *range(1, 11)]:
+        domain = oracles.two_region_domain(rng, n)
+        table = oracles.reference_table(domain)
+        largest = max(m.bit_count() for m in range(1 << n) if not table[m])
+        assert oracles.min_agent_cut(domain) == n - largest
+
+
+def test_least_core_with_two_primary_regions_is_one_minus_inverse_cut():
+    # Menger: kappa agent-disjoint paths each need 1 - eps, so eps >= 1 - 1/kappa,
+    # and the equal split over a minimum cut pays every winning coalition 1/kappa.
+    rng = random.Random(1313)
+    cuts = {False: set(), True: set()}
+    for n in [*range(1, 13), *range(1, 13), *range(13, 17), *range(13, 17)]:
+        domain = oracles.two_region_domain(rng, n)
+        kappa = oracles.min_agent_cut(domain)
+        result = least_core_value(domain)
+        assert result.method == "exact-lp"
+        assert result.epsilon == 1 - Fraction(1, kappa), (n, kappa)
+        cuts[n > 12].add(kappa)
+    assert len(cuts[False]) >= 3 and len(cuts[True]) >= 3
+
+
+def test_least_core_memory_at_16_agents():
+    domain = oracles.connected_graph_domain(random.Random(16), 16, n_edges=40)
+    tracemalloc.start()
+    try:
+        result = least_core_value(domain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result.epsilon > 0
+    assert peak < 4 * 2 ** 20
