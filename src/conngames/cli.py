@@ -346,6 +346,8 @@ def cmd_leastcore(args) -> int:
     try:
         domain = _load_domain(args.domain)
         lp_cap = _resolve_cap(args.lp_cap, "--lp-cap", ENV_LP_CAP, stability.DEFAULT_LP_CAP)
+        cap = _resolve_cap(None, ENV_EXACT_CAP, ENV_EXACT_CAP,
+                           powerindex.DEFAULT_ENUMERATION_CAP)
     except ValueError as exc:
         return _fail(str(exc), EXIT_INPUT)
     classification = classify(domain)
@@ -358,7 +360,7 @@ def cmd_leastcore(args) -> int:
         method = powerindex.TREE_CLOSED_FORM
     else:
         try:
-            result = stability.least_core_value(domain, lp_cap=lp_cap)
+            result = stability.least_core_value(domain, lp_cap=lp_cap, cap=cap)
         except CapExceededError as exc:
             return _fail(str(exc), EXIT_CAP)
         epsilon, imputation, method = result.epsilon, result.imputation, result.method

@@ -118,6 +118,26 @@ def criticality_counts(win: np.ndarray, n: int) -> list[int]:
     return counts
 
 
+def minimal_winning_masks(win: np.ndarray, n: int) -> np.ndarray:
+    """Ascending masks of the winning coalitions in which every member is critical.
+
+    The table is packed little-endian, bit m of byte b standing for mask
+    8b + m, and mask m is struck off when m ^ 2^i wins for a member i: within
+    each byte for i < 3 (a shift and a constant mask), and from the low half
+    of each run of 2^(i-2) bytes onto its high half for i >= 3.
+    """
+    packed = np.packbits(win, bitorder="little")
+    minimal = packed.copy()
+    for i in range(min(n, 3)):
+        minimal &= ~(np.left_shift(packed, 1 << i) & (0xAA, 0xCC, 0xF0)[i])
+    for i in range(3, n):
+        run = 1 << (i - 3)
+        minimal.reshape(-1, 2 * run)[:, run:] &= ~packed.reshape(-1, 2 * run)[:, :run]
+    at = np.flatnonzero(minimal)
+    rows, bits = np.nonzero(np.unpackbits(minimal[at, None], axis=1, bitorder="little"))
+    return at[rows] * 8 + bits
+
+
 def criticality_size_counts(win: np.ndarray, n: int) -> list[np.ndarray]:
     """Per agent, a histogram over |C| of coalitions where the agent is critical."""
     sizes = size_table(n)

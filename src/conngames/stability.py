@@ -13,9 +13,14 @@ coalitions have nonpositive excess), so the scan reduces to a minimum payment
 over the winning entries of the coalition table. Payments are int64 subset
 sums of the payoffs scaled to their least common denominator, built block by
 block; weights too large for int64 are shifted right, and the few masks the
-rounding cannot separate are scored in Python integers. The least core solves
-min eps  s.t.  p(C) >= v(C) - eps  over nonempty coalitions, exactly, with
-constraints generated lazily from the same min-payment search.
+rounding cannot separate are scored in Python integers.
+
+The least core solves  min eps  s.t.  p(C) >= v(C) - eps  over nonempty
+coalitions, exactly, with constraints generated lazily. Its payoffs are
+nonnegative, so a least-paid winning coalition is always a minimal winning
+one (Maschler, Peleg & Shapley 1979): the minimal winning coalitions are
+listed once from the win table, and each round scores only them, exactly in
+Python integers.
 """
 
 from __future__ import annotations
@@ -264,14 +269,29 @@ def _solve_active_exact(active: list[int], n: int, grand_value: int) -> lp.LPSol
                           [[1] * n + [0]], [grand_value])
 
 
+def _least_paid(masks: list[int], payoffs: Sequence[Fraction]) -> tuple[int, Fraction] | None:
+    """Mask of least (payment, size, mask) among ``masks``, with its payment;
+    payments are scored exactly, as integers scaled by the lcm of the payoff
+    denominators."""
+    if not masks:
+        return None
+    scale = math.lcm(*(x.denominator for x in payoffs))
+    weights = [x.numerator * (scale // x.denominator) for x in payoffs]
+    total, _, mask = min((_scaled_payment(m, weights), m.bit_count(), m) for m in masks)
+    return mask, Fraction(total, scale)
+
+
 def least_core_value(domain: ConnectivityDomain, *,
-                     lp_cap: int = DEFAULT_LP_CAP) -> LeastCoreResult:
+                     lp_cap: int = DEFAULT_LP_CAP,
+                     cap: int = DEFAULT_ENUMERATION_CAP) -> LeastCoreResult:
     """Smallest eps whose eps-core is non-empty, with an optimal imputation.
 
     Deviating coalitions are the nonempty ones. Both eps and the imputation
-    are exact rationals, up to ``lp_cap`` agents: the min-payment scan over
-    the win table generates the constraints lazily, and the integer simplex
-    of ``lp`` solves each restricted program.
+    are exact rationals, up to ``lp_cap`` agents, and refused past the
+    enumeration ``cap`` before any table is built. Constraints are generated
+    lazily: each round adds the least-paid minimal winning coalition, listed
+    once from the win table, and the integer simplex of ``lp`` solves each
+    restricted program.
     """
     domain.ensure_valid()
     n = domain.n_agents
@@ -280,17 +300,24 @@ def least_core_value(domain: ConnectivityDomain, *,
             f"{n} agents exceeds the least-core LP cap of {lp_cap}; use the tree "
             f"solver on acyclic domains, or veto_players for the 0-vs-positive "
             f"dichotomy", lp_cap)
+    if n > cap:
+        raise CapExceededError(
+            f"instance too large for exact solver: {n} agents exceeds the "
+            f"enumeration cap of {cap}", cap)
     if n == 0:
         return LeastCoreResult(Fraction(0), (), EXACT_LP)
     grand_mask = (1 << n) - 1
     grand_value = _value_of_mask(domain, grand_mask)
-    win = enumeration.win_table(domain).copy()
-    win[0] = False
+    win = enumeration.win_table(domain)
+    # The empty coalition does not deviate. When it wins, every coalition
+    # does, and the minimal nonempty winners are the single agents.
+    minimal = ([1 << i for i in range(n)] if win[0]
+               else enumeration.minimal_winning_masks(win, n).tolist())
     active: list[int] = [grand_mask] if win[grand_mask] else []
-    for _ in range(int(win.sum()) + 2):
+    for _ in range(len(minimal) + 2):
         solution = _solve_active_exact(active, n, grand_value)
         p_star, eps_star = solution.x[:n], solution.x[n]
-        worst = _min_payment_mask(win, p_star, n)
+        worst = _least_paid(minimal, p_star)
         if worst is None or 1 - worst[1] <= eps_star:
             break
         active.append(worst[0])

@@ -14,8 +14,6 @@ from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
-import numpy as np
-
 from conngames import (
     Coalition,
     ConnectivityDomain,
@@ -24,8 +22,10 @@ from conngames import (
     classify,
     coalition_value,
     derive_seed,
+    stability,
 )
 from conngames.domain import _value_of_mask
+from conngames.enumeration import win_table
 from conngames.lp import LPInfeasible, LPSolution, LPUnbounded
 
 
@@ -137,14 +137,30 @@ def max_excess_bruteforce(domain: ConnectivityDomain, payoffs) -> Fraction:
     return best
 
 
-def minimal_winning_masks(win: np.ndarray, n: int) -> np.ndarray:
-    """Masks of winning coalitions in which every member is critical."""
-    minimal = win.copy()
-    for i in range(n):
-        m = minimal.reshape(-1, 2, 1 << i)
-        w = win.reshape(-1, 2, 1 << i)
-        m[:, 1, :] &= ~w[:, 0, :]
-    return np.flatnonzero(minimal)
+def least_core_by_table_scan(domain: ConnectivityDomain):
+    """The least core by constraint generation over the whole win table: each
+    round adds the nonempty winning coalition of least (payment, size, mask)
+    that ``stability._min_payment_mask`` finds among all 2^n masks. Returns
+    eps, the imputation, and the active coalitions of every restricted
+    program solved, in order."""
+    n = domain.n_agents
+    if n == 0:
+        return Fraction(0), (), []
+    grand = (1 << n) - 1
+    grand_value = _value_of_mask(domain, grand)
+    win = win_table(domain).copy()
+    win[0] = False
+    active = [grand] if win[grand] else []
+    programs = []
+    for _ in range(int(win.sum()) + 2):
+        programs.append(tuple(active))
+        solution = stability._solve_active_exact(active, n, grand_value)
+        payoffs, eps = solution.x[:n], solution.x[n]
+        worst = stability._min_payment_mask(win, payoffs, n)
+        if worst is None or 1 - worst[1] <= eps:
+            return eps, payoffs, programs
+        active.append(worst[0])
+    raise RuntimeError("table-scan constraint generation failed to converge")
 
 
 def essential_by_removal(domain: ConnectivityDomain) -> tuple[int, ...]:

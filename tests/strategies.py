@@ -51,6 +51,28 @@ def domains(draw, max_agents: int = 10, wide: bool | None = None,
 
 
 @st.composite
+def symmetric_domains(draw, max_agents: int = 12) -> ConnectivityDomain:
+    """Two primaries joined either by ``layers`` layers of ``width`` agents,
+    each agent adjacent to every agent of the next layer (the primaries are
+    the outer layers), or by ``width`` disjoint paths of ``layers`` agents.
+    Agents of one layer are interchangeable, so the minimal winning
+    coalitions come in large orbits of equal size and their payments often
+    tie. Vertex ids and agent order are shuffled."""
+    width = draw(st.integers(1, 4))
+    layers = draw(st.integers(1, max(1, max_agents // width)))
+    paths = draw(st.booleans())
+    ids = draw(st.permutations(range(width * layers + 2)))
+    a, b, agents = ids[0], ids[1], ids[2:]
+    grid = [agents[k * width:(k + 1) * width] for k in range(layers)]
+    if paths:
+        edges = [(u, v) for path in zip(*grid) for u, v in zip((a, *path), (*path, b))]
+    else:
+        stages = [(a,), *grid, (b,)]
+        edges = [(u, v) for left, right in zip(stages, stages[1:]) for u in left for v in right]
+    return ConnectivityDomain(len(ids), tuple(edges), (a, b), (), tuple(agents))
+
+
+@st.composite
 def payoffs(draw, n: int, total: int = 1) -> list[Fraction]:
     """n - 1 payoffs in about [-1, 1] plus one that brings the sum to
     ``total``. Each is of one drawn kind:

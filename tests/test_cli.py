@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import oracles
-from conngames import ConnectivityDomain, cli, domain_to_dict, validate, domain_from_dict
+from conngames import (ConnectivityDomain, cli, domain_from_dict, domain_to_dict, enumeration,
+                       validate)
 from conngames.cli import main
 
 
@@ -148,6 +150,7 @@ def test_indices_auto_falls_back_to_mc_over_cap(files, capsys, monkeypatch):
     ("CONNGAMES_EXACT_CAP", ["indices", "cycle4"]),
     ("CONNGAMES_EXACT_CAP", ["ecm", "cycle4", "half", "--epsilon", "0.5"]),
     ("CONNGAMES_LP_CAP", ["leastcore", "cycle4"]),
+    ("CONNGAMES_EXACT_CAP", ["leastcore", "cycle4"]),
 ])
 def test_non_integer_env_cap_exit2(files, capsys, monkeypatch, env, argv):
     monkeypatch.setenv(env, "abc")
@@ -166,6 +169,7 @@ def test_non_integer_env_cap_exit2(files, capsys, monkeypatch, env, argv):
      "CONNGAMES_EXACT_CAP"),
     (None, ["leastcore", "cycle4", "--lp-cap", "-5"], "--lp-cap"),
     ("CONNGAMES_LP_CAP", ["leastcore", "cycle4"], "CONNGAMES_LP_CAP"),
+    ("CONNGAMES_EXACT_CAP", ["leastcore", "cycle4"], "CONNGAMES_EXACT_CAP"),
 ])
 def test_negative_cap_exit2(files, capsys, monkeypatch, env, argv, source):
     if env is not None:
@@ -322,6 +326,26 @@ def test_leastcore_over_cap_exit3(files, capsys, monkeypatch):
     assert "cap" in err
 
 
+def test_leastcore_past_the_enumeration_cap_exits_before_any_table(files, capsys,
+                                                                    monkeypatch):
+    # The LP cap is raised past 30 agents; the enumeration cap (24, or
+    # CONNGAMES_EXACT_CAP) still refuses before a 2^30 table is allocated.
+    domain = oracles.connected_graph_domain(random.Random(30), 30, n_edges=70)
+    path = write_json(files["tmp"] / "graph30.json", domain_to_dict(domain))
+
+    def unbounded(domain):
+        raise AssertionError("a 2^30 win table was requested")
+
+    monkeypatch.setattr(enumeration, "win_table", unbounded)
+    for env, cap in ((None, 24), ("29", 29)):
+        if env is not None:
+            monkeypatch.setenv("CONNGAMES_EXACT_CAP", env)
+        code, out, err = run(capsys, ["leastcore", path, "--lp-cap", "40"])
+        assert (code, out) == (3, "")
+        assert err == (f"error: instance too large for exact solver: 30 agents "
+                       f"exceeds the enumeration cap of {cap}\n")
+
+
 def test_generate_setcover_roundtrip(files, capsys, tmp_path):
     out_path = tmp_path / "fig.json"
     code, out, _ = run(capsys, ["generate", "setcover", files["setcover"],
@@ -431,6 +455,14 @@ def test_leastcore_exact_output_is_pinned(capsys):
                                   "--format", "json"])
     assert (code, err) == (0, "")
     assert out.encode() == (DATA / "leastcore14.json").read_bytes()
+
+
+def test_leastcore_16_agent_output_is_pinned(capsys):
+    # A 16-agent non-tree graph whose least core takes 17 restricted programs.
+    code, out, err = run(capsys, ["leastcore", str(DATA / "leastcore16_domain.json"),
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "leastcore16.json").read_bytes()
 
 
 def test_leastcore_run_does_not_load_scipy():

@@ -13,6 +13,7 @@ from conngames.domain import _value_of_mask
 from conngames.enumeration import (
     criticality_counts,
     criticality_size_counts,
+    minimal_winning_masks,
     size_table,
     win_table,
 )
@@ -124,9 +125,9 @@ def test_criticality_size_counts_against_definition():
 def test_minimal_winning_masks_against_definition():
     rng = random.Random(19)
     for _ in range(20):
-        domain = oracles.random_graph_domain(rng, max_agents=6)
+        domain = oracles.random_graph_domain(rng, max_agents=9)
         n = domain.n_agents
         table = win_table(domain)
         expected = [mask for mask in range(1 << n) if table[mask] and all(
             not table[mask ^ (1 << i)] for i in range(n) if mask >> i & 1)]
-        assert oracles.minimal_winning_masks(np.array(table), n).tolist() == expected
+        assert minimal_winning_masks(table, n).tolist() == expected

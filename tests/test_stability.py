@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -26,7 +26,8 @@ from conngames import (
     vertexcover_to_ecm,
     veto_players,
 )
-from conngames.enumeration import win_table
+from conngames import enumeration
+from conngames.enumeration import minimal_winning_masks, win_table
 from conngames.lp import LPInfeasible, LPUnbounded, solve_exact
 
 HALF = Fraction(1, 2)
@@ -395,13 +396,11 @@ def test_least_core_witness_is_feasible_and_optimal(corpus):
         assert ecm(domain, result.imputation, result.epsilon), name
         # Optimality certificate: tightening eps by any margin kills feasibility.
         n = domain.n_agents
-        table = win_table(domain).copy()
-        table[0] = False
         tightened = result.epsilon - 10 * Fraction(1, 10 ** 9)
         if tightened < 0:
             continue
         rows, bounds = [], []
-        for mask in oracles.minimal_winning_masks(table, n):
+        for mask in minimal_winning_masks(win_table(domain), n):
             row = [0] * n
             for i in range(n):
                 if mask >> i & 1:
@@ -411,6 +410,44 @@ def test_least_core_witness_is_feasible_and_optimal(corpus):
         with pytest.raises(LPInfeasible):
             solve_exact([0] * n, a_ub=rows, b_ub=bounds,
                         a_eq=[[1] * n], b_eq=[1])
+
+
+@settings(max_examples=200, deadline=None)
+@given(domain=st.one_of(strategies.domains(max_agents=12, wide=False),
+                        strategies.symmetric_domains()))
+@example(domain=oracles.adjacent_primaries_domain())
+@example(domain=oracles.all_lose_domain())
+@example(domain=oracles.cycle4())
+@example(domain=oracles.random_graph_domain(random.Random(11), max_agents=8))
+def test_least_core_matches_table_scan(domain):
+    # Same eps, imputation and restricted programs, round by round, as
+    # separation over all 2^n coalitions. In the last example a payment tie
+    # between minimal winning coalitions of different sizes decides a cut.
+    programs = []
+
+    def recording(active, n, grand_value):
+        programs.append(tuple(active))
+        return solve_active(active, n, grand_value)
+
+    solve_active = stability._solve_active_exact
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "_solve_active_exact", recording)
+        result = least_core_value(domain)
+    assert (result.epsilon, result.imputation, programs) == \
+        oracles.least_core_by_table_scan(domain)
+
+
+def test_least_core_refuses_past_the_enumeration_cap_before_any_table(monkeypatch):
+    domain = oracles.connected_graph_domain(random.Random(30), 30, n_edges=70)
+
+    def unbounded(domain):
+        raise AssertionError("a 2^30 win table was requested")
+
+    monkeypatch.setattr(enumeration, "win_table", unbounded)
+    for cap in (24, 29):
+        with pytest.raises(CapExceededError) as exc:
+            least_core_value(domain, lp_cap=40, cap=cap)
+        assert exc.value.cap == cap
 
 
 def test_least_core_zero_iff_veto(corpus):
@@ -472,4 +509,4 @@ def test_least_core_memory_at_16_agents():
     finally:
         tracemalloc.stop()
     assert result.epsilon > 0
-    assert peak < 4 * 2 ** 20
+    assert peak < 2 ** 20
