@@ -96,17 +96,12 @@ def _win_bits_evaluator(domain: ConnectivityDomain):
     return win_bits
 
 
-def _subset_sums(weights, dtype) -> np.ndarray:
-    """Entry m is the sum of ``weights[i]`` over the bits i of m, filled by doubling."""
-    table = np.zeros(1 << len(weights), dtype=dtype)
-    for i, w in enumerate(weights):
-        np.add(table[: 1 << i], w, out=table[1 << i: 1 << (i + 1)])
-    return table
-
-
 def size_table(n: int) -> np.ndarray:
-    """uint8 array of length 2^n holding the popcount of each mask."""
-    return _subset_sums([1] * n, np.uint8)
+    """uint8 array of length 2^n holding the popcount of each mask, filled by doubling."""
+    table = np.zeros(1 << n, dtype=np.uint8)
+    for i in range(n):
+        np.add(table[: 1 << i], 1, out=table[1 << i: 1 << (i + 1)])
+    return table
 
 
 def criticality_counts(win: np.ndarray, n: int) -> list[int]:

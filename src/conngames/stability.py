@@ -7,13 +7,14 @@ core iff it hands the whole unit of reward to veto agents. Agent i is veto iff
 the coalition of everyone else loses, so the core is computable with n
 connectivity checks.
 
-Maximal excess is found by exhaustive enumeration: for nonnegative payoffs the
-worst-off constraint comes from a minimally paid winning coalition (losing
-coalitions have nonpositive excess), so the scan reduces to a minimum payment
-over the winning entries of the coalition table. Payments are int64 subset
-sums of the payoffs scaled to their least common denominator, built block by
-block; weights too large for int64 are shifted right, and the few masks the
-rounding cannot separate are scored in Python integers.
+Maximal excess is found from the minimal winning coalitions. With N- the
+negatively paid agents, a least-paid winning coalition is W | N- for some
+minimal winning W: every winning coalition contains such a W, and adding the
+rest of N- only lowers its payment. Likewise a least-paid losing coalition is
+L & N- for some maximal losing L, the complement of a minimal winner of the
+dual game (C wins iff its complement loses). For nonnegative payoffs the
+losing side is just the empty coalition, with excess 0. Each candidate list is
+scored exactly in Python integers.
 
 The least core solves  min eps  s.t.  p(C) >= v(C) - eps  over nonempty
 coalitions, exactly, with constraints generated lazily. Its payoffs are
@@ -30,12 +31,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-import numpy as np
-
 from . import enumeration, lp
 from .domain import Coalition, ConnectivityDomain, _value_of_mask, classify
 from .errors import CapExceededError, DegenerateDomainError
-from .powerindex import DEFAULT_ENUMERATION_CAP
+from .powerindex import DEFAULT_ENUMERATION_CAP, _check_cap
 
 DEFAULT_LP_CAP = 16
 
@@ -43,16 +42,10 @@ EXACT_LP = "exact-lp"
 
 IMPUTATION_TOL = Fraction(1, 10 ** 9)
 
-_SCAN_BITS = 16  # payment blocks of 2^16 int64 values: 512 KB each
-_INT64_BITS = 62  # sum of |weights| below 2^62: subset sums and margins fit int64
-_INT64_MAX = np.iinfo(np.int64).max
-
 
 def _to_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, str):
-        return Fraction(value)
     return Fraction(value)
 
 
@@ -133,15 +126,18 @@ def veto_players(domain: ConnectivityDomain) -> CoreDescription:
     return CoreDescription(veto_agents=veto, is_empty=not veto)
 
 
+def _refuse_degenerate(domain: ConnectivityDomain, question: str) -> None:
+    if classify(domain).degenerate:
+        raise DegenerateDomainError(
+            f"{question} is undefined on a degenerate domain "
+            "(all coalitions win or all coalitions lose)")
+
+
 def is_in_core(domain: ConnectivityDomain, payoffs) -> bool:
     """Core membership via the veto representation: nonnegative payoffs with
     the full unit on veto agents. Refuses degenerate domains."""
     domain.ensure_valid()
-    classification = classify(domain)
-    if classification.degenerate:
-        raise DegenerateDomainError(
-            "core membership is undefined on a degenerate domain "
-            "(all coalitions win or all coalitions lose)")
+    _refuse_degenerate(domain, "core membership")
     p = _as_payoffs(payoffs, domain.n_agents)
     _check_total(domain, p)
     if any(x < -IMPUTATION_TOL for x in p):
@@ -160,45 +156,6 @@ def _scaled_payment(mask: int, weights: Sequence[int]) -> int:
     return total
 
 
-def _min_payment_mask(select: np.ndarray, payoffs: Sequence[Fraction],
-                      n: int) -> tuple[int, Fraction] | None:
-    """Mask minimizing the coalition payment among ``select`` entries.
-
-    The payoffs, scaled by the lcm of their denominators, are integer
-    weights. They are shifted right until their absolute sum fits in
-    ``_INT64_BITS``, and int64 subset sums are scanned one block of the low
-    ``_SCAN_BITS`` agents at a time. A floored sum lies within n of the true
-    sum over 2^shift, so unshifted weights decide exactly and every mask
-    within n of the shifted minimum is scored in Python integers. Ties break
-    to the smallest coalition, then the smallest mask.
-    """
-    if not select.any():
-        return None
-    scale = math.lcm(*(x.denominator for x in payoffs))
-    weights = [x.numerator * (scale // x.denominator) for x in payoffs]
-    shift = max(0, sum(map(abs, weights)).bit_length() - _INT64_BITS)
-    window = n if shift else 0
-    bits = min(n, _SCAN_BITS)
-    floored = [w >> shift for w in weights]
-    low = enumeration._subset_sums(floored[:bits], np.int64)
-    offsets = enumeration._subset_sums(floored[bits:], np.int64)
-    sizes = enumeration.size_table(bits)
-    blocks = select.reshape(len(offsets), len(low))
-    minima = [int(np.min(low, where=sel, initial=_INT64_MAX)) + int(offset)
-              if sel.any() else math.inf for sel, offset in zip(blocks, offsets)]
-    threshold = min(minima) + window
-    shortlist = []
-    for h, (sel, offset) in enumerate(zip(blocks, offsets)):
-        if minima[h] > threshold:
-            continue
-        found = np.flatnonzero(sel & (low <= threshold - int(offset)))
-        if not shift:  # exact sums: the block's smallest coalition, then its smallest mask
-            found = found[[np.argmin(sizes[found])]]
-        shortlist += (h << bits | int(m) for m in found)
-    total, _, mask = min((_scaled_payment(m, weights), m.bit_count(), m) for m in shortlist)
-    return mask, Fraction(total, scale)
-
-
 def max_excess(domain: ConnectivityDomain, payoffs, *,
                cap: int = DEFAULT_ENUMERATION_CAP,
                allow_negative: bool = False,
@@ -207,15 +164,12 @@ def max_excess(domain: ConnectivityDomain, payoffs, *,
 
     For nonnegative payoffs the maximum is max(0, 1 - min winning payment).
     Payoffs below -IMPUTATION_TOL are rejected unless ``allow_negative`` is
-    set; any negative payoff adds the scan of losing coalitions, which can
-    then have positive excess too.
+    set; any negative payoff adds the maximal losing coalitions' candidates,
+    as losing coalitions can then have positive excess too.
     """
     domain.ensure_valid()
     n = domain.n_agents
-    if n > cap:
-        raise CapExceededError(
-            f"instance too large for exact solver: {n} agents exceeds the "
-            f"enumeration cap of {cap}", cap)
+    _check_cap(n, cap)
     p = _as_payoffs(payoffs, n)
     _check_total(domain, p)
     if not allow_negative and any(x < -IMPUTATION_TOL for x in p):
@@ -223,29 +177,22 @@ def max_excess(domain: ConnectivityDomain, payoffs, *,
             "negative payoffs rejected; pass allow_negative=True for the full scan")
     # Payoffs tolerated as nonnegative may still be slightly negative; a
     # losing coalition of such agents then has a small positive excess.
-    has_negative = any(x < 0 for x in p)
-
+    negative = sum(1 << i for i, x in enumerate(p) if x < 0)
     win = enumeration.win_table(domain)
-    candidates: list[tuple[int, Fraction]] = []
-    winning = _min_payment_mask(win, p, n)
-    if winning is not None:
-        candidates.append(winning)
-    if has_negative:
-        losing = _min_payment_mask(~win, p, n)
-        if losing is not None:
-            candidates.append(losing)
-    elif not win[0]:
-        candidates.append((0, Fraction(0)))  # empty coalition: excess exactly 0
-
-    best_mask = 0
-    best_excess = None
-    best_key = None
-    for mask, payment in candidates:
-        excess = int(win[mask]) - payment
-        key = (-excess, mask.bit_count(), mask)
-        if best_key is None or key < best_key:
-            best_excess, best_mask, best_key = excess, mask, key
-    assert best_excess is not None
+    winning = [m | negative for m in enumeration.minimal_winning_masks(win, n).tolist()]
+    if negative:
+        dual = enumeration.minimal_winning_masks(~win[::-1], n).tolist()
+        losing = [negative & ~m for m in dual]
+    else:
+        losing = [] if win[0] else [0]
+    keys = []
+    for masks, value in ((winning, 1), (losing, 0)):
+        if masks:
+            mask, payment = _least_paid(masks, p)
+            keys.append((payment - value, mask.bit_count(), mask))
+    # Largest excess, then the smallest coalition, then the smallest mask.
+    deficit, _, best_mask = min(keys)
+    best_excess = -deficit
     verdict = None
     if epsilon is not None:
         verdict = best_excess <= _to_fraction(epsilon) + IMPUTATION_TOL
@@ -269,12 +216,10 @@ def _solve_active_exact(active: list[int], n: int, grand_value: int) -> lp.LPSol
                           [[1] * n + [0]], [grand_value])
 
 
-def _least_paid(masks: list[int], payoffs: Sequence[Fraction]) -> tuple[int, Fraction] | None:
-    """Mask of least (payment, size, mask) among ``masks``, with its payment;
-    payments are scored exactly, as integers scaled by the lcm of the payoff
-    denominators."""
-    if not masks:
-        return None
+def _least_paid(masks: list[int], payoffs: Sequence[Fraction]) -> tuple[int, Fraction]:
+    """Mask of least (payment, size, mask) in the nonempty list ``masks``,
+    with its payment; payments are scored exactly, as integers scaled by the
+    lcm of the payoff denominators."""
     scale = math.lcm(*(x.denominator for x in payoffs))
     weights = [x.numerator * (scale // x.denominator) for x in payoffs]
     total, _, mask = min((_scaled_payment(m, weights), m.bit_count(), m) for m in masks)
@@ -291,38 +236,31 @@ def least_core_value(domain: ConnectivityDomain, *,
     enumeration ``cap`` before any table is built. Constraints are generated
     lazily: each round adds the least-paid minimal winning coalition, listed
     once from the win table, and the integer simplex of ``lp`` solves each
-    restricted program.
+    restricted program. Refuses degenerate domains.
     """
     domain.ensure_valid()
+    _refuse_degenerate(domain, "the least core")
     n = domain.n_agents
     if n > lp_cap:
         raise CapExceededError(
             f"{n} agents exceeds the least-core LP cap of {lp_cap}; use the tree "
             f"solver on acyclic domains, or veto_players for the 0-vs-positive "
             f"dichotomy", lp_cap)
-    if n > cap:
-        raise CapExceededError(
-            f"instance too large for exact solver: {n} agents exceeds the "
-            f"enumeration cap of {cap}", cap)
-    if n == 0:
-        return LeastCoreResult(Fraction(0), (), EXACT_LP)
+    _check_cap(n, cap)
     grand_mask = (1 << n) - 1
     grand_value = _value_of_mask(domain, grand_mask)
     win = enumeration.win_table(domain)
-    # The empty coalition does not deviate. When it wins, every coalition
-    # does, and the minimal nonempty winners are the single agents.
-    minimal = ([1 << i for i in range(n)] if win[0]
-               else enumeration.minimal_winning_masks(win, n).tolist())
-    active: list[int] = [grand_mask] if win[grand_mask] else []
+    minimal = enumeration.minimal_winning_masks(win, n).tolist()
+    active = [grand_mask]
     for _ in range(len(minimal) + 2):
         solution = _solve_active_exact(active, n, grand_value)
         p_star, eps_star = solution.x[:n], solution.x[n]
-        worst = _least_paid(minimal, p_star)
-        if worst is None or 1 - worst[1] <= eps_star:
+        mask, payment = _least_paid(minimal, p_star)
+        if 1 - payment <= eps_star:
             break
-        active.append(worst[0])
+        active.append(mask)
     else:
         raise RuntimeError("least-core constraint generation failed to converge")
-    if not classify(domain).degenerate and (eps_star == 0) == veto_players(domain).is_empty:
+    if (eps_star == 0) == veto_players(domain).is_empty:
         raise RuntimeError("least-core solution inconsistent with the veto-player analysis")
     return LeastCoreResult(eps_star, p_star, EXACT_LP)

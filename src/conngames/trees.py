@@ -28,7 +28,7 @@ from fractions import Fraction
 from .domain import ConnectivityDomain, classify
 from .errors import DegenerateDomainError, NotTreeError
 from .powerindex import BANZHAF, SHAPLEY, TREE_CLOSED_FORM, IndexVector
-from .stability import IMPUTATION_TOL, CoreDescription, _as_payoffs
+from .stability import IMPUTATION_TOL, CoreDescription, _as_payoffs, _check_total
 
 
 @dataclass(frozen=True)
@@ -144,9 +144,7 @@ def tree_ecm(domain: ConnectivityDomain, payoffs, epsilon) -> bool:
     reach 1 - epsilon (non-strict, matching the general solver's tolerance)."""
     essential = essential_vertices(domain)
     p = _as_payoffs(payoffs, domain.n_agents)
-    total = sum(p, Fraction(0))
-    if abs(total - 1) > IMPUTATION_TOL:
-        raise ValueError(f"not an imputation: payoffs sum to {float(total)}, expected 1")
+    _check_total(domain, p)
     if any(x < -IMPUTATION_TOL for x in p):
         raise ValueError("negative payoff entries rejected")
     essential_payment = sum((p[i] for i in essential.members), Fraction(0))

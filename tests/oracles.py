@@ -138,28 +138,29 @@ def max_excess_bruteforce(domain: ConnectivityDomain, payoffs) -> Fraction:
 
 
 def least_core_by_table_scan(domain: ConnectivityDomain):
-    """The least core by constraint generation over the whole win table: each
-    round adds the nonempty winning coalition of least (payment, size, mask)
-    that ``stability._min_payment_mask`` finds among all 2^n masks. Returns
-    eps, the imputation, and the active coalitions of every restricted
-    program solved, in order."""
+    """The least core of a non-degenerate domain by constraint generation over
+    the whole win table: each round adds the winning coalition of least
+    (payment, size, mask) among all 2^n masks, its payments summed as
+    ``Fraction``s mask by mask. Returns eps, the imputation, and the active
+    coalitions of every restricted program solved, in order."""
     n = domain.n_agents
-    if n == 0:
-        return Fraction(0), (), []
     grand = (1 << n) - 1
     grand_value = _value_of_mask(domain, grand)
-    win = win_table(domain).copy()
-    win[0] = False
-    active = [grand] if win[grand] else []
+    win = win_table(domain)
+    active = [grand]
     programs = []
     for _ in range(int(win.sum()) + 2):
         programs.append(tuple(active))
         solution = stability._solve_active_exact(active, n, grand_value)
         payoffs, eps = solution.x[:n], solution.x[n]
-        worst = stability._min_payment_mask(win, payoffs, n)
-        if worst is None or 1 - worst[1] <= eps:
+        paid = [Fraction(0)]
+        for mask in range(1, 1 << n):
+            low = mask & -mask
+            paid.append(paid[mask ^ low] + payoffs[low.bit_length() - 1])
+        payment, _, worst = min((paid[m], m.bit_count(), m) for m in range(1 << n) if win[m])
+        if 1 - payment <= eps:
             return eps, payoffs, programs
-        active.append(worst[0])
+        active.append(worst)
     raise RuntimeError("table-scan constraint generation failed to converge")
 
 

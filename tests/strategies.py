@@ -86,9 +86,9 @@ def payoffs(draw, n: int, total: int = 1) -> list[Fraction]:
     A sparse draw (two in three) pays nothing to most agents, like a simplex
     optimum. Any payoff, zeros included, is optionally shifted by a few
     10^-12 or (twice as often) 10^-25. Scaled sums of the huge-denominator
-    kinds pass int64, and payments that differ by a few 10^-25 then tie
-    after the shift into int64. Few distinct values, so coalitions often
-    tie, and negative entries."""
+    kinds pass int64, so payments that differ by a few 10^-25 tie under any
+    fixed-width scoring. Few distinct values, so coalitions often tie, and
+    negative entries."""
     if n == 0:
         return []
     kind = draw(st.sampled_from(["small", "small", "float", "huge"]))

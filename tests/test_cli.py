@@ -465,6 +465,17 @@ def test_leastcore_16_agent_output_is_pinned(capsys):
     assert out.encode() == (DATA / "leastcore16.json").read_bytes()
 
 
+def test_ecm_17_agent_output_is_pinned(capsys):
+    # A 17-agent non-tree graph. Six winning coalitions of three agents share
+    # the least payment, so the witness is the smallest mask among them; agent
+    # 0's tolerated -1e-12 puts it in every candidate and adds the losing side.
+    code, out, err = run(capsys, ["ecm", str(DATA / "ecm17_domain.json"),
+                                  str(DATA / "ecm17_imputation.json"), "--epsilon", "0.75",
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "ecm17.json").read_bytes()
+
+
 def test_leastcore_run_does_not_load_scipy():
     path = DATA / "leastcore14_domain.json"
     script = ("import sys\n"

@@ -128,6 +128,13 @@ def test_minimal_winning_masks_against_definition():
         domain = oracles.random_graph_domain(rng, max_agents=9)
         n = domain.n_agents
         table = win_table(domain)
-        expected = [mask for mask in range(1 << n) if table[mask] and all(
-            not table[mask ^ (1 << i)] for i in range(n) if mask >> i & 1)]
-        assert minimal_winning_masks(table, n).tolist() == expected
+        dual = ~table[::-1]  # C wins the dual game iff its complement loses
+        for game in (table, dual):
+            expected = [mask for mask in range(1 << n) if game[mask] and all(
+                not game[mask ^ (1 << i)] for i in range(n) if mask >> i & 1)]
+            assert minimal_winning_masks(game, n).tolist() == expected
+        maximal_losing = [mask for mask in range(1 << n) if not table[mask] and all(
+            table[mask | 1 << i] for i in range(n) if not mask >> i & 1)]
+        full = (1 << n) - 1
+        assert sorted(full ^ m for m in minimal_winning_masks(dual, n).tolist()) == \
+            maximal_losing

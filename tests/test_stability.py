@@ -2,7 +2,6 @@ import random
 import tracemalloc
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
@@ -15,6 +14,7 @@ from conngames import (
     DegenerateDomainError,
     Imputation,
     add_dummy,
+    classify,
     coalition_value,
     ecm,
     is_in_core,
@@ -256,33 +256,22 @@ def _payment(mask, payoffs):
     return sum((p for i, p in enumerate(payoffs) if mask >> i & 1), Fraction(0))
 
 
-@settings(max_examples=150, deadline=None)
-@given(data=st.data(), n=st.integers(0, 8), scan_bits=st.sampled_from([1, 2, 16]))
-def test_min_payment_mask_matches_bruteforce(data, n, scan_bits):
-    select = np.array(data.draw(st.lists(st.booleans(), min_size=1 << n,
-                                         max_size=1 << n)), dtype=bool)
-    payoffs = data.draw(strategies.payoffs(n))
-    keys = [(_payment(m, payoffs), m.bit_count(), m) for m in range(1 << n) if select[m]]
-    expected = (min(keys)[2], min(keys)[0]) if keys else None
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stability, "_SCAN_BITS", scan_bits)
-        assert stability._min_payment_mask(select, payoffs, n) == expected
-
-
-def test_min_payment_mask_scores_masks_the_shift_cannot_separate():
-    # Scaled by 10^25, the weights pass int64 and are shifted right: agent 0
-    # floors to -1 and agent 1 to 0, so {0, 1} has the smaller shifted sum
-    # though the empty coalition pays less.
+def test_max_excess_separates_payments_ten_to_the_minus_25_apart():
+    # Minimal winning coalitions {2} and {0, 1}; agent 0 is paid -10^-25, so
+    # the candidates are {0, 2} and {0, 1}, paid 1/2 - 10^-25 and 1/2. Only
+    # exact payments put {0, 2} first: a tie would go to the smaller mask.
+    domain = ConnectivityDomain(5, ((0, 2), (2, 3), (3, 1), (0, 4), (4, 1)), (0, 1), (),
+                                (2, 3, 4))
     tiny = Fraction(1, 10 ** 25)
-    payoffs = [-tiny, 2 * tiny, 1 - tiny]
-    select = np.zeros(8, dtype=bool)
-    select[[0b000, 0b011]] = True
-    assert stability._min_payment_mask(select, payoffs, 3) == (0, 0)
+    payoffs = [-tiny, HALF + tiny, HALF]
+    report = max_excess(domain, payoffs, allow_negative=True)
+    assert (report.max_excess, report.witness.mask) == (HALF + tiny, 0b101)
+    assert report.max_excess == oracles.max_excess_bruteforce(domain, payoffs)
 
 
 @settings(max_examples=150, deadline=None)
-@given(data=st.data(), scan_bits=st.sampled_from([2, 16]))
-def test_max_excess_full_scan_matches_bruteforce_with_ties(data, scan_bits):
+@given(data=st.data())
+def test_max_excess_full_scan_matches_bruteforce_with_ties(data):
     domain = data.draw(strategies.domains(max_agents=7, wide=False))
     n = domain.n_agents
     grand = coalition_value(domain, (1 << n) - 1)
@@ -291,23 +280,23 @@ def test_max_excess_full_scan_matches_bruteforce_with_ties(data, scan_bits):
     # Largest excess, then the smallest coalition, then the smallest mask.
     expected = min((_payment(m, payoffs) - coalition_value(domain, m), m.bit_count(), m)
                    for m in range(1 << n))
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stability, "_SCAN_BITS", scan_bits)
-        report = max_excess(domain, payoffs, allow_negative=True)
+    report = max_excess(domain, payoffs, allow_negative=True)
     assert (report.max_excess, report.witness.mask) == (-expected[0], expected[2])
 
 
 def test_max_excess_memory_at_18_agents():
-    domain = oracles.connected_graph_domain(random.Random(18), 18, n_edges=85)
+    domain = oracles.connected_graph_domain(random.Random(26), 18, n_edges=85)
+    assert not classify(domain).degenerate
     win_table(domain)
-    payoffs = [Fraction(1, 18)] * 18
-    tracemalloc.start()
-    try:
-        max_excess(domain, payoffs)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    negative = [Fraction(-1, 18)] * 9 + [Fraction(3, 18)] * 9  # adds the losing side
+    for payoffs in ([Fraction(1, 18)] * 18, negative):
+        tracemalloc.start()
+        try:
+            max_excess(domain, payoffs, allow_negative=True)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
 
 
 def test_max_excess_on_all_win_domain_empty_coalition():
@@ -376,11 +365,8 @@ def test_least_core_triangle_cover_domain():
 
 
 def test_least_core_single_agent_all_win_domain():
-    # Derived via the LP: with one agent and every coalition winning, the only
-    # nonempty-coalition constraint is p_0 + eps >= 1 with p_0 = 1.
-    result = least_core_value(oracles.adjacent_primaries_domain())
-    assert result.epsilon == 0
-    assert result.imputation == (Fraction(1),)
+    with pytest.raises(DegenerateDomainError):
+        least_core_value(oracles.adjacent_primaries_domain())
 
 
 def test_least_core_cap():
@@ -423,6 +409,11 @@ def test_least_core_matches_table_scan(domain):
     # Same eps, imputation and restricted programs, round by round, as
     # separation over all 2^n coalitions. In the last example a payment tie
     # between minimal winning coalitions of different sizes decides a cut.
+    # Degenerate domains, such as the first two examples, are refused.
+    if classify(domain).degenerate:
+        with pytest.raises(DegenerateDomainError):
+            least_core_value(domain)
+        return
     programs = []
 
     def recording(active, n, grand_value):
