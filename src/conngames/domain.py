@@ -9,6 +9,15 @@ primary and backbone vertices, connect every pair of primary vertices.
 Primary and backbone vertices are usable in every coalition, so contracting
 each connected region of them keeps every coalition's value. A domain builds
 that quotient at most once (``_quotient``), and the tree solvers run on it.
+
+Every coalition is evaluated by one bit-sliced kernel, ``_win_bits``, over a
+batch of coalitions at a time: each agent brings a membership bitset over
+the batch as a Python int (bit t: the agent is in coalition t), and each
+vertex's bitset of the coalitions that reach it from the first primary grows
+by R_v = U_v & OR(R_u, u in N(v)) to a fixed point, U_v being the owner's
+membership bitset (all ones for primaries and backbones). A coalition wins
+where every primary is reached. The win table, the Monte Carlo estimators
+and the single-coalition questions below all run it.
 """
 
 from __future__ import annotations
@@ -64,6 +73,8 @@ class Coalition:
         return Coalition(self.mask | (1 << agent), self.n_agents)
 
     def remove(self, agent: int) -> "Coalition":
+        if not 0 <= agent < self.n_agents:
+            raise ValueError(f"agent index {agent} out of range")
         return Coalition(self.mask & ~(1 << agent), self.n_agents)
 
     def union(self, other: "Coalition") -> "Coalition":
@@ -226,26 +237,46 @@ class ConnectivityDomain:
         )
 
     @cached_property
-    def _adjacency_masks(self) -> tuple[int, ...]:
-        masks = [0] * self.vertex_count
-        for u, v in self.edges:
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return tuple(masks)
+    def _slots(self) -> tuple[int, ...]:
+        """Per vertex, the index of its usable bitset in a kernel batch: the
+        owner's for a standard vertex, ``n_agents`` (all ones) otherwise."""
+        slot = [self.n_agents] * self.vertex_count
+        for i, v in enumerate(self.standard):
+            slot[v] = i
+        return tuple(slot)
 
-    @cached_property
-    def _primary_mask(self) -> int:
-        mask = 0
-        for v in self.primary:
-            mask |= 1 << v
-        return mask
+    def _win_bits(self, usable: list[int], full: int) -> int:
+        """The batched kernel: the win bits of a batch of coalitions.
 
-    @cached_property
-    def _base_usable_mask(self) -> int:
-        mask = self._primary_mask
-        for v in self.backbone:
-            mask |= 1 << v
-        return mask
+        ``usable[i]`` is agent i's membership bitset over the batch and
+        ``full`` has a bit set for every coalition of the batch. Vertices
+        are swept from a queue, and one is queued again only when a
+        neighbour's bitset grows, so the sweep ends at the fixed point.
+        """
+        if len(self.primary) < 2:
+            return full  # vacuously connected
+        start = min(self.primary)
+        nbrs, slot = self._adjacency, self._slots
+        masks = [*usable, full]
+        reached = [0] * self.vertex_count
+        reached[start] = full
+        queue = list(nbrs[start])
+        queued = {start, *queue}  # the start vertex is never swept
+        for v in queue:
+            queued.discard(v)
+            acc = 0
+            for u in nbrs[v]:
+                acc |= reached[u]
+            acc &= masks[slot[v]]
+            if acc != reached[v]:
+                reached[v] = acc
+                stale = [u for u in nbrs[v] if u not in queued]
+                queued.update(stale)
+                queue += stale
+        wins = full
+        for p in self.primary:
+            wins &= reached[p]
+        return wins
 
 
 @dataclass(frozen=True)
@@ -323,52 +354,30 @@ def _as_mask(coalition, n_agents: int) -> int:
     return mask
 
 
-def _value_of_mask(domain: ConnectivityDomain, mask: int) -> int:
-    """Characteristic function on a raw bitmask; assumes a validated domain."""
-    pm = domain._primary_mask
-    if pm & (pm - 1) == 0:
-        return 1  # zero or one primary vertex: vacuously connected
-    usable = domain._base_usable_mask
-    standard = domain.standard
-    m = mask
-    while m:
-        low = m & -m
-        usable |= 1 << standard[low.bit_length() - 1]
-        m ^= low
-    adj = domain._adjacency_masks
-    reached = pm & -pm  # start from the lowest primary vertex
-    frontier = reached
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            low = f & -f
-            nxt |= adj[low.bit_length() - 1]
-            f ^= low
-        frontier = nxt & usable & ~reached
-        reached |= frontier
-    return 1 if pm & ~reached == 0 else 0
-
-
 def coalition_value(domain: ConnectivityDomain, coalition) -> int:
     """Value of a coalition: 1 iff its vertices plus the always-usable ones
     connect every pair of primary vertices.
 
-    One traversal from an arbitrary primary vertex suffices on an undirected
-    graph. ``coalition`` may be a :class:`Coalition` or a raw bitmask.
+    One batch of one coalition for the kernel. ``coalition`` may be a
+    :class:`Coalition` or a raw bitmask.
     """
     domain.ensure_valid()
-    return _value_of_mask(domain, _as_mask(coalition, domain.n_agents))
+    mask = _as_mask(coalition, domain.n_agents)
+    return domain._win_bits([mask >> i & 1 for i in range(domain.n_agents)], 1)
 
 
 def is_critical(domain: ConnectivityDomain, agent: int, coalition) -> bool:
     """True iff the coalition wins but loses once ``agent`` is removed."""
     domain.ensure_valid()
     mask = _as_mask(coalition, domain.n_agents)
-    bit = 1 << agent
-    if not 0 <= agent < domain.n_agents or not mask & bit:
+    if not 0 <= agent < domain.n_agents:
+        raise ValueError(f"agent index {agent} out of range")
+    if not mask >> agent & 1:
         raise ValueError(f"agent {agent} is not a member of the coalition")
-    return _value_of_mask(domain, mask) == 1 and _value_of_mask(domain, mask ^ bit) == 0
+    # Coalition 0 of the batch is the given one, coalition 1 lacks the agent.
+    usable = [(mask >> i & 1) * 3 for i in range(domain.n_agents)]
+    usable[agent] = 1
+    return domain._win_bits(usable, 3) == 1
 
 
 def classify(domain: ConnectivityDomain) -> DomainClassification:
@@ -376,12 +385,13 @@ def classify(domain: ConnectivityDomain) -> DomainClassification:
     cached = domain.__dict__.get("_classification_cache")
     if cached is None:
         domain.ensure_valid()
-        grand = (1 << domain.n_agents) - 1
+        # Coalition 0 of the batch is the empty one, coalition 1 the grand one.
+        wins = domain._win_bits([2] * domain.n_agents, 3)
         is_tree = (domain._component_count == 1
                    and len(domain.edges) == domain.vertex_count - 1)
         cached = domain.__dict__["_classification_cache"] = DomainClassification(
-            degenerate_all_win=_value_of_mask(domain, 0) == 1,
-            degenerate_all_lose=_value_of_mask(domain, grand) == 0,
+            degenerate_all_win=bool(wins & 1),
+            degenerate_all_lose=not wins & 2,
             is_tree=is_tree,
         )
     return cached

@@ -1,17 +1,10 @@
-"""Bit-sliced evaluation of the characteristic function over batches of coalitions.
+"""The win table and its reductions: criticality counts, size histograms and
+the minimal winning coalitions.
 
-One kernel evaluates a batch of coalitions at once. Each agent brings a
-packed membership bitset over the batch (bit t: the agent is in coalition t)
-and each vertex holds a packed bitset of the coalitions that reach it from
-the first primary. Sweeps of R_v = U_v & OR(R_u, u in N(v)) in breadth-first
-order run to a fixed point, U_v being the owner's membership bitset (all ones
-for primaries and backbones), and a coalition wins where every primary is
-reached. There is no vertex-count limit.
-
-The win table runs the kernel over all 2^n coalitions in blocks of 2^k, with
-periodic bitsets for agents below k and constant ones above; tables are
-memoized on the domain. The Monte Carlo estimators in :mod:`.powerindex` run
-it over blocks of sampled coalitions.
+The win table runs the domain's batched kernel (``ConnectivityDomain._win_bits``)
+over all 2^n coalitions in blocks of 2^k, with periodic bitsets for agents
+below k and constant ones above; tables are memoized on the domain. A block's
+bitsets go to the kernel as Python ints and come back as packed bytes.
 """
 
 from __future__ import annotations
@@ -20,7 +13,7 @@ import numpy as np
 
 from .domain import ConnectivityDomain
 
-_CHUNK_BITS = 18  # 2^18-coalition blocks: 32 KB per vertex, 2 MB at 62 vertices
+_CHUNK_BITS = 18  # 2^18-coalition blocks: 32 KB per vertex bitset
 _WIN_CACHE_KEY = "_win_table_cache"
 
 
@@ -36,64 +29,28 @@ def win_table(domain: ConnectivityDomain) -> np.ndarray:
     return table
 
 
-def _periodic_bitset(i: int, nbytes: int) -> np.ndarray:
-    """Bit m set iff bit i of m is set, packed little-endian over ``nbytes`` bytes."""
+def _periodic_bitset(i: int, nbytes: int) -> int:
+    """Bit m set iff bit i of m is set, for every m below 8 * ``nbytes``."""
     if i < 3:
-        return np.full(nbytes, (0xAA, 0xCC, 0xF0)[i], dtype=np.uint8)
-    return np.tile(np.repeat(np.array([0, 0xFF], np.uint8), 1 << (i - 3)), nbytes >> (i - 2))
+        period = bytes([(0xAA, 0xCC, 0xF0)[i]])
+    else:
+        period = bytes(1 << (i - 3)) + b"\xff" * (1 << (i - 3))
+    return int.from_bytes(period * (nbytes // len(period)), "little")
 
 
 def _compute_win_table(domain: ConnectivityDomain) -> np.ndarray:
     n = domain.n_agents
     k = min(n, _CHUNK_BITS)
     nbytes = max(1, 1 << k >> 3)
-    win_bits = _win_bits_evaluator(domain)
+    full = (1 << 8 * nbytes) - 1
     usable = [_periodic_bitset(i, nbytes) for i in range(k)]
-    constant = (np.zeros(nbytes, dtype=np.uint8), np.full(nbytes, 0xFF, dtype=np.uint8))
     out = np.empty((1 << (n - k), 1 << k), dtype=bool)
     for high, row in enumerate(out):
-        usable[k:] = [constant[high >> (i - k) & 1] for i in range(k, n)]
-        row[:] = np.unpackbits(win_bits(usable, nbytes), count=row.size, bitorder="little")
+        usable[k:] = [full if high >> (i - k) & 1 else 0 for i in range(k, n)]
+        wins = domain._win_bits(usable, full).to_bytes(nbytes, "little")
+        row[:] = np.unpackbits(np.frombuffer(wins, np.uint8), count=row.size,
+                               bitorder="little")
     return out.reshape(-1)
-
-
-def _win_bits_evaluator(domain: ConnectivityDomain):
-    """The batched kernel for one domain: returns ``win_bits(usable, nbytes)``.
-
-    ``usable[i]`` is agent i's packed membership bitset over a batch of
-    coalitions: ``nbytes`` uint8 values whose bit t (little-endian) says
-    whether agent i is in coalition t. ``win_bits`` returns the batch's
-    packed win bits. The neighbour lists and the sweep order are built here,
-    once, and shared by every batch.
-    """
-    primary = list(domain.primary)
-    if len(primary) < 2:
-        return lambda usable, nbytes: np.full(nbytes, 0xFF, dtype=np.uint8)
-    start = min(primary)
-    nbrs = [list(vs) for vs in domain._adjacency]
-    nbrs[start].append(start)  # a self-loop keeps the start vertex reached
-    order = [start]
-    for v in order:
-        order += [u for u in nbrs[v] if u not in order]
-    owner = {v: i for i, v in enumerate(domain.standard)}
-
-    def win_bits(usable, nbytes: int) -> np.ndarray:
-        acc = np.empty(nbytes, dtype=np.uint8)
-        reached = np.zeros((domain.vertex_count, nbytes), dtype=np.uint8)
-        reached[start] = 0xFF
-        stale = set(order)
-        while stale:
-            for v in [u for u in order if u in stale]:
-                stale.discard(v)
-                np.bitwise_or.reduce(reached[nbrs[v]], axis=0, out=acc)
-                if v in owner:
-                    acc &= usable[owner[v]]
-                if acc.tobytes() != reached[v].tobytes():
-                    reached[v] = acc
-                    stale.update(nbrs[v])
-        return np.bitwise_and.reduce(reached[primary])
-
-    return win_bits
 
 
 def size_table(n: int) -> np.ndarray:
@@ -121,7 +78,26 @@ def minimal_winning_masks(win: np.ndarray, n: int) -> np.ndarray:
     each byte for i < 3 (a shift and a constant mask), and from the low half
     of each run of 2^(i-2) bytes onto its high half for i >= 3.
     """
-    packed = np.packbits(win, bitorder="little")
+    return _minimal_packed(np.packbits(win, bitorder="little"), n)
+
+
+def maximal_losing_masks(win: np.ndarray, n: int) -> np.ndarray:
+    """Descending masks of the losing coalitions that any outsider would turn
+    winning: the complements of the dual game's minimal winning coalitions
+    (C wins the dual game iff its complement loses).
+
+    The dual table is packed without a 2^n copy of the table: bytes packed
+    big-endian and reversed put mask 2^n - 1 - m at bit m. That needs whole
+    bytes, so a table of n < 3 (at most 4 entries) is reversed and copied.
+    """
+    if n >= 3:
+        dual = ~np.packbits(win, bitorder="big")[::-1]
+    else:
+        dual = np.packbits(~win[::-1], bitorder="little")
+    return ((1 << n) - 1) ^ _minimal_packed(dual, n)
+
+
+def _minimal_packed(packed: np.ndarray, n: int) -> np.ndarray:
     minimal = packed.copy()
     for i in range(min(n, 3)):
         minimal &= ~(np.left_shift(packed, 1 << i) & (0xAA, 0xCC, 0xF0)[i])

@@ -15,8 +15,8 @@ of the true index with probability at least 1 - delta. Each agent draws its
 m samples from its own seeded stream: uniform subsets of the other agents
 (Banzhaf) or its predecessors in a shuffled order (Shapley). The samples of
 all agents are cut into blocks, and each block's coalitions, every sample
-without and then with its agent, are evaluated by one call of the batched
-kernel in :mod:`.enumeration`; memory does not grow with m.
+without and then with its agent, are evaluated by one call of the domain's
+batched kernel (``ConnectivityDomain._win_bits``); memory does not grow with m.
 """
 
 from __future__ import annotations
@@ -224,11 +224,10 @@ def _estimates(domain, kind, streams, m: int) -> list[float]:
     Streams are drawn in order, m samples each, and their samples are cut
     into blocks of 2^(_BLOCK_BITS - 1) across streams; each block's
     coalitions, every sample without and then with its agent, go to the
-    win-table kernel in one call.
+    domain's kernel in one call, one Python int per agent.
     """
     n = domain.n_agents
     draws = _banzhaf_draws if kind == BANZHAF else _shapley_draws
-    win_bits = enumeration._win_bits_evaluator(domain)
     agents = np.array([agent for agent, _ in streams], dtype=np.intp)
     counts = np.zeros(len(streams), dtype=np.int64)
     total = len(streams) * m
@@ -250,8 +249,10 @@ def _estimates(domain, kind, streams, m: int) -> list[float]:
         stream_of = np.arange(lo, hi) // m
         members = np.concatenate(rows * 2)
         members[np.arange(size, 2 * size), agents[stream_of]] = True
-        usable = np.packbits(members.T, axis=1, bitorder="little")
-        wins = np.unpackbits(win_bits(usable, usable.shape[1]), count=2 * size,
+        packed = np.packbits(members.T, axis=1, bitorder="little")
+        usable = [int.from_bytes(row.tobytes(), "little") for row in packed]
+        wins = domain._win_bits(usable, (1 << 2 * size) - 1).to_bytes(packed.shape[1], "little")
+        wins = np.unpackbits(np.frombuffer(wins, np.uint8), count=2 * size,
                              bitorder="little").view(bool)
         counts += np.bincount(stream_of[wins[size:] & ~wins[:size]], minlength=len(streams))
     return [hits / m for hits in counts.tolist()]

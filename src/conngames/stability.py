@@ -4,8 +4,8 @@ epsilon-core membership, and the least core.
 The core of a connectivity game has a concise representation: the set of veto
 agents (agents present in every winning coalition). An imputation is in the
 core iff it hands the whole unit of reward to veto agents. Agent i is veto iff
-the coalition of everyone else loses, so the core is computable with n
-connectivity checks.
+the coalition of everyone else loses, so the core is computable with one
+batch of n coalitions for the domain's kernel.
 
 Maximal excess is found from the minimal winning coalitions. With N- the
 negatively paid agents, a least-paid winning coalition is W | N- for some
@@ -32,7 +32,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import enumeration, lp
-from .domain import Coalition, ConnectivityDomain, _value_of_mask, classify
+from .domain import Coalition, ConnectivityDomain, classify
 from .errors import CapExceededError, DegenerateDomainError
 from .powerindex import DEFAULT_ENUMERATION_CAP, _check_cap
 
@@ -109,7 +109,7 @@ def _as_payoffs(payoffs, n: int) -> tuple[Fraction, ...]:
 
 
 def _check_total(domain: ConnectivityDomain, payoffs: Sequence[Fraction]) -> None:
-    grand_value = _value_of_mask(domain, (1 << domain.n_agents) - 1)
+    grand_value = 0 if classify(domain).degenerate_all_lose else 1
     total = sum(payoffs, Fraction(0))
     if abs(total - grand_value) > IMPUTATION_TOL:
         raise ValueError(
@@ -118,11 +118,13 @@ def _check_total(domain: ConnectivityDomain, payoffs: Sequence[Fraction]) -> Non
 
 def veto_players(domain: ConnectivityDomain) -> CoreDescription:
     """Agents present in every winning coalition; the core is non-empty iff
-    at least one exists. Agent i is veto iff everyone-but-i loses."""
+    at least one exists. Agent i is veto iff everyone-but-i loses; one batch
+    of n coalitions, coalition i lacking agent i, checks every agent."""
     domain.ensure_valid()
     n = domain.n_agents
-    grand = (1 << n) - 1
-    veto = tuple(i for i in range(n) if _value_of_mask(domain, grand ^ (1 << i)) == 0)
+    full = (1 << n) - 1
+    wins = domain._win_bits([full ^ (1 << i) for i in range(n)], full)
+    veto = tuple(i for i in range(n) if not wins >> i & 1)
     return CoreDescription(veto_agents=veto, is_empty=not veto)
 
 
@@ -181,8 +183,7 @@ def max_excess(domain: ConnectivityDomain, payoffs, *,
     win = enumeration.win_table(domain)
     winning = [m | negative for m in enumeration.minimal_winning_masks(win, n).tolist()]
     if negative:
-        dual = enumeration.minimal_winning_masks(~win[::-1], n).tolist()
-        losing = [negative & ~m for m in dual]
+        losing = [negative & m for m in enumeration.maximal_losing_masks(win, n).tolist()]
     else:
         losing = [] if win[0] else [0]
     keys = []
@@ -247,13 +248,11 @@ def least_core_value(domain: ConnectivityDomain, *,
             f"solver on acyclic domains, or veto_players for the 0-vs-positive "
             f"dichotomy", lp_cap)
     _check_cap(n, cap)
-    grand_mask = (1 << n) - 1
-    grand_value = _value_of_mask(domain, grand_mask)
     win = enumeration.win_table(domain)
     minimal = enumeration.minimal_winning_masks(win, n).tolist()
-    active = [grand_mask]
+    active = [(1 << n) - 1]
     for _ in range(len(minimal) + 2):
-        solution = _solve_active_exact(active, n, grand_value)
+        solution = _solve_active_exact(active, n, 1)  # the grand coalition wins
         p_star, eps_star = solution.x[:n], solution.x[n]
         mask, payment = _least_paid(minimal, p_star)
         if 1 - payment <= eps_star:

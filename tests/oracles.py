@@ -20,12 +20,9 @@ from conngames import (
     SetCoverInstance,
     VertexCoverInstance,
     classify,
-    coalition_value,
     derive_seed,
     stability,
 )
-from conngames.domain import _value_of_mask
-from conngames.enumeration import win_table
 from conngames.lp import LPInfeasible, LPSolution, LPUnbounded
 
 
@@ -54,10 +51,13 @@ def reference_value(domain: ConnectivityDomain, members) -> int:
     return 1 if primaries <= seen else 0
 
 
+def reference_mask_value(domain: ConnectivityDomain, mask: int) -> int:
+    """``reference_value`` of the coalition whose bit i says agent i is in."""
+    return reference_value(domain, [i for i in range(domain.n_agents) if mask >> i & 1])
+
+
 def reference_table(domain: ConnectivityDomain) -> list[int]:
-    n = domain.n_agents
-    return [reference_value(domain, [i for i in range(n) if mask >> i & 1])
-            for mask in range(1 << n)]
+    return [reference_mask_value(domain, mask) for mask in range(1 << domain.n_agents)]
 
 
 # ----------------------------------------------------------- index oracles
@@ -65,13 +65,13 @@ def reference_table(domain: ConnectivityDomain) -> list[int]:
 def banzhaf_definition(domain: ConnectivityDomain) -> list[Fraction]:
     """Direct subset loop over the index definition."""
     n = domain.n_agents
+    table = reference_table(domain)
     values = []
     for agent in range(n):
         bit = 1 << agent
         count = 0
         for mask in range(1 << n):
-            if mask & bit and coalition_value(domain, mask) == 1 \
-                    and coalition_value(domain, mask ^ bit) == 0:
+            if mask & bit and table[mask] == 1 and table[mask ^ bit] == 0:
                 count += 1
         values.append(Fraction(count, 1 << (n - 1)))
     return values
@@ -83,10 +83,10 @@ def shapley_permutation(domain: ConnectivityDomain) -> list[Fraction]:
     totals = [0] * n
     for order in permutations(range(n)):
         mask = 0
-        previous = coalition_value(domain, 0)
+        previous = reference_mask_value(domain, 0)
         for agent in order:
             mask |= 1 << agent
-            current = coalition_value(domain, mask)
+            current = reference_mask_value(domain, mask)
             totals[agent] += current - previous
             previous = current
     n_fact = 1
@@ -104,7 +104,7 @@ def veto_enumeration(domain: ConnectivityDomain) -> tuple[int, ...]:
     common = everyone
     saw_winning = False
     for mask in range(1 << n):
-        if coalition_value(domain, mask) == 1:
+        if reference_mask_value(domain, mask) == 1:
             saw_winning = True
             common &= mask
             if common == 0:
@@ -120,7 +120,7 @@ def definitional_in_core(domain: ConnectivityDomain, payoffs, tol=1e-9) -> bool:
     p = [float(v) for v in payoffs]
     for mask in range(1 << n):
         payment = sum(p[i] for i in range(n) if mask >> i & 1)
-        if payment < coalition_value(domain, mask) - tol:
+        if payment < reference_mask_value(domain, mask) - tol:
             return False
     return True
 
@@ -131,7 +131,7 @@ def max_excess_bruteforce(domain: ConnectivityDomain, payoffs) -> Fraction:
     best = None
     for mask in range(1 << n):
         payment = sum((p[i] for i in range(n) if mask >> i & 1), Fraction(0))
-        excess = coalition_value(domain, mask) - payment
+        excess = reference_mask_value(domain, mask) - payment
         if best is None or excess > best:
             best = excess
     return best
@@ -145,11 +145,11 @@ def least_core_by_table_scan(domain: ConnectivityDomain):
     coalitions of every restricted program solved, in order."""
     n = domain.n_agents
     grand = (1 << n) - 1
-    grand_value = _value_of_mask(domain, grand)
-    win = win_table(domain)
+    win = reference_table(domain)
+    grand_value = win[grand]
     active = [grand]
     programs = []
-    for _ in range(int(win.sum()) + 2):
+    for _ in range(sum(win) + 2):
         programs.append(tuple(active))
         solution = stability._solve_active_exact(active, n, grand_value)
         payoffs, eps = solution.x[:n], solution.x[n]
@@ -169,7 +169,7 @@ def essential_by_removal(domain: ConnectivityDomain) -> tuple[int, ...]:
     n = domain.n_agents
     grand = (1 << n) - 1
     return tuple(i for i in range(n)
-                 if coalition_value(domain, grand ^ (1 << i)) == 0)
+                 if reference_mask_value(domain, grand ^ (1 << i)) == 0)
 
 
 def _usable_regions(domain: ConnectivityDomain):
@@ -379,7 +379,8 @@ def banzhaf_mc_scalar(domain: ConnectivityDomain, agent: int, params) -> float:
     hits = 0
     for _ in range(params.samples):
         sample = rng.getrandbits(domain.n_agents) & others
-        hits += _value_of_mask(domain, sample | bit) and not _value_of_mask(domain, sample)
+        hits += reference_mask_value(domain, sample | bit) and not reference_mask_value(
+            domain, sample)
     return hits / params.samples
 
 
@@ -397,7 +398,7 @@ def shapley_mc_scalar(domain: ConnectivityDomain, agent: int, params) -> float:
             if j == agent:
                 break
             predecessors |= 1 << j
-        hits += _value_of_mask(domain, predecessors | bit) and not _value_of_mask(
+        hits += reference_mask_value(domain, predecessors | bit) and not reference_mask_value(
             domain, predecessors)
     return hits / params.samples
 

@@ -476,6 +476,24 @@ def test_ecm_17_agent_output_is_pinned(capsys):
     assert out.encode() == (DATA / "ecm17.json").read_bytes()
 
 
+def test_setcover_past_62_vertices_exact_output_is_pinned(capsys):
+    # The set-cover game of a 15-agent instance has 68 vertices; both exact
+    # indices come from one 2^15 win table.
+    code, out, err = run(capsys, ["indices", str(DATA / "setcover15_domain.json"),
+                                  "--index", "both", "--method", "exact", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "setcover15_exact.json").read_bytes()
+
+
+def test_core_48_agent_output_is_pinned(capsys):
+    # A 48-agent non-tree graph (a spanning tree plus 10 chords) with two
+    # veto agents; one batch of 48 coalitions finds both.
+    code, out, err = run(capsys, ["core", str(DATA / "core48_domain.json"),
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "core48.json").read_bytes()
+
+
 def test_leastcore_run_does_not_load_scipy():
     path = DATA / "leastcore14_domain.json"
     script = ("import sys\n"

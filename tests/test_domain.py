@@ -116,6 +116,18 @@ def test_is_critical_rejects_nonmember():
         is_critical(oracles.cycle4(), 0, Coalition.from_members([1], 2))
 
 
+@pytest.mark.parametrize("agent", [-1, 2])
+def test_is_critical_rejects_out_of_range_agent(agent):
+    with pytest.raises(ValueError, match="out of range"):
+        is_critical(oracles.cycle4(), agent, Coalition.grand(2))
+
+
+@pytest.mark.parametrize("agent", [-1, 2])
+def test_coalition_remove_rejects_out_of_range_agent(agent):
+    with pytest.raises(ValueError, match="out of range"):
+        Coalition.grand(2).remove(agent)
+
+
 def test_classify_single_primary_all_win():
     c = classify(oracles.single_primary_domain())
     assert c.degenerate_all_win and not c.degenerate_all_lose

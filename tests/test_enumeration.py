@@ -1,18 +1,24 @@
 import random
 import tracemalloc
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
 import strategies
-from conngames import ConnectivityDomain, enumeration
-from conngames.domain import _value_of_mask
+from conngames import (
+    ConnectivityDomain,
+    classify,
+    coalition_value,
+    enumeration,
+    is_critical,
+    veto_players,
+)
 from conngames.enumeration import (
     criticality_counts,
     criticality_size_counts,
+    maximal_losing_masks,
     minimal_winning_masks,
     size_table,
     win_table,
@@ -36,7 +42,7 @@ def test_win_table_matches_reference_on_random_domains():
 
 
 def test_win_table_python_fallback_for_wide_graphs():
-    # 70 vertices exceeds the int64 lane; pad a path with isolated backbones.
+    # A 70-vertex domain: a path padded with isolated backbones.
     domain = ConnectivityDomain(
         70, ((0, 1), (1, 2)), primary=(0, 2), backbone=tuple(range(3, 70)),
         standard=(1,))
@@ -53,21 +59,37 @@ def test_win_table_matches_scalar_evaluator(chunk_bits, domain):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "_CHUNK_BITS", chunk_bits)
         table = win_table(domain)
-    expected = [bool(_value_of_mask(domain, m)) for m in range(1 << domain.n_agents)]
-    assert table.tolist() == expected
+    assert table.tolist() == [bool(v) for v in oracles.reference_table(domain)]
 
 
 @settings(max_examples=100, deadline=None)
 @given(domain=st.one_of(strategies.domains(), strategies.sparse_domains()), data=st.data())
 def test_batched_kernel_matches_scalar_evaluator(domain, data):
+    # The kernel on a drawn batch, and each question that runs it on a batch
+    # of its own, against the set-based reference. The drawn domains include
+    # ones padded past 62 vertices and ones with 0-2 agents.
     n = domain.n_agents
     masks = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=40))
-    members = np.array([[mask >> i & 1 for mask in masks] for i in range(n)],
-                       dtype=np.uint8).reshape(n, len(masks))
-    usable = np.packbits(members, axis=1, bitorder="little")
-    wins = enumeration._win_bits_evaluator(domain)(usable, usable.shape[1])
-    got = np.unpackbits(wins, count=len(masks), bitorder="little").tolist()
-    assert got == [_value_of_mask(domain, mask) for mask in masks]
+
+    def reference(mask):
+        return oracles.reference_mask_value(domain, mask)
+
+    expected = [reference(mask) for mask in masks]
+    usable = [sum((mask >> i & 1) << t for t, mask in enumerate(masks)) for i in range(n)]
+    wins = domain._win_bits(usable, (1 << len(masks)) - 1)
+    assert [wins >> t & 1 for t in range(len(masks))] == expected
+    assert [coalition_value(domain, mask) for mask in masks] == expected
+    for mask, value in zip(masks, expected):
+        if mask:
+            low = mask & -mask  # the lowest member
+            critical = value == 1 and reference(mask ^ low) == 0
+            assert is_critical(domain, low.bit_length() - 1, mask) == critical
+    grand = (1 << n) - 1
+    classification = classify(domain)
+    assert classification.degenerate_all_win == (reference(0) == 1)
+    assert classification.degenerate_all_lose == (reference(grand) == 0)
+    assert veto_players(domain).veto_agents == \
+        tuple(i for i in range(n) if reference(grand ^ (1 << i)) == 0)
 
 
 def test_win_table_memory_at_18_agents():
@@ -138,3 +160,4 @@ def test_minimal_winning_masks_against_definition():
         full = (1 << n) - 1
         assert sorted(full ^ m for m in minimal_winning_masks(dual, n).tolist()) == \
             maximal_losing
+        assert maximal_losing_masks(table, n).tolist() == maximal_losing[::-1]

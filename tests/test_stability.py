@@ -296,7 +296,7 @@ def test_max_excess_memory_at_18_agents():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 2 ** 20
+        assert peak < 2 ** 18  # a bool copy of the 2^18-entry table alone fills it
 
 
 def test_max_excess_on_all_win_domain_empty_coalition():
