@@ -2,9 +2,13 @@
 automatic tree detection, and emit deterministic text/JSON/CSV reports.
 
 Exit codes: 0 ok, 2 input or usage error, 3 resource cap exceeded,
-4 degenerate domain. Reports never mix Monte Carlo estimates with exact
-values without per-value method tags, and contain nothing run-dependent
-(no timings), so identical inputs and seeds reproduce identical bytes.
+4 degenerate domain. The handlers raise on every refusal, and ``main`` alone
+maps the exception to its code: ``CapExceededError`` to 3,
+``DegenerateDomainError`` to 4 and any other ``ValueError`` (unreadable,
+malformed or invalid input, an unwritable output path) to 2. Reports never
+mix Monte Carlo estimates with exact values without per-value method tags,
+and contain nothing run-dependent (no timings), so identical inputs and seeds
+reproduce identical bytes.
 """
 
 from __future__ import annotations
@@ -43,7 +47,7 @@ def _load_json(path: str):
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, RecursionError, json.JSONDecodeError) as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
@@ -56,13 +60,20 @@ def _load_domain(path: str):
     return domain
 
 
-def _load_imputation(path: str) -> list:
+def _load_imputation(path: str) -> list[Fraction]:
     data = _load_json(path)
     if isinstance(data, dict):
         data = data.get("imputation")
     if not isinstance(data, list):
         raise ValueError(f"{path}: expected a payoff list or {{\"imputation\": [...]}}")
-    return data
+    payoffs = []
+    for i, entry in enumerate(data):
+        try:
+            payoffs.append(Fraction(entry))
+        except (TypeError, ValueError, ArithmeticError):
+            raise ValueError(f"{path}: imputation entry {i} is not a number: "
+                             f"{entry!r}") from None
+    return payoffs
 
 
 def _resolve_cap(value: int | None, flag: str, env_name: str, default: int) -> int:
@@ -117,10 +128,11 @@ def _summary_lines(summary: dict) -> list[str]:
             f"{summary['agents']} agents{suffix}"]
 
 
-def _refuse_degenerate(classification, queries: str) -> int:
-    kind = "all coalitions win" if classification.degenerate_all_win \
-        else "all coalitions lose"
-    return _fail(f"degenerate domain ({kind}); {queries} queries refused", EXIT_DEGENERATE)
+def _refuse_degenerate(classification, queries: str) -> None:
+    if classification.degenerate:
+        kind = "all coalitions win" if classification.degenerate_all_win \
+            else "all coalitions lose"
+        raise DegenerateDomainError(f"degenerate domain ({kind}); {queries} queries refused")
 
 
 def _tree_essentials(domain):
@@ -187,12 +199,9 @@ def _render_indices_csv(payloads) -> None:
 
 
 def cmd_indices(args) -> int:
-    try:
-        domain = _load_domain(args.domain)
-        cap = _resolve_cap(args.exact_cap, "--exact-cap", ENV_EXACT_CAP,
-                           powerindex.DEFAULT_ENUMERATION_CAP)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    domain = _load_domain(args.domain)
+    cap = _resolve_cap(args.exact_cap, "--exact-cap", ENV_EXACT_CAP,
+                       powerindex.DEFAULT_ENUMERATION_CAP)
     classification = classify(domain)
     kinds = ["banzhaf", "shapley"] if args.index == "both" else [args.index]
 
@@ -202,26 +211,24 @@ def cmd_indices(args) -> int:
             method = "tree"
         else:
             method = "exact" if domain.n_agents <= cap else "mc"
+    elif method == "tree":
+        try:
+            trees.essential_vertices(domain)
+        except (NotTreeError, DegenerateDomainError) as exc:
+            raise ValueError(f"tree method not applicable: {exc}") from None
 
     vectors = []
-    try:
-        for kind in kinds:
-            if method == "tree":
-                vectors.append(trees.tree_banzhaf(domain) if kind == "banzhaf"
-                               else trees.tree_shapley(domain))
-            elif method == "exact":
-                vectors.append(powerindex.banzhaf_exact(domain, cap=cap) if kind == "banzhaf"
-                               else powerindex.shapley_exact(domain, cap=cap))
-            else:
-                params = powerindex.ApproxParams(args.epsilon, args.delta, args.seed)
-                vectors.append(powerindex.banzhaf_mc_all(domain, params) if kind == "banzhaf"
-                               else powerindex.shapley_mc_all(domain, params))
-    except CapExceededError as exc:
-        return _fail(str(exc), EXIT_CAP)
-    except (NotTreeError, DegenerateDomainError) as exc:
-        return _fail(f"tree method not applicable: {exc}", EXIT_INPUT)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    for kind in kinds:
+        if method == "tree":
+            vectors.append(trees.tree_banzhaf(domain) if kind == "banzhaf"
+                           else trees.tree_shapley(domain))
+        elif method == "exact":
+            vectors.append(powerindex.banzhaf_exact(domain, cap=cap) if kind == "banzhaf"
+                           else powerindex.shapley_exact(domain, cap=cap))
+        else:
+            params = powerindex.ApproxParams(args.epsilon, args.delta, args.seed)
+            vectors.append(powerindex.banzhaf_mc_all(domain, params) if kind == "banzhaf"
+                           else powerindex.shapley_mc_all(domain, params))
 
     summary = _domain_summary(domain, classification)
     payloads = [_index_payload(domain, vector) for vector in vectors]
@@ -238,13 +245,9 @@ def cmd_indices(args) -> int:
 # ---------------------------------------------------------------- core
 
 def cmd_core(args) -> int:
-    try:
-        domain = _load_domain(args.domain)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    domain = _load_domain(args.domain)
     classification = classify(domain)
-    if classification.degenerate:
-        return _refuse_degenerate(classification, "core")
+    _refuse_degenerate(classification, "core")
 
     core = stability.veto_players(domain)
     report = {
@@ -255,11 +258,8 @@ def cmd_core(args) -> int:
         "core_empty": core.is_empty,
     }
     if args.imputation:
-        try:
-            payoffs = _load_imputation(args.imputation)
-            report["in_core"] = stability.is_in_core(domain, payoffs)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_INPUT)
+        payoffs = _load_imputation(args.imputation)
+        report["in_core"] = stability.is_in_core(domain, payoffs)
 
     if args.format == "json":
         _emit_json(report)
@@ -278,16 +278,13 @@ def cmd_core(args) -> int:
 
 def cmd_ecm(args) -> int:
     if not math.isfinite(args.epsilon):
-        return _fail("epsilon must be a finite number", EXIT_INPUT)
+        raise ValueError("epsilon must be a finite number")
     if args.epsilon < 0:
-        return _fail("epsilon must be nonnegative", EXIT_INPUT)
-    try:
-        domain = _load_domain(args.domain)
-        payoffs = _load_imputation(args.imputation)
-        cap = _resolve_cap(args.exact_cap, "--exact-cap", ENV_EXACT_CAP,
-                           powerindex.DEFAULT_ENUMERATION_CAP)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+        raise ValueError("epsilon must be nonnegative")
+    domain = _load_domain(args.domain)
+    payoffs = _load_imputation(args.imputation)
+    cap = _resolve_cap(args.exact_cap, "--exact-cap", ENV_EXACT_CAP,
+                       powerindex.DEFAULT_ENUMERATION_CAP)
     classification = classify(domain)
 
     report = {
@@ -297,29 +294,20 @@ def cmd_ecm(args) -> int:
         "epsilon": args.epsilon,
     }
     essential = _tree_essentials(domain)
-    try:
-        if essential is not None:
-            verdict = trees.tree_ecm(domain, payoffs, args.epsilon)
-            imputation = stability.Imputation.of(payoffs)
-            essential_payment = sum(
-                (imputation[i] for i in essential.members), Fraction(0))
-            report["method"] = "tree-essential-sum"
-            report["essential_agents"] = list(essential.members)
-            report["essential_payment"] = float(essential_payment)
-            report["threshold"] = 1.0 - args.epsilon
-        else:
-            if domain.n_agents > cap:
-                return _fail(
-                    f"non-tree domain with {domain.n_agents} agents exceeds the "
-                    f"enumeration cap of {cap}", EXIT_CAP)
-            excess = stability.max_excess(domain, payoffs, cap=cap, epsilon=args.epsilon)
-            verdict = bool(excess.epsilon_verdict)
-            report["method"] = "exact-enumeration"
-            report["max_excess"] = float(excess.max_excess)
-            report["max_excess_rational"] = _rational(excess.max_excess)
-            report["witness"] = sorted(excess.witness.members())
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    if essential is not None:
+        verdict = trees.tree_ecm(domain, payoffs, args.epsilon)
+        essential_payment = sum((payoffs[i] for i in essential.members), Fraction(0))
+        report["method"] = "tree-essential-sum"
+        report["essential_agents"] = list(essential.members)
+        report["essential_payment"] = float(essential_payment)
+        report["threshold"] = 1.0 - args.epsilon
+    else:
+        excess = stability.max_excess(domain, payoffs, cap=cap, epsilon=args.epsilon)
+        verdict = bool(excess.epsilon_verdict)
+        report["method"] = "exact-enumeration"
+        report["max_excess"] = float(excess.max_excess)
+        report["max_excess_rational"] = _rational(excess.max_excess)
+        report["witness"] = sorted(excess.witness.members())
     report["in_epsilon_core"] = verdict
 
     if args.format == "json":
@@ -343,26 +331,19 @@ def cmd_ecm(args) -> int:
 # ---------------------------------------------------------------- leastcore
 
 def cmd_leastcore(args) -> int:
-    try:
-        domain = _load_domain(args.domain)
-        lp_cap = _resolve_cap(args.lp_cap, "--lp-cap", ENV_LP_CAP, stability.DEFAULT_LP_CAP)
-        cap = _resolve_cap(None, ENV_EXACT_CAP, ENV_EXACT_CAP,
-                           powerindex.DEFAULT_ENUMERATION_CAP)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    domain = _load_domain(args.domain)
+    lp_cap = _resolve_cap(args.lp_cap, "--lp-cap", ENV_LP_CAP, stability.DEFAULT_LP_CAP)
+    cap = _resolve_cap(None, ENV_EXACT_CAP, ENV_EXACT_CAP,
+                       powerindex.DEFAULT_ENUMERATION_CAP)
     classification = classify(domain)
-    if classification.degenerate:
-        return _refuse_degenerate(classification, "least-core")
+    _refuse_degenerate(classification, "least-core")
 
     if _tree_essentials(domain) is not None:
         epsilon = Fraction(0)
         imputation = trees.tree_core(domain).canonical_imputation
         method = powerindex.TREE_CLOSED_FORM
     else:
-        try:
-            result = stability.least_core_value(domain, lp_cap=lp_cap, cap=cap)
-        except CapExceededError as exc:
-            return _fail(str(exc), EXIT_CAP)
+        result = stability.least_core_value(domain, lp_cap=lp_cap, cap=cap)
         epsilon, imputation, method = result.epsilon, result.imputation, result.method
 
     report = {
@@ -392,22 +373,19 @@ def cmd_leastcore(args) -> int:
 # ---------------------------------------------------------------- generate
 
 def _write_json(path: Path, payload: dict) -> None:
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    try:
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+                        encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc}") from exc
 
 
 def cmd_generate(args) -> int:
-    try:
-        data = _load_json(args.instance)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    data = _load_json(args.instance)
     out = Path(args.out)
 
     if args.kind == "setcover":
-        try:
-            instance = reductions.setcover_from_dict(data)
-        except ValueError as exc:
-            return _fail(str(exc), EXIT_INPUT)
+        instance = reductions.setcover_from_dict(data)
         uncovered = instance.uncovered_items()
         if uncovered:
             print(f"warning: items {list(uncovered)} are in no set; "
@@ -420,10 +398,7 @@ def cmd_generate(args) -> int:
               f"target agent {target}) to {out}")
         return EXIT_OK
 
-    try:
-        instance = reductions.vertexcover_from_dict(data)
-    except ValueError as exc:
-        return _fail(str(exc), EXIT_INPUT)
+    instance = reductions.vertexcover_from_dict(data)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         domain, imputation, epsilon = reductions.vertexcover_to_ecm(instance)
@@ -511,7 +486,14 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except CapExceededError as exc:
+        return _fail(str(exc), EXIT_CAP)
+    except DegenerateDomainError as exc:  # a ValueError, so caught before one
+        return _fail(str(exc), EXIT_DEGENERATE)
+    except ValueError as exc:
+        return _fail(str(exc), EXIT_INPUT)
 
 
 def entrypoint() -> None:

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 
-from .domain import ConnectivityDomain
+from .domain import ConnectivityDomain, _strict_int
 from .errors import CapExceededError
 
 ORACLE_CAP = 20
@@ -212,8 +212,9 @@ def setcover_to_dict(instance: SetCoverInstance) -> dict:
 
 def setcover_from_dict(data: dict) -> SetCoverInstance:
     try:
-        return SetCoverInstance(int(data["universe"]),
-                                tuple(tuple(s) for s in data["sets"]))
+        return SetCoverInstance(_strict_int(data["universe"], "universe"),
+                                tuple(tuple(_strict_int(t, "sets") for t in s)
+                                      for s in data["sets"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed set-cover instance: {exc}") from exc
 
@@ -226,8 +227,9 @@ def vertexcover_to_dict(instance: VertexCoverInstance) -> dict:
 
 def vertexcover_from_dict(data: dict) -> VertexCoverInstance:
     try:
-        return VertexCoverInstance(int(data["vertices"]),
-                                   tuple((int(u), int(v)) for u, v in data["edges"]),
-                                   int(data["t"]))
+        return VertexCoverInstance(_strict_int(data["vertices"], "vertices"),
+                                   tuple((_strict_int(u, "edges"), _strict_int(v, "edges"))
+                                         for u, v in data["edges"]),
+                                   _strict_int(data["t"], "t"))
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed vertex-cover instance: {exc}") from exc

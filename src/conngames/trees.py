@@ -2,22 +2,22 @@
 
 On a tree, a winning coalition must contain every standard vertex lying on
 the unique path between any two primary vertices (the essential vertices),
-and containing all of them is also sufficient. Essential vertices are found
-by pruning non-primary leaves until none remain, which leaves exactly the
-minimal subtree spanning the primaries. Power indices and core questions then
+and containing all of them is also sufficient. So the essential agents are
+the veto agents, whose removal alone disconnects the primaries, and
+``stability.veto_players`` finds them. Power indices and core questions then
 collapse to counting: m essential agents share the reward 1/m under the
 Shapley value, each has Banzhaf index 2^(1-m), the veto set is the essential
 set, and an imputation is in the eps-core iff its essential payment reaches
 1 - eps.
 
-The solvers run on the domain's cached quotient, in which every connected
-region of always-usable vertices (primaries plus backbones) is one vertex:
-such regions are internally connected for every coalition, so the quotient
-keeps each coalition's value while removing the only cycles that do not
-matter. The closed forms apply exactly when that quotient is a forest (edges
-= vertices - components) and the domain is non-degenerate, which enforces
-primary connectivity. ``essential_vertices`` makes that decision and
-memoizes the essential set on the domain.
+The closed forms apply exactly when the domain's cached quotient is a forest
+(edges = vertices - components) and the domain is non-degenerate, which
+enforces primary connectivity. In the quotient every connected region of
+always-usable vertices (primaries plus backbones) is one vertex: such regions
+are internally connected for every coalition, so the quotient keeps each
+coalition's value while removing the only cycles that do not matter.
+``essential_vertices`` makes that decision and memoizes the essential set on
+the domain.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from fractions import Fraction
 from .domain import ConnectivityDomain, classify
 from .errors import DegenerateDomainError, NotTreeError
 from .powerindex import BANZHAF, SHAPLEY, TREE_CLOSED_FORM, IndexVector
-from .stability import IMPUTATION_TOL, CoreDescription, _as_payoffs, _check_total
+from .stability import (IMPUTATION_TOL, CoreDescription, _as_payoffs, _check_total,
+                        veto_players)
 
 
 @dataclass(frozen=True)
@@ -54,8 +55,9 @@ class TreeCoreResult:
     canonical_imputation: tuple[Fraction, ...]
 
 
-def _tree_form(domain: ConnectivityDomain) -> ConnectivityDomain:
-    """The quotient domain the closed forms run on; rejects cycles and degeneracy."""
+def _tree_form(domain: ConnectivityDomain) -> None:
+    """Rejects a domain the closed forms do not fit: a cycle in its quotient,
+    or degeneracy."""
     domain.ensure_valid()
     quotient = domain._quotient
     if len(quotient.edges) != quotient.vertex_count - quotient._component_count:
@@ -68,42 +70,21 @@ def _tree_form(domain: ConnectivityDomain) -> ConnectivityDomain:
     if classification.degenerate_all_lose:
         raise DegenerateDomainError("even the grand coalition loses; tree solvers "
                                     "need a non-degenerate domain")
-    return quotient
 
 
 def essential_vertices(domain: ConnectivityDomain) -> EssentialSet:
     """Agents on the minimal subtree spanning the primary vertices.
 
-    Iteratively prunes non-primary vertices of degree <= 1; what survives is
-    the subtree spanning the primaries, whose standard vertices are exactly
-    the agents present in every winning coalition. Memoized on the domain
-    instance.
+    Removing such an agent disconnects two primaries and removing any other
+    agent does not, so where the closed forms apply they are the veto agents.
+    Memoized on the domain instance.
     """
     cached = domain.__dict__.get("_essential_cache")
     if cached is not None:
         return cached
-    tree = _tree_form(domain)
-    degree = [0] * tree.vertex_count
-    for u, v in tree.edges:
-        degree[u] += 1
-        degree[v] += 1
-    primary = set(tree.primary)
-    alive = [True] * tree.vertex_count
-    queue = [v for v in range(tree.vertex_count)
-             if degree[v] <= 1 and v not in primary]
-    adjacency = tree._adjacency
-    while queue:
-        v = queue.pop()
-        if not alive[v] or degree[v] > 1 or v in primary:
-            continue
-        alive[v] = False
-        for u in adjacency[v]:
-            if alive[u]:
-                degree[u] -= 1
-                if degree[u] <= 1 and u not in primary:
-                    queue.append(u)
-    members = tuple(agent for agent, vertex in enumerate(tree.standard) if alive[vertex])
-    cached = domain.__dict__["_essential_cache"] = EssentialSet(members)
+    _tree_form(domain)
+    cached = domain.__dict__["_essential_cache"] = EssentialSet(
+        veto_players(domain).veto_agents)
     return cached
 
 

@@ -6,8 +6,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import oracles
+import strategies
 from conngames import (ConnectivityDomain, cli, domain_from_dict, domain_to_dict, enumeration,
                        validate)
 from conngames.cli import main
@@ -233,6 +236,19 @@ def test_core_malformed_imputation_exit2(files, capsys):
     assert "imputation" in err
 
 
+@pytest.mark.parametrize("entry", [None, [1], {"a": 1}, float("inf"), float("nan"), "1/0", "x"],
+                         ids=["null", "list", "object", "inf", "nan", "1/0", "x"])
+@pytest.mark.parametrize("argv", [["core", "{path4}", "--imputation", "{bad}"],
+                                  ["ecm", "{path4}", "{bad}", "--epsilon", "0.5"],
+                                  ["ecm", "{cycle4}", "{bad}", "--epsilon", "0.5"]],
+                         ids=["core", "ecm-tree", "ecm-enumeration"])
+def test_malformed_imputation_entry_exit2(files, capsys, argv, entry):
+    bad = write_json(files["tmp"] / "entry.json", {"imputation": [1, entry]})
+    code, out, err = run(capsys, [arg.format(bad=bad, **files) for arg in argv])
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: imputation entry 1 is not a number: {entry!r}\n"
+
+
 def test_ecm_cycle(files, capsys):
     code, out, _ = run(capsys, ["ecm", files["cycle4"], files["half"],
                                 "--epsilon", "0.5"])
@@ -275,9 +291,11 @@ def test_ecm_non_finite_epsilon_exit2(files, capsys, epsilon):
 
 def test_ecm_non_tree_over_cap_exit3(files, capsys, monkeypatch):
     monkeypatch.setenv("CONNGAMES_EXACT_CAP", "1")
-    code, _, err = run(capsys, ["ecm", files["cycle4"], files["half"],
-                                "--epsilon", "0.5"])
-    assert code == 3
+    code, out, err = run(capsys, ["ecm", files["cycle4"], files["half"],
+                                  "--epsilon", "0.5"])
+    assert (code, out) == (3, "")
+    assert err == ("error: instance too large for exact solver: 2 agents exceeds "
+                   "the enumeration cap of 1\n")
 
 
 def test_leastcore_tree_shortcut(files, capsys):
@@ -397,6 +415,48 @@ def test_generate_malformed_instance_exit2(files, capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind, instance, field, value", [
+    ("setcover", {"universe": 1e400, "sets": []}, "universe", float("inf")),
+    ("setcover", {"universe": 2, "sets": [[1.5]]}, "sets", 1.5),
+    ("vertexcover", {"vertices": 3, "edges": [[0, True]], "t": 1}, "edges", True),
+    ("vertexcover", {"vertices": 3, "edges": [[0, 1]], "t": "1"}, "t", "1"),
+])
+def test_generate_non_integer_instance_field_exit2(capsys, tmp_path, kind, instance, field,
+                                                   value):
+    inst = write_json(tmp_path / "inst.json", instance)
+    out_path = tmp_path / "dom.json"
+    code, out, err = run(capsys, ["generate", kind, inst, "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err == (f"error: malformed {kind.replace('cover', '-cover')} instance: "
+                   f"{field}: expected an integer, got {value!r}\n")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("kind", ["setcover", "vertexcover"])
+def test_generate_unwritable_out_exit2(files, capsys, kind):
+    out_path = files["tmp"] / "missing" / "dom.json"
+    instance = files["setcover" if kind == "setcover" else "k3"]
+    code, out, err = run(capsys, ["generate", kind, instance, "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot write {out_path}: [Errno 2]")
+
+
+def test_generate_empty_vertexcover_exit2(capsys, tmp_path):
+    inst = write_json(tmp_path / "empty.json", {"vertices": 0, "edges": [], "t": 0})
+    code, out, err = run(capsys, ["generate", "vertexcover", inst,
+                                  "--out", str(tmp_path / "dom.json")])
+    assert (code, out) == (2, "")
+    assert err == "error: vertex-cover instance needs at least one vertex\n"
+
+
+def test_deeply_nested_json_exit2(capsys, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000, encoding="utf-8")
+    code, out, err = run(capsys, ["core", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: cannot read {path}: maximum recursion depth exceeded")
+
+
 def test_cli_reruns_are_byte_identical(files, capsys, tmp_path):
     invocations = [
         ["indices", files["path4"]],
@@ -505,3 +565,79 @@ def test_leastcore_run_does_not_load_scipy():
                          text=True, check=True).stdout
     assert "method: exact-lp" in out
     assert out.splitlines()[-1] == "False"
+
+
+# ---------------------------------------------------------------- fuzz
+
+# Integers stay small: ``generate`` builds one vertex per set-cover item or
+# vertex-cover vertex, so a huge count costs memory in proportion.
+_JSON_KEYS = st.sampled_from(["vertices", "edges", "primary", "backbone", "standard",
+                              "imputation", "universe", "sets", "t"]) | st.text(max_size=4)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 40) | st.floats() | st.text(max_size=6),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(_JSON_KEYS, children, max_size=4)),
+    max_leaves=10)
+
+
+def _containers(node):
+    yield node
+    for child in (node.values() if isinstance(node, dict) else node):
+        if isinstance(child, (dict, list)):
+            yield from _containers(child)
+
+
+@st.composite
+def _documents(draw, document):
+    """Either any JSON value, or ``document`` with up to two entries of its
+    nested lists and objects replaced, deleted or added in place."""
+    if draw(st.booleans()):
+        return draw(_JSON)
+    for _ in range(draw(st.integers(0, 2))):
+        node = draw(st.sampled_from(list(_containers(document))))
+        keys = list(node) if isinstance(node, dict) else list(range(len(node)))
+        action = draw(st.sampled_from(["replace", "delete", "add"]))
+        if keys and action != "add":
+            key = draw(st.sampled_from(keys))
+            if action == "delete":
+                del node[key]
+            else:
+                node[key] = draw(_JSON)
+        elif isinstance(node, dict):
+            node[draw(_JSON_KEYS)] = draw(_JSON)
+        else:
+            node.append(draw(_JSON))
+    return document
+
+
+@st.composite
+def _cli_inputs(draw):
+    domain = draw(strategies.domains(max_agents=6, wide=False))
+    payoffs = draw(strategies.payoffs(domain.n_agents))
+    setcover = {"universe": draw(st.integers(0, 4)),
+                "sets": draw(st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=4))}
+    vertexcover = {"vertices": 3, "edges": [[0, 1], [1, 2]], "t": draw(st.integers(0, 3))}
+    return {"domain": draw(_documents(domain_to_dict(domain))),
+            "imputation": draw(_documents({"imputation": [str(x) for x in payoffs]})),
+            "setcover": draw(_documents(setcover)),
+            "vertexcover": draw(_documents(vertexcover))}
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(inputs=_cli_inputs())
+def test_cli_exit_codes_hold_for_any_json_input(tmp_path, capsys, monkeypatch, inputs):
+    monkeypatch.setenv("CONNGAMES_EXACT_CAP", "4")
+    paths = {name: write_json(tmp_path / f"{name}.json", document)
+             for name, document in inputs.items()}
+    mc = ["--method", "mc", "--epsilon", "0.3", "--delta", "0.3"]
+    out = str(tmp_path / "out.json")
+    for argv in (["indices", "{domain}"], ["indices", "{domain}", "--method", "exact"],
+                 ["indices", "{domain}", "--method", "tree"], ["indices", "{domain}", *mc],
+                 ["core", "{domain}", "--imputation", "{imputation}"],
+                 ["ecm", "{domain}", "{imputation}", "--epsilon", "0.5"],
+                 ["leastcore", "{domain}"],
+                 ["generate", "setcover", "{setcover}", "--out", out],
+                 ["generate", "vertexcover", "{vertexcover}", "--out", out]):
+        code, _, err = run(capsys, [arg.format(**paths) for arg in argv])
+        assert code in (0, 2, 3, 4), (argv, err)
