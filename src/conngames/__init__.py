@@ -55,7 +55,6 @@ from .reductions import (
     vertexcover_to_ecm,
 )
 from .stability import (
-    DEFAULT_LP_CAP,
     CoreDescription,
     ExcessReport,
     Imputation,
@@ -88,9 +87,8 @@ __all__ = [
     "SetCoverInstance", "VertexCoverInstance", "add_dummy", "count_set_covers",
     "min_vertex_cover", "setcover_from_dict", "setcover_to_cg", "setcover_to_dict",
     "vertexcover_from_dict", "vertexcover_to_dict", "vertexcover_to_ecm",
-    "DEFAULT_LP_CAP", "CoreDescription", "ExcessReport",
-    "Imputation", "LeastCoreResult", "ecm", "is_in_core", "least_core_value",
-    "max_excess", "veto_players",
+    "CoreDescription", "ExcessReport", "Imputation", "LeastCoreResult",
+    "ecm", "is_in_core", "least_core_value", "max_excess", "veto_players",
     "EssentialSet", "TreeCoreResult", "essential_vertices", "tree_banzhaf",
     "tree_core", "tree_ecm", "tree_shapley",
 ]

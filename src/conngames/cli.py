@@ -1,5 +1,6 @@
-"""Command-line surface: load domain/instance files, dispatch to solvers with
-automatic tree detection, and emit deterministic text/JSON/CSV reports.
+"""Command-line surface: load domain/instance files, dispatch to solvers, and
+emit deterministic text/JSON/CSV reports. ``_plan`` is the one place where a
+method is chosen: tree closed forms, exact enumeration or Monte Carlo.
 
 Exit codes: 0 ok, 2 input or usage error, 3 resource cap exceeded,
 4 degenerate domain. The handlers raise on every refusal, and ``main`` alone
@@ -18,6 +19,7 @@ import functools
 import json
 import math
 import os
+import re
 import sys
 import warnings
 from fractions import Fraction
@@ -35,7 +37,7 @@ EXIT_CAP = 3
 EXIT_DEGENERATE = 4
 
 ENV_EXACT_CAP = "CONNGAMES_EXACT_CAP"
-ENV_LP_CAP = "CONNGAMES_LP_CAP"
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def _fail(message: str, code: int) -> int:
@@ -69,6 +71,10 @@ def _load_imputation(path: str) -> list[Fraction]:
     payoffs = []
     for i, entry in enumerate(data):
         try:
+            # Fraction("1e999999999") would build a billion-digit integer.
+            exponent = _EXPONENT.search(entry) if isinstance(entry, str) else None
+            if exponent and abs(int(exponent[1])) > sys.int_info.default_max_str_digits:
+                raise ValueError
             payoffs.append(Fraction(entry))
         except (TypeError, ValueError, ArithmeticError):
             raise ValueError(f"{path}: imputation entry {i} is not a number: "
@@ -76,17 +82,18 @@ def _load_imputation(path: str) -> list[Fraction]:
     return payoffs
 
 
-def _resolve_cap(value: int | None, flag: str, env_name: str, default: int) -> int:
-    source = flag
+def _exact_cap(args) -> int:
+    """The enumeration cap: ``--exact-cap``, else the environment, else 24."""
+    value, source = args.exact_cap, "--exact-cap"
     if value is None:
-        env = os.environ.get(env_name)
+        env = os.environ.get(ENV_EXACT_CAP)
         if not env:
-            return default
-        source = env_name
+            return powerindex.DEFAULT_ENUMERATION_CAP
+        source = ENV_EXACT_CAP
         try:
             value = int(env)
         except ValueError:
-            raise ValueError(f"{env_name} must be an integer, got {env!r}") from None
+            raise ValueError(f"{ENV_EXACT_CAP} must be an integer, got {env!r}") from None
     if value < 0:
         raise ValueError(f"{source} must be nonnegative, got {value}")
     return value
@@ -135,12 +142,20 @@ def _refuse_degenerate(classification, queries: str) -> None:
         raise DegenerateDomainError(f"degenerate domain ({kind}); {queries} queries refused")
 
 
-def _tree_essentials(domain):
-    """The essential set when the tree closed forms apply, else None."""
+def _plan(domain, method: str = "auto", cap: int | None = None) -> str:
+    """``"tree"`` where the closed forms apply, else ``"exact"``, or ``"mc"``
+    past ``cap`` agents. ``ecm`` and ``leastcore`` pass no cap: their exact
+    solvers refuse past the enumeration cap. ``indices --method exact`` and
+    ``mc`` skip the tree test; ``--method tree`` is refused where it fails."""
+    if method in ("exact", "mc"):
+        return method
     try:
-        return trees.essential_vertices(domain)
-    except (NotTreeError, DegenerateDomainError):
-        return None
+        trees.essential_vertices(domain)
+        return "tree"
+    except (NotTreeError, DegenerateDomainError) as exc:
+        if method == "tree":
+            raise ValueError(f"tree method not applicable: {exc}") from None
+    return "mc" if cap is not None and domain.n_agents > cap else "exact"
 
 
 def _value_cell(value: Fraction) -> str:
@@ -200,22 +215,11 @@ def _render_indices_csv(payloads) -> None:
 
 def cmd_indices(args) -> int:
     domain = _load_domain(args.domain)
-    cap = _resolve_cap(args.exact_cap, "--exact-cap", ENV_EXACT_CAP,
-                       powerindex.DEFAULT_ENUMERATION_CAP)
+    cap = _exact_cap(args)
     classification = classify(domain)
     kinds = ["banzhaf", "shapley"] if args.index == "both" else [args.index]
 
-    method = args.method
-    if method == "auto":
-        if _tree_essentials(domain) is not None:
-            method = "tree"
-        else:
-            method = "exact" if domain.n_agents <= cap else "mc"
-    elif method == "tree":
-        try:
-            trees.essential_vertices(domain)
-        except (NotTreeError, DegenerateDomainError) as exc:
-            raise ValueError(f"tree method not applicable: {exc}") from None
+    method = _plan(domain, args.method, cap)
 
     vectors = []
     for kind in kinds:
@@ -283,8 +287,7 @@ def cmd_ecm(args) -> int:
         raise ValueError("epsilon must be nonnegative")
     domain = _load_domain(args.domain)
     payoffs = _load_imputation(args.imputation)
-    cap = _resolve_cap(args.exact_cap, "--exact-cap", ENV_EXACT_CAP,
-                       powerindex.DEFAULT_ENUMERATION_CAP)
+    cap = _exact_cap(args)
     classification = classify(domain)
 
     report = {
@@ -293,12 +296,12 @@ def cmd_ecm(args) -> int:
         "domain": _domain_summary(domain, classification),
         "epsilon": args.epsilon,
     }
-    essential = _tree_essentials(domain)
-    if essential is not None:
+    if _plan(domain) == "tree":
         verdict = trees.tree_ecm(domain, payoffs, args.epsilon)
-        essential_payment = sum((payoffs[i] for i in essential.members), Fraction(0))
+        essential = trees.tree_core(domain).core.veto_agents
+        essential_payment = sum((payoffs[i] for i in essential), Fraction(0))
         report["method"] = "tree-essential-sum"
-        report["essential_agents"] = list(essential.members)
+        report["essential_agents"] = list(essential)
         report["essential_payment"] = float(essential_payment)
         report["threshold"] = 1.0 - args.epsilon
     else:
@@ -332,18 +335,16 @@ def cmd_ecm(args) -> int:
 
 def cmd_leastcore(args) -> int:
     domain = _load_domain(args.domain)
-    lp_cap = _resolve_cap(args.lp_cap, "--lp-cap", ENV_LP_CAP, stability.DEFAULT_LP_CAP)
-    cap = _resolve_cap(None, ENV_EXACT_CAP, ENV_EXACT_CAP,
-                       powerindex.DEFAULT_ENUMERATION_CAP)
+    cap = _exact_cap(args)
     classification = classify(domain)
     _refuse_degenerate(classification, "least-core")
 
-    if _tree_essentials(domain) is not None:
+    if _plan(domain) == "tree":
         epsilon = Fraction(0)
         imputation = trees.tree_core(domain).canonical_imputation
         method = powerindex.TREE_CLOSED_FORM
     else:
-        result = stability.least_core_value(domain, lp_cap=lp_cap, cap=cap)
+        result = stability.least_core_value(domain, cap=cap)
         epsilon, imputation, method = result.epsilon, result.imputation, result.method
 
     report = {
@@ -386,11 +387,12 @@ def cmd_generate(args) -> int:
 
     if args.kind == "setcover":
         instance = reductions.setcover_from_dict(data)
+        domain, target = reductions.setcover_to_cg(instance)
         uncovered = instance.uncovered_items()
         if uncovered:
-            print(f"warning: items {list(uncovered)} are in no set; "
+            more = f" ... and {len(uncovered) - 10} more" if len(uncovered) > 10 else ""
+            print(f"warning: items {list(uncovered[:10])}{more} are in no set; "
                   f"no cover exists (count is 0)", file=sys.stderr)
-        domain, target = reductions.setcover_to_cg(instance)
         payload = domain_to_dict(domain)
         payload["meta"] = {"construction": "setcover", "target_agent": target}
         _write_json(out, payload)
@@ -463,10 +465,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("leastcore", help="least-core value and an optimal imputation")
     p.add_argument("domain")
     p.add_argument("--format", choices=["text", "json"], default="text")
-    p.add_argument("--lp-cap", type=int, default=None,
-                   help=f"agents allowed for the least-core LP "
-                        f"(default {stability.DEFAULT_LP_CAP}, env {ENV_LP_CAP})")
-    p.set_defaults(func=cmd_leastcore)
+    p.set_defaults(func=cmd_leastcore, exact_cap=None)  # CONNGAMES_EXACT_CAP only
 
     p = sub.add_parser("generate", help="build a domain from a covering instance")
     p.add_argument("kind", choices=["setcover", "vertexcover"])

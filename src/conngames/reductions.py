@@ -32,6 +32,9 @@ from .errors import CapExceededError
 
 ORACLE_CAP = 20
 
+# Largest domain the builders write; a larger one is refused before building.
+MAX_GENERATED_VERTICES = 100_000
+
 
 @dataclass(frozen=True)
 class SetCoverInstance:
@@ -88,6 +91,14 @@ class VertexCoverInstance:
         object.__setattr__(self, "edges", tuple(normalized))
 
 
+def _check_vertex_count(count: int) -> None:
+    if count > MAX_GENERATED_VERTICES:
+        raise CapExceededError(
+            f"instance too large: its domain would have {count} vertices, "
+            f"past the generator's bound of {MAX_GENERATED_VERTICES}",
+            MAX_GENERATED_VERTICES)
+
+
 def setcover_to_cg(instance: SetCoverInstance) -> tuple[ConnectivityDomain, int]:
     """Build the covering game for a set-cover instance.
 
@@ -96,6 +107,7 @@ def setcover_to_cg(instance: SetCoverInstance) -> tuple[ConnectivityDomain, int]
     """
     n_sets = len(instance.sets)
     k = instance.universe_size
+    _check_vertex_count(n_sets + k + 2)
     v_a = n_sets
     item_base = n_sets + 1
     v_b = item_base + k
@@ -148,6 +160,7 @@ def vertexcover_to_ecm(
     imputation, and the membership threshold eps = 1 - t/n.
     """
     n = instance.vertex_count
+    _check_vertex_count(n + len(instance.edges) + 1)
     if n == 0:
         raise ValueError("vertex-cover instance needs at least one vertex")
     if len(instance.edges) < 2:

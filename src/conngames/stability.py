@@ -21,7 +21,8 @@ coalitions, exactly, with constraints generated lazily. Its payoffs are
 nonnegative, so a least-paid winning coalition is always a minimal winning
 one (Maschler, Peleg & Shapley 1979): the minimal winning coalitions are
 listed once from the win table, and each round scores only them, exactly in
-Python integers.
+Python integers. The rounds are bounded by the number of those coalitions,
+so the enumeration cap on the table is the least core's only cap.
 """
 
 from __future__ import annotations
@@ -33,10 +34,8 @@ from typing import Sequence
 
 from . import enumeration, lp
 from .domain import Coalition, ConnectivityDomain, classify
-from .errors import CapExceededError, DegenerateDomainError
+from .errors import DegenerateDomainError
 from .powerindex import DEFAULT_ENUMERATION_CAP, _check_cap
-
-DEFAULT_LP_CAP = 16
 
 EXACT_LP = "exact-lp"
 
@@ -228,25 +227,19 @@ def _least_paid(masks: list[int], payoffs: Sequence[Fraction]) -> tuple[int, Fra
 
 
 def least_core_value(domain: ConnectivityDomain, *,
-                     lp_cap: int = DEFAULT_LP_CAP,
                      cap: int = DEFAULT_ENUMERATION_CAP) -> LeastCoreResult:
     """Smallest eps whose eps-core is non-empty, with an optimal imputation.
 
     Deviating coalitions are the nonempty ones. Both eps and the imputation
-    are exact rationals, up to ``lp_cap`` agents, and refused past the
-    enumeration ``cap`` before any table is built. Constraints are generated
-    lazily: each round adds the least-paid minimal winning coalition, listed
-    once from the win table, and the integer simplex of ``lp`` solves each
-    restricted program. Refuses degenerate domains.
+    are exact rationals. Past the enumeration ``cap`` the domain is refused
+    (``CapExceededError``) before any table is built. Constraints are
+    generated lazily: each round adds the least-paid minimal winning
+    coalition, listed once from the win table, and the integer simplex of
+    ``lp`` solves each restricted program. Refuses degenerate domains.
     """
     domain.ensure_valid()
     _refuse_degenerate(domain, "the least core")
     n = domain.n_agents
-    if n > lp_cap:
-        raise CapExceededError(
-            f"{n} agents exceeds the least-core LP cap of {lp_cap}; use the tree "
-            f"solver on acyclic domains, or veto_players for the 0-vs-positive "
-            f"dichotomy", lp_cap)
     _check_cap(n, cap)
     win = enumeration.win_table(domain)
     minimal = enumeration.minimal_winning_masks(win, n).tolist()

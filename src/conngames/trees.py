@@ -55,9 +55,18 @@ class TreeCoreResult:
     canonical_imputation: tuple[Fraction, ...]
 
 
-def _tree_form(domain: ConnectivityDomain) -> None:
-    """Rejects a domain the closed forms do not fit: a cycle in its quotient,
-    or degeneracy."""
+def essential_vertices(domain: ConnectivityDomain) -> EssentialSet:
+    """Agents on the minimal subtree spanning the primary vertices.
+
+    Removing such an agent disconnects two primaries and removing any other
+    agent does not, so where the closed forms apply they are the veto agents.
+    This is the tree test: it raises ``NotTreeError`` on a cycle in the
+    quotient and ``DegenerateDomainError`` on a degenerate domain. Memoized
+    on the domain instance.
+    """
+    cached = domain.__dict__.get("_essential_cache")
+    if cached is not None:
+        return cached
     domain.ensure_valid()
     quotient = domain._quotient
     if len(quotient.edges) != quotient.vertex_count - quotient._component_count:
@@ -70,19 +79,6 @@ def _tree_form(domain: ConnectivityDomain) -> None:
     if classification.degenerate_all_lose:
         raise DegenerateDomainError("even the grand coalition loses; tree solvers "
                                     "need a non-degenerate domain")
-
-
-def essential_vertices(domain: ConnectivityDomain) -> EssentialSet:
-    """Agents on the minimal subtree spanning the primary vertices.
-
-    Removing such an agent disconnects two primaries and removing any other
-    agent does not, so where the closed forms apply they are the veto agents.
-    Memoized on the domain instance.
-    """
-    cached = domain.__dict__.get("_essential_cache")
-    if cached is not None:
-        return cached
-    _tree_form(domain)
     cached = domain.__dict__["_essential_cache"] = EssentialSet(
         veto_players(domain).veto_agents)
     return cached

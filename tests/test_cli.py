@@ -3,6 +3,8 @@ import os
 import random
 import subprocess
 import sys
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -152,7 +154,7 @@ def test_indices_auto_falls_back_to_mc_over_cap(files, capsys, monkeypatch):
 @pytest.mark.parametrize("env, argv", [
     ("CONNGAMES_EXACT_CAP", ["indices", "cycle4"]),
     ("CONNGAMES_EXACT_CAP", ["ecm", "cycle4", "half", "--epsilon", "0.5"]),
-    ("CONNGAMES_LP_CAP", ["leastcore", "cycle4"]),
+    ("CONNGAMES_EXACT_CAP", ["leastcore", "path4"]),
     ("CONNGAMES_EXACT_CAP", ["leastcore", "cycle4"]),
 ])
 def test_non_integer_env_cap_exit2(files, capsys, monkeypatch, env, argv):
@@ -170,11 +172,13 @@ def test_non_integer_env_cap_exit2(files, capsys, monkeypatch, env, argv):
      "--exact-cap"),
     ("CONNGAMES_EXACT_CAP", ["ecm", "cycle4", "half", "--epsilon", "0.5"],
      "CONNGAMES_EXACT_CAP"),
-    (None, ["leastcore", "cycle4", "--lp-cap", "-5"], "--lp-cap"),
-    ("CONNGAMES_LP_CAP", ["leastcore", "cycle4"], "CONNGAMES_LP_CAP"),
+    (None, ["indices", "path4", "--exact-cap", "-5"], "--exact-cap"),
+    ("CONNGAMES_EXACT_CAP", ["leastcore", "path4"], "CONNGAMES_EXACT_CAP"),
     ("CONNGAMES_EXACT_CAP", ["leastcore", "cycle4"], "CONNGAMES_EXACT_CAP"),
 ])
 def test_negative_cap_exit2(files, capsys, monkeypatch, env, argv, source):
+    # A cap is checked before the method is planned, so a tree domain, which
+    # the closed forms answer without it, still refuses a bad one.
     if env is not None:
         monkeypatch.setenv(env, "-5")
     code, out, err = run(capsys, [files.get(a, a) for a in argv])
@@ -247,6 +251,28 @@ def test_malformed_imputation_entry_exit2(files, capsys, argv, entry):
     code, out, err = run(capsys, [arg.format(bad=bad, **files) for arg in argv])
     assert (code, out) == (2, "")
     assert err == f"error: {bad}: imputation entry 1 is not a number: {entry!r}\n"
+
+
+def test_huge_exponent_imputation_entry_exit2_at_once(files, capsys):
+    # Fraction("1e999999999") would compute a billion-digit power of ten.
+    bad = write_json(files["tmp"] / "huge.json", {"imputation": ["1e999999999", 0]})
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["ecm", files["cycle4"], bad, "--epsilon", "0.5"])
+    assert time.perf_counter() - started < 0.5
+    assert (code, out) == (2, "")
+    assert err == f"error: {bad}: imputation entry 0 is not a number: '1e999999999'\n"
+
+
+def test_imputation_entries_up_to_the_exponent_bound_load(files):
+    entries = ["1e-30", "1/3", "1E4300", "2.5e+3", "-1e-4300", "1e-4301", "1e43_01"]
+    path = write_json(files["tmp"] / "entries.json", {"imputation": entries[:5]})
+    assert cli._load_imputation(path) == [Fraction(1, 10 ** 30), Fraction(1, 3),
+                                          Fraction(10 ** 4300), Fraction(2500),
+                                          Fraction(-1, 10 ** 4300)]
+    for entry in entries[5:]:
+        path = write_json(files["tmp"] / "entry.json", {"imputation": [entry]})
+        with pytest.raises(ValueError, match="imputation entry 0 is not a number"):
+            cli._load_imputation(path)
 
 
 def test_ecm_cycle(files, capsys):
@@ -338,7 +364,7 @@ def test_leastcore_degenerate_exit4(files, capsys):
 
 
 def test_leastcore_over_cap_exit3(files, capsys, monkeypatch):
-    monkeypatch.setenv("CONNGAMES_LP_CAP", "1")
+    monkeypatch.setenv("CONNGAMES_EXACT_CAP", "1")
     code, _, err = run(capsys, ["leastcore", files["cycle4"]])
     assert code == 3
     assert "cap" in err
@@ -346,8 +372,8 @@ def test_leastcore_over_cap_exit3(files, capsys, monkeypatch):
 
 def test_leastcore_past_the_enumeration_cap_exits_before_any_table(files, capsys,
                                                                     monkeypatch):
-    # The LP cap is raised past 30 agents; the enumeration cap (24, or
-    # CONNGAMES_EXACT_CAP) still refuses before a 2^30 table is allocated.
+    # The enumeration cap (24, or CONNGAMES_EXACT_CAP) refuses before a
+    # 2^30 table is allocated.
     domain = oracles.connected_graph_domain(random.Random(30), 30, n_edges=70)
     path = write_json(files["tmp"] / "graph30.json", domain_to_dict(domain))
 
@@ -358,10 +384,59 @@ def test_leastcore_past_the_enumeration_cap_exits_before_any_table(files, capsys
     for env, cap in ((None, 24), ("29", 29)):
         if env is not None:
             monkeypatch.setenv("CONNGAMES_EXACT_CAP", env)
-        code, out, err = run(capsys, ["leastcore", path, "--lp-cap", "40"])
+        code, out, err = run(capsys, ["leastcore", path])
         assert (code, out) == (3, "")
         assert err == (f"error: instance too large for exact solver: 30 agents "
                        f"exceeds the enumeration cap of {cap}\n")
+
+
+# One cell per (command, method, domain kind) that no test above pins. The
+# forest-quotient domain has a triangle of always-usable vertices, so its raw
+# graph is not a tree ("is_tree" false) while its contracted graph is a path.
+_OVER_CAP = ("error: instance too large for exact solver: 30 agents exceeds "
+             "the enumeration cap of 24\n")
+
+
+@pytest.mark.parametrize("argv, code, expected", [
+    (["indices", "{forest}"], 0, "tree-closed-form"),
+    (["indices", "{forest}", "--method", "tree"], 0, "tree-closed-form"),
+    (["indices", "{cycle4}"], 0, "exact-enumeration"),
+    (["indices", "{degenerate}"], 0, "exact-enumeration"),
+    (["indices", "{degenerate}", "--method", "tree"], 2,
+     "error: tree method not applicable: every coalition wins; tree solvers need "
+     "a non-degenerate domain\n"),
+    (["indices", "{path4}", "--method", "exact"], 0, "exact-enumeration"),
+    (["indices", "{path4}", "--method", "mc"], 0, "monte-carlo"),
+    (["indices", "{big}", "--index", "banzhaf"], 0, "monte-carlo"),
+    (["ecm", "{forest}", "{half}", "--epsilon", "0.5"], 0, "tree-essential-sum"),
+    (["ecm", "{degenerate}", "{one}", "--epsilon", "0"], 0, "exact-enumeration"),
+    (["ecm", "{big}", "{big_pay}", "--epsilon", "0.5"], 3, _OVER_CAP),
+    (["leastcore", "{forest}"], 0, "tree-closed-form"),
+], ids=["indices-auto-forest", "indices-tree-forest", "indices-auto-cycle",
+        "indices-auto-degenerate", "indices-tree-degenerate", "indices-exact-tree",
+        "indices-mc-tree", "indices-auto-over-cap", "ecm-forest", "ecm-degenerate",
+        "ecm-over-cap", "leastcore-forest"])
+def test_planner_dispatch(files, capsys, argv, code, expected):
+    tmp = files["tmp"]
+    forest = ConnectivityDomain(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (1, 5)],
+                                primary=(0, 4), backbone=(1, 2), standard=(3, 5))
+    big = oracles.connected_graph_domain(random.Random(30), 30, n_edges=70)
+    paths = dict(files,
+                 forest=write_json(tmp / "forest.json", domain_to_dict(forest)),
+                 big=write_json(tmp / "big.json", domain_to_dict(big)),
+                 one=write_json(tmp / "one.json", {"imputation": [1]}),
+                 big_pay=write_json(tmp / "big_pay.json", {"imputation": ["1/30"] * 30}))
+    got, out, err = run(capsys, [arg.format(**paths) for arg in argv] + ["--format", "json"])
+    assert got == code, err
+    if code:
+        assert (out, err) == ("", expected)
+        return
+    report = json.loads(out)
+    assert err == ""
+    methods = {row["method"] for row in report.get("results", [report])}
+    assert methods == {expected}
+    if "{forest}" in argv:
+        assert report["domain"]["is_tree"] is False
 
 
 def test_generate_setcover_roundtrip(files, capsys, tmp_path):
@@ -406,6 +481,32 @@ def test_generate_uncovered_item_warns_but_writes(files, capsys, tmp_path):
     assert code == 0
     assert "no cover exists" in err
     assert out_path.exists()
+
+
+def test_generate_lists_at_most_ten_uncovered_items(capsys, tmp_path):
+    inst = write_json(tmp_path / "gap.json", {"universe": 50, "sets": [[0]]})
+    code, _, err = run(capsys, ["generate", "setcover", inst,
+                                "--out", str(tmp_path / "gap_domain.json")])
+    assert code == 0
+    assert err == ("warning: items [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] ... and 39 more "
+                   "are in no set; no cover exists (count is 0)\n")
+
+
+@pytest.mark.parametrize("kind, instance, vertices", [
+    ("setcover", {"universe": 1000000000, "sets": []}, 1000000002),
+    ("vertexcover", {"vertices": 99999, "edges": [[0, 1]], "t": 1}, 100001),
+])
+def test_generate_past_the_vertex_bound_exit3_before_building(capsys, tmp_path, kind,
+                                                              instance, vertices):
+    inst = write_json(tmp_path / "huge.json", instance)
+    out_path = tmp_path / "huge_domain.json"
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["generate", kind, inst, "--out", str(out_path)])
+    assert time.perf_counter() - started < 0.5
+    assert (code, out) == (3, "")
+    assert err == (f"error: instance too large: its domain would have {vertices} "
+                   f"vertices, past the generator's bound of 100000\n")
+    assert not out_path.exists()
 
 
 def test_generate_malformed_instance_exit2(files, capsys, tmp_path):
@@ -523,6 +624,15 @@ def test_leastcore_16_agent_output_is_pinned(capsys):
                                   "--format", "json"])
     assert (code, err) == (0, "")
     assert out.encode() == (DATA / "leastcore16.json").read_bytes()
+
+
+def test_leastcore_20_agent_output_is_pinned(capsys):
+    # A 20-agent non-tree graph past the old least-core LP cap of 16; its 24
+    # minimal winning coalitions bound the rounds, the enumeration cap the table.
+    code, out, err = run(capsys, ["leastcore", str(DATA / "leastcore20_domain.json"),
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "leastcore20.json").read_bytes()
 
 
 def test_ecm_17_agent_output_is_pinned(capsys):

@@ -371,7 +371,7 @@ def test_least_core_single_agent_all_win_domain():
 
 def test_least_core_cap():
     with pytest.raises(CapExceededError):
-        least_core_value(oracles.cycle4(), lp_cap=1)
+        least_core_value(oracles.cycle4(), cap=1)
 
 
 def test_least_core_witness_is_feasible_and_optimal(corpus):
@@ -437,7 +437,7 @@ def test_least_core_refuses_past_the_enumeration_cap_before_any_table(monkeypatc
     monkeypatch.setattr(enumeration, "win_table", unbounded)
     for cap in (24, 29):
         with pytest.raises(CapExceededError) as exc:
-            least_core_value(domain, lp_cap=40, cap=cap)
+            least_core_value(domain, cap=cap)
         assert exc.value.cap == cap
 
 
@@ -479,16 +479,17 @@ def test_min_agent_cut_matches_largest_losing_coalition():
 def test_least_core_with_two_primary_regions_is_one_minus_inverse_cut():
     # Menger: kappa agent-disjoint paths each need 1 - eps, so eps >= 1 - 1/kappa,
     # and the equal split over a minimum cut pays every winning coalition 1/kappa.
+    # Past 16 agents only the enumeration cap (24) bounds the least core.
     rng = random.Random(1313)
-    cuts = {False: set(), True: set()}
-    for n in [*range(1, 13), *range(1, 13), *range(13, 17), *range(13, 17)]:
+    cuts = {0: set(), 1: set(), 2: set()}
+    for n in [*range(1, 13), *range(1, 13), *range(13, 17), *range(13, 17), *range(17, 25)]:
         domain = oracles.two_region_domain(rng, n)
         kappa = oracles.min_agent_cut(domain)
         result = least_core_value(domain)
         assert result.method == "exact-lp"
         assert result.epsilon == 1 - Fraction(1, kappa), (n, kappa)
-        cuts[n > 12].add(kappa)
-    assert len(cuts[False]) >= 3 and len(cuts[True]) >= 3
+        cuts[(n > 12) + (n > 16)].add(kappa)
+    assert all(len(kappas) >= 3 for kappas in cuts.values())
 
 
 def test_least_core_memory_at_16_agents():
