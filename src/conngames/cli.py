@@ -23,6 +23,7 @@ import re
 import sys
 import warnings
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
 from . import powerindex, reductions, stability, trees
@@ -118,8 +119,29 @@ def _domain_summary(domain, classification) -> dict:
     }
 
 
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2, sort_keys=True)`` for string-keyed data,
+    without the pure-Python encoder that ``indent`` selects: its nested
+    closures leave a reference cycle behind on every call."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if isinstance(value, int) and not isinstance(value, bool):
+        return int.__repr__(value)
+    if isinstance(value, float) and math.isfinite(value):
+        return float.__repr__(value)
+    inner = indent + "  "
+    if isinstance(value, dict) and value:
+        items = [f"{inner}{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
+                 for key, item in sorted(value.items())]
+        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)) and value:
+        items = [inner + _json_text(item, inner) for item in value]
+        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
+    return json.dumps(value)
+
+
 def _emit_json(report: dict) -> None:
-    print(json.dumps(report, indent=2, sort_keys=True))
+    print(_json_text(report))
 
 
 def _summary_lines(summary: dict) -> list[str]:
@@ -375,8 +397,7 @@ def cmd_leastcore(args) -> int:
 
 def _write_json(path: Path, payload: dict) -> None:
     try:
-        path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                        encoding="utf-8")
+        path.write_text(_json_text(payload) + "\n", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc}") from exc
 

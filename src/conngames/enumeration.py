@@ -1,10 +1,17 @@
-"""The win table and its reductions: criticality counts, size histograms and
-the minimal winning coalitions.
+"""The win table and its reductions: criticality size histograms and the
+minimal winning coalitions.
 
 The win table runs the domain's batched kernel (``ConnectivityDomain._win_bits``)
 over all 2^n coalitions in blocks of 2^k, with periodic bitsets for agents
-below k and constant ones above; tables are memoized on the domain. A block's
-bitsets go to the kernel as Python ints and come back as packed bytes.
+below k and constant ones above. A block's bitsets go to the kernel as Python
+ints and come back as packed bytes.
+
+The reductions read the table packed little-endian, bit b of byte j standing
+for mask 8j + b, and find the masks in which agent i is critical by one
+AND-NOT per agent: within each byte for i < 3, and for i >= 3 between the
+two halves of each run of 2^(i-2) bytes. One pass over those bytes gives
+every agent's histogram over coalition sizes, whose sums are the Banzhaf
+counts. Tables and histograms are memoized on the domain.
 """
 
 from __future__ import annotations
@@ -13,26 +20,42 @@ import numpy as np
 
 from .domain import ConnectivityDomain
 
-_CHUNK_BITS = 18  # 2^18-coalition blocks: 32 KB per vertex bitset
+# Win-table blocks of 2^18 coalitions (32 KB per vertex bitset), and 2^18
+# bytes per bincount in the reductions (a 2 MB intp copy).
+_CHUNK_BITS = 18
 _WIN_CACHE_KEY = "_win_table_cache"
+_HISTOGRAM_CACHE_KEY = "_histogram_cache"
+_IN_BYTE = (0xAA, 0xCC, 0xF0)  # bits b of a byte whose bit i is set, for i < 3
+# Row v: how many set bits of byte value v sit at bit positions of popcount 0..3.
+_BYTE_FOLD = np.stack([sum(np.arange(256) >> b & 1 for b in range(8) if bin(b).count("1") == k)
+                       for k in range(4)], axis=1).astype(np.float64)
+
+
+def _memoized(domain: ConnectivityDomain, key: str, compute) -> np.ndarray:
+    cached = domain.__dict__.get(key)
+    if cached is None:
+        domain.ensure_valid()
+        cached = compute()
+        cached.setflags(write=False)
+        domain.__dict__[key] = cached
+    return cached
 
 
 def win_table(domain: ConnectivityDomain) -> np.ndarray:
     """Boolean array of length 2^n; entry ``m`` is the value of coalition ``m``."""
-    cached = domain.__dict__.get(_WIN_CACHE_KEY)
-    if cached is not None:
-        return cached
-    domain.ensure_valid()
-    table = _compute_win_table(domain)
-    table.setflags(write=False)
-    domain.__dict__[_WIN_CACHE_KEY] = table
-    return table
+    return _memoized(domain, _WIN_CACHE_KEY, lambda: _compute_win_table(domain))
+
+
+def criticality_histograms(domain: ConnectivityDomain) -> np.ndarray:
+    """The domain's :func:`criticality_size_counts`, computed once per domain."""
+    return _memoized(domain, _HISTOGRAM_CACHE_KEY, lambda: criticality_size_counts(
+        win_table(domain), domain.n_agents))
 
 
 def _periodic_bitset(i: int, nbytes: int) -> int:
     """Bit m set iff bit i of m is set, for every m below 8 * ``nbytes``."""
     if i < 3:
-        period = bytes([(0xAA, 0xCC, 0xF0)[i]])
+        period = bytes([_IN_BYTE[i]])
     else:
         period = bytes(1 << (i - 3)) + b"\xff" * (1 << (i - 3))
     return int.from_bytes(period * (nbytes // len(period)), "little")
@@ -51,23 +74,6 @@ def _compute_win_table(domain: ConnectivityDomain) -> np.ndarray:
         row[:] = np.unpackbits(np.frombuffer(wins, np.uint8), count=row.size,
                                bitorder="little")
     return out.reshape(-1)
-
-
-def size_table(n: int) -> np.ndarray:
-    """uint8 array of length 2^n holding the popcount of each mask, filled by doubling."""
-    table = np.zeros(1 << n, dtype=np.uint8)
-    for i in range(n):
-        np.add(table[: 1 << i], 1, out=table[1 << i: 1 << (i + 1)])
-    return table
-
-
-def criticality_counts(win: np.ndarray, n: int) -> list[int]:
-    """Per agent, the number of coalitions containing it in which it is critical."""
-    counts = []
-    for i in range(n):
-        view = win.reshape(-1, 2, 1 << i)
-        counts.append(int(np.count_nonzero(view[:, 1, :] & ~view[:, 0, :])))
-    return counts
 
 
 def minimal_winning_masks(win: np.ndarray, n: int) -> np.ndarray:
@@ -100,7 +106,7 @@ def maximal_losing_masks(win: np.ndarray, n: int) -> np.ndarray:
 def _minimal_packed(packed: np.ndarray, n: int) -> np.ndarray:
     minimal = packed.copy()
     for i in range(min(n, 3)):
-        minimal &= ~(np.left_shift(packed, 1 << i) & (0xAA, 0xCC, 0xF0)[i])
+        minimal &= ~(np.left_shift(packed, 1 << i) & _IN_BYTE[i])
     for i in range(3, n):
         run = 1 << (i - 3)
         minimal.reshape(-1, 2 * run)[:, run:] &= ~packed.reshape(-1, 2 * run)[:, :run]
@@ -109,14 +115,41 @@ def _minimal_packed(packed: np.ndarray, n: int) -> np.ndarray:
     return at[rows] * 8 + bits
 
 
-def criticality_size_counts(win: np.ndarray, n: int) -> list[np.ndarray]:
-    """Per agent, a histogram over |C| of coalitions where the agent is critical."""
-    sizes = size_table(n)
-    out = []
+def criticality_size_counts(win: np.ndarray, n: int) -> np.ndarray:
+    """int64 array of shape (n, n + 1): row i counts, by size |C|, the
+    coalitions C in which agent i is critical (C wins, C minus i loses).
+
+    The size of mask 8j + b is popcount(j) + popcount(b). Each agent's
+    critical bytes are counted by (popcount(j), byte value) in one
+    ``bincount`` per 2^_CHUNK_BITS bytes, keyed by a uint16 holding
+    popcount(j) in its high byte, and the counts are folded into sizes by
+    the byte table ``_BYTE_FOLD``. For i >= 3 only the upper half of each
+    2^(i-2)-byte run can hold i; taken in order, those bytes' indices have
+    the popcounts of the upper half of all byte indices.
+    """
+    packed = np.packbits(win, bitorder="little")
+    groups = max(n - 3, 0) + 1  # popcount(j) ranges over 0..n-3
+    high = np.zeros(packed.size, dtype=np.uint16)  # popcount(j) << 8
+    for t in range(n - 3):
+        np.add(high[:1 << t], 256, out=high[1 << t: 2 << t])
+    folded = np.zeros((n, groups, 4))  # (agent, popcount(j), popcount(b))
+    chunk = 1 << _CHUNK_BITS
     for i in range(n):
-        w = win.reshape(-1, 2, 1 << i)
-        s = sizes.reshape(-1, 2, 1 << i)
-        crit = w[:, 1, :] & ~w[:, 0, :]
-        out.append(np.bincount(s[:, 1, :][crit], minlength=n + 1))
-    return out
+        if i < 3:
+            crit = packed & ~np.left_shift(packed, 1 << i) & _IN_BYTE[i]
+            keys = high
+        else:
+            run = 1 << (i - 3)
+            halves = packed.reshape(-1, 2 * run)
+            crit = (halves[:, run:] & ~halves[:, :run]).reshape(-1)
+            keys = high[high.size // 2:]
+        for lo in range(0, crit.size, chunk):
+            pairs = np.bincount(keys[lo:lo + chunk] | crit[lo:lo + chunk],
+                                minlength=groups << 8)
+            # A float64 product goes to BLAS; every count is below 2^53.
+            folded[i] += pairs.reshape(groups, 256).astype(np.float64) @ _BYTE_FOLD
+    out = np.zeros((n, groups + 3), dtype=np.int64)
+    for k in range(4):  # bit positions of popcount k add k to popcount(j)
+        out[:, k:k + groups] += folded[:, :, k].astype(np.int64)
+    return out[:, :n + 1]
 

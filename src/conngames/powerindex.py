@@ -1,6 +1,8 @@
 """Banzhaf indices and Shapley values, exact and Monte Carlo.
 
-Exact solvers enumerate all 2^n coalitions in rational arithmetic:
+Exact solvers enumerate all 2^n coalitions once, reduce the win table to
+per-agent histograms of critical coalitions by size, and sum those in
+integers, making one ``Fraction`` per value:
 
 * Banzhaf index of agent i: (number of coalitions containing i in which i is
   critical) / 2^(n-1).
@@ -102,8 +104,7 @@ def banzhaf_exact(domain: ConnectivityDomain, *, cap: int = DEFAULT_ENUMERATION_
     _check_cap(n, cap)
     if n == 0:
         return IndexVector(BANZHAF, (), EXACT_ENUMERATION)
-    win = enumeration.win_table(domain)
-    counts = enumeration.criticality_counts(win, n)
+    counts = enumeration.criticality_histograms(domain).sum(axis=1).tolist()
     denom = 1 << (n - 1)
     return IndexVector(BANZHAF, tuple(Fraction(c, denom) for c in counts), EXACT_ENUMERATION)
 
@@ -115,19 +116,10 @@ def shapley_exact(domain: ConnectivityDomain, *, cap: int = DEFAULT_ENUMERATION_
     _check_cap(n, cap)
     if n == 0:
         return IndexVector(SHAPLEY, (), EXACT_ENUMERATION)
-    win = enumeration.win_table(domain)
-    histograms = enumeration.criticality_size_counts(win, n)
+    weights = [math.factorial(size - 1) * math.factorial(n - size) for size in range(1, n + 1)]
     n_fact = math.factorial(n)
-    weight = [Fraction(0)] * (n + 1)
-    for size in range(1, n + 1):
-        weight[size] = Fraction(math.factorial(size - 1) * math.factorial(n - size), n_fact)
-    values = []
-    for hist in histograms:
-        total = Fraction(0)
-        for size, count in enumerate(hist):
-            if count:
-                total += weight[size] * int(count)
-        values.append(total)
+    values = [Fraction(sum(count * weight for count, weight in zip(hist[1:], weights)), n_fact)
+              for hist in enumeration.criticality_histograms(domain).tolist()]
     return IndexVector(SHAPLEY, tuple(values), EXACT_ENUMERATION)
 
 

@@ -33,6 +33,7 @@ from .errors import CapExceededError
 ORACLE_CAP = 20
 
 # Largest domain the builders write; a larger one is refused before building.
+# Set cover checks its edge count against it too: its sets form a clique.
 MAX_GENERATED_VERTICES = 100_000
 
 
@@ -91,10 +92,10 @@ class VertexCoverInstance:
         object.__setattr__(self, "edges", tuple(normalized))
 
 
-def _check_vertex_count(count: int) -> None:
+def _check_size(count: int, what: str = "vertices") -> None:
     if count > MAX_GENERATED_VERTICES:
         raise CapExceededError(
-            f"instance too large: its domain would have {count} vertices, "
+            f"instance too large: its domain would have {count} {what}, "
             f"past the generator's bound of {MAX_GENERATED_VERTICES}",
             MAX_GENERATED_VERTICES)
 
@@ -107,7 +108,9 @@ def setcover_to_cg(instance: SetCoverInstance) -> tuple[ConnectivityDomain, int]
     """
     n_sets = len(instance.sets)
     k = instance.universe_size
-    _check_vertex_count(n_sets + k + 2)
+    _check_size(n_sets + k + 2)
+    # The clique on the sets and v_a, one edge per membership, and v_b's edge.
+    _check_size((n_sets + 1) * n_sets // 2 + sum(map(len, instance.sets)) + 1, "edges")
     v_a = n_sets
     item_base = n_sets + 1
     v_b = item_base + k
@@ -160,7 +163,7 @@ def vertexcover_to_ecm(
     imputation, and the membership threshold eps = 1 - t/n.
     """
     n = instance.vertex_count
-    _check_vertex_count(n + len(instance.edges) + 1)
+    _check_size(n + len(instance.edges) + 1)
     if n == 0:
         raise ValueError("vertex-cover instance needs at least one vertex")
     if len(instance.edges) < 2:

@@ -1,3 +1,4 @@
+import gc
 import json
 import os
 import random
@@ -350,6 +351,21 @@ def test_tree_query_builds_the_quotient_at_most_once(files, capsys, monkeypatch,
     assert len(built) <= 2
 
 
+def test_indices_both_builds_the_histograms_once(capsys, monkeypatch):
+    calls = []
+    counts = enumeration.criticality_size_counts
+
+    def counting(win, n):
+        calls.append(n)
+        return counts(win, n)
+
+    monkeypatch.setattr(enumeration, "criticality_size_counts", counting)
+    code, _, _ = run(capsys, ["indices", str(DATA / "indices20_domain.json"),
+                              "--index", "both", "--method", "exact"])
+    assert code == 0
+    assert calls == [20]
+
+
 def test_leastcore_cycle(files, capsys):
     code, out, _ = run(capsys, ["leastcore", files["cycle4"], "--format", "json"])
     assert code == 0
@@ -509,6 +525,19 @@ def test_generate_past_the_vertex_bound_exit3_before_building(capsys, tmp_path, 
     assert not out_path.exists()
 
 
+def test_generate_setcover_past_the_edge_bound_exit3_before_building(capsys, tmp_path):
+    # 2000 one-item sets: 2001 * 2000 / 2 clique edges, 2000 item edges and v_b's.
+    inst = write_json(tmp_path / "sets.json", {"universe": 1, "sets": [[0]] * 2000})
+    out_path = tmp_path / "sets_domain.json"
+    started = time.perf_counter()
+    code, out, err = run(capsys, ["generate", "setcover", inst, "--out", str(out_path)])
+    assert time.perf_counter() - started < 0.5
+    assert (code, out) == (3, "")
+    assert err == ("error: instance too large: its domain would have 2003001 edges, "
+                   "past the generator's bound of 100000\n")
+    assert not out_path.exists()
+
+
 def test_generate_malformed_instance_exit2(files, capsys, tmp_path):
     inst = write_json(tmp_path / "broken.json", {"universe": 2})
     code, _, _ = run(capsys, ["generate", "setcover", inst, "--out",
@@ -655,6 +684,15 @@ def test_setcover_past_62_vertices_exact_output_is_pinned(capsys):
     assert out.encode() == (DATA / "setcover15_exact.json").read_bytes()
 
 
+def test_indices_20_agent_output_is_pinned(capsys):
+    # A 20-agent non-tree graph: both exact indices from one 2^20 table and
+    # one pass of histograms.
+    code, out, err = run(capsys, ["indices", str(DATA / "indices20_domain.json"),
+                                  "--index", "both", "--method", "exact", "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "indices20.json").read_bytes()
+
+
 def test_core_48_agent_output_is_pinned(capsys):
     # A 48-agent non-tree graph (a spanning tree plus 10 chords) with two
     # veto agents; one batch of 48 coalitions finds both.
@@ -751,3 +789,34 @@ def test_cli_exit_codes_hold_for_any_json_input(tmp_path, capsys, monkeypatch, i
                  ["generate", "vertexcover", "{vertexcover}", "--out", out]):
         code, _, err = run(capsys, [arg.format(**paths) for arg in argv])
         assert code in (0, 2, 3, 4), (argv, err)
+
+
+# ---------------------------------------------------------------- JSON text
+
+_JSON_TEXT = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text()
+    | st.floats() | st.sampled_from([-0.0, 1e300, float("nan"), float("-inf")]),
+    lambda children: (st.lists(children, max_size=4) | st.dictionaries(st.text(), children,
+                                                                        max_size=4)),
+    max_leaves=20)
+
+
+@settings(max_examples=300, deadline=None)
+@given(value=_JSON_TEXT)
+def test_json_text_matches_json_dumps(value):
+    assert cli._json_text(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_report_leaves_no_reference_cycle(capsys):
+    argv = ["leastcore", str(DATA / "leastcore14_domain.json"), "--format", "json"]
+    run(capsys, argv)
+    gc.collect()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        run(capsys, argv)
+        gc.collect()
+        garbage = len(gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+    assert garbage == 0

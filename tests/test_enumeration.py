@@ -1,6 +1,8 @@
 import random
 import tracemalloc
+from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,11 +18,10 @@ from conngames import (
     veto_players,
 )
 from conngames.enumeration import (
-    criticality_counts,
+    criticality_histograms,
     criticality_size_counts,
     maximal_losing_masks,
     minimal_winning_masks,
-    size_table,
     win_table,
 )
 
@@ -109,11 +110,19 @@ def test_win_table_cached_per_domain():
 
 
 def test_size_table():
-    sizes = size_table(4)
-    assert sizes.tolist() == [bin(m).count("1") for m in range(16)]
+    # Parity game: C wins iff |C| is odd, so every member of an odd-sized
+    # coalition is critical, and agent i's histogram is C(n-1, s-1) at odd s.
+    for n in range(13):
+        table = np.array([bin(m).count("1") % 2 == 1 for m in range(1 << n)])
+        expected = [comb(n - 1, s - 1) if s % 2 else 0 for s in range(n + 1)]
+        hist = criticality_size_counts(table, n)
+        assert hist.shape == (n, n + 1)
+        assert all(row == expected for row in hist.tolist())
+        assert hist.sum() == (n << (n - 2) if n >= 2 else n)
 
 
 def test_criticality_counts_against_definition():
+    # The Banzhaf counts are the histograms' row sums.
     rng = random.Random(13)
     for _ in range(20):
         domain = oracles.random_graph_domain(rng, max_agents=6)
@@ -125,7 +134,7 @@ def test_criticality_counts_against_definition():
             expected.append(sum(
                 1 for mask in range(1 << n)
                 if mask & bit and table[mask] and not table[mask ^ bit]))
-        assert criticality_counts(table, n) == expected
+        assert criticality_size_counts(table, n).sum(axis=1).tolist() == expected
 
 
 def test_criticality_size_counts_against_definition():
@@ -142,6 +151,49 @@ def test_criticality_size_counts_against_definition():
                 if mask & bit and table[mask] and not table[mask ^ bit]:
                     expected[bin(mask).count("1")] += 1
             assert got[agent].tolist() == expected
+
+
+def _histograms_by_definition(table, n):
+    sizes = [bin(mask).count("1") for mask in range(1 << n)]
+    out = [[0] * (n + 1) for _ in range(n)]
+    for agent in range(n):
+        bit = 1 << agent
+        for mask in range(1 << n):
+            if mask & bit and table[mask] and not table[mask ^ bit]:
+                out[agent][sizes[mask]] += 1
+    return out
+
+
+@pytest.mark.parametrize("chunk_bits", [3, enumeration._CHUNK_BITS])
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1),
+       density=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]), monotone=st.booleans())
+def test_criticality_size_counts_match_definition_on_any_table(chunk_bits, n, seed,
+                                                                density, monotone):
+    # Arbitrary tables, not only games: n < 3 leaves a partly used byte, and
+    # n = 12 has byte indices past 255 (popcounts up to 9). 3-bit chunks split
+    # the counting of n >= 7 into several calls.
+    rng = np.random.default_rng(seed)
+    if monotone:  # a weighted threshold game
+        weights = rng.integers(0, 5, n)
+        sums = np.array([sum(int(w) for i, w in enumerate(weights) if m >> i & 1)
+                         for m in range(1 << n)])
+        table = sums >= density * weights.sum()
+    else:
+        table = rng.random(1 << n) < density
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "_CHUNK_BITS", chunk_bits)
+        got = criticality_size_counts(table, n)
+    assert got.shape == (n, n + 1)
+    assert got.tolist() == _histograms_by_definition(table.tolist(), n)
+
+
+def test_criticality_histograms_cached_per_domain():
+    domain = oracles.cycle4()
+    hist = criticality_histograms(domain)
+    assert hist is criticality_histograms(domain)
+    assert not hist.flags.writeable
+    assert hist.tolist() == criticality_size_counts(win_table(domain), 2).tolist()
 
 
 def test_minimal_winning_masks_against_definition():

@@ -21,6 +21,7 @@ from conngames import (
     banzhaf_exact,
     banzhaf_mc,
     banzhaf_mc_all,
+    classify,
     coalition_value,
     domain_to_dict,
     powerindex,
@@ -263,3 +264,20 @@ def test_mc_run_does_not_load_openssl(tmp_path):
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                          text=True, check=True).stdout
     assert out.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("n_agents, n_edges, seed, bound_mb", [(18, 85, 26, 4), (24, 120, 24, 32)])
+def test_exact_indices_memory(n_agents, n_edges, seed, bound_mb):
+    # The win table's 2^n bools included (16 MB at 24 agents). The reductions
+    # read the table packed, 2^(n-3) bytes, and allocate no other 2^n-entry
+    # array; the earlier bool passes over a 2^n size table peaked at 48 MB here.
+    domain = oracles.connected_graph_domain(random.Random(seed), n_agents, n_edges=n_edges)
+    assert not classify(domain).degenerate
+    tracemalloc.start()
+    try:
+        banzhaf_exact(domain)
+        shapley_exact(domain)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < bound_mb * 2 ** 20
