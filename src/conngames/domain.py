@@ -8,7 +8,7 @@ primary and backbone vertices, connect every pair of primary vertices.
 
 Primary and backbone vertices are usable in every coalition, so contracting
 each connected region of them keeps every coalition's value. A domain builds
-that quotient at most once (``_quotient``), and the tree solvers run on it.
+that quotient once (``_quotient``), and the tree test checks it is a forest.
 
 Every coalition is evaluated by one bit-sliced kernel, ``_win_bits``, over a
 batch of coalitions at a time: each agent brings a membership bitset over

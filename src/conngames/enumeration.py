@@ -1,17 +1,17 @@
 """The win table and its reductions: criticality size histograms and the
 minimal winning coalitions.
 
-The win table runs the domain's batched kernel (``ConnectivityDomain._win_bits``)
-over all 2^n coalitions in blocks of 2^k, with periodic bitsets for agents
-below k and constant ones above. A block's bitsets go to the kernel as Python
-ints and come back as packed bytes.
+The win table holds the values of all 2^n coalitions as packed bits, the
+format the domain's batched kernel (``ConnectivityDomain._win_bits``)
+returns: bit b of byte j is the value of mask 8j + b, and the bits past 2^n
+(n < 3) are clear. It is built in blocks of 2^k coalitions, with periodic
+bitsets for agents below k and constant ones above.
 
-The reductions read the table packed little-endian, bit b of byte j standing
-for mask 8j + b, and find the masks in which agent i is critical by one
-AND-NOT per agent: within each byte for i < 3, and for i >= 3 between the
-two halves of each run of 2^(i-2) bytes. One pass over those bytes gives
-every agent's histogram over coalition sizes, whose sums are the Banzhaf
-counts. Tables and histograms are memoized on the domain.
+The reductions read those bytes as they are and find the masks in which
+agent i is critical by one AND-NOT per agent: within each byte for i < 3,
+and for i >= 3 between the two halves of each run of 2^(i-2) bytes. One pass
+gives every agent's histogram over coalition sizes, whose sums are the
+Banzhaf counts. Tables and histograms are memoized on the domain.
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ _CHUNK_BITS = 18
 _WIN_CACHE_KEY = "_win_table_cache"
 _HISTOGRAM_CACHE_KEY = "_histogram_cache"
 _IN_BYTE = (0xAA, 0xCC, 0xF0)  # bits b of a byte whose bit i is set, for i < 3
+_REVERSED = np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np.uint8)
 # Row v: how many set bits of byte value v sit at bit positions of popcount 0..3.
 _BYTE_FOLD = np.stack([sum(np.arange(256) >> b & 1 for b in range(8) if bin(b).count("1") == k)
                        for k in range(4)], axis=1).astype(np.float64)
@@ -42,7 +43,9 @@ def _memoized(domain: ConnectivityDomain, key: str, compute) -> np.ndarray:
 
 
 def win_table(domain: ConnectivityDomain) -> np.ndarray:
-    """Boolean array of length 2^n; entry ``m`` is the value of coalition ``m``."""
+    """The packed win table: a read-only uint8 array of max(1, 2^(n-3))
+    bytes, bit b of byte j holding the value of coalition 8j + b. The bits
+    past 2^n are clear."""
     return _memoized(domain, _WIN_CACHE_KEY, lambda: _compute_win_table(domain))
 
 
@@ -65,26 +68,31 @@ def _compute_win_table(domain: ConnectivityDomain) -> np.ndarray:
     n = domain.n_agents
     k = min(n, _CHUNK_BITS)
     nbytes = max(1, 1 << k >> 3)
-    full = (1 << 8 * nbytes) - 1
+    full = (1 << (1 << k)) - 1  # the block's 2^k coalitions; padding bits stay clear
     usable = [_periodic_bitset(i, nbytes) for i in range(k)]
-    out = np.empty((1 << (n - k), 1 << k), dtype=bool)
-    for high, row in enumerate(out):
+    blocks = []
+    for high in range(1 << (n - k)):
         usable[k:] = [full if high >> (i - k) & 1 else 0 for i in range(k, n)]
-        wins = domain._win_bits(usable, full).to_bytes(nbytes, "little")
-        row[:] = np.unpackbits(np.frombuffer(wins, np.uint8), count=row.size,
-                               bitorder="little")
-    return out.reshape(-1)
+        blocks.append(domain._win_bits(usable, full).to_bytes(nbytes, "little"))
+    return np.frombuffer(b"".join(blocks), dtype=np.uint8)
 
 
 def minimal_winning_masks(win: np.ndarray, n: int) -> np.ndarray:
     """Ascending masks of the winning coalitions in which every member is critical.
 
-    The table is packed little-endian, bit m of byte b standing for mask
-    8b + m, and mask m is struck off when m ^ 2^i wins for a member i: within
-    each byte for i < 3 (a shift and a constant mask), and from the low half
-    of each run of 2^(i-2) bytes onto its high half for i >= 3.
+    Mask m is struck off when m ^ 2^i wins for a member i: within each byte
+    for i < 3 (a shift and a constant mask), and from the low half of each
+    run of 2^(i-2) bytes onto its high half for i >= 3.
     """
-    return _minimal_packed(np.packbits(win, bitorder="little"), n)
+    minimal = win.copy()
+    for i in range(min(n, 3)):
+        minimal &= ~(np.left_shift(win, 1 << i) & _IN_BYTE[i])
+    for i in range(3, n):
+        run = 1 << (i - 3)
+        minimal.reshape(-1, 2 * run)[:, run:] &= ~win.reshape(-1, 2 * run)[:, :run]
+    at = np.flatnonzero(minimal)
+    rows, bits = np.nonzero(np.unpackbits(minimal[at, None], axis=1, bitorder="little"))
+    return at[rows] * 8 + bits
 
 
 def maximal_losing_masks(win: np.ndarray, n: int) -> np.ndarray:
@@ -92,27 +100,12 @@ def maximal_losing_masks(win: np.ndarray, n: int) -> np.ndarray:
     winning: the complements of the dual game's minimal winning coalitions
     (C wins the dual game iff its complement loses).
 
-    The dual table is packed without a 2^n copy of the table: bytes packed
-    big-endian and reversed put mask 2^n - 1 - m at bit m. That needs whole
-    bytes, so a table of n < 3 (at most 4 entries) is reversed and copied.
+    Reversing the bytes and the bits of each byte puts mask 2^n - 1 - m at
+    bit m, past the 8 - 2^n padding bits of a table of n < 3; the shift
+    drops those and leaves the new padding clear.
     """
-    if n >= 3:
-        dual = ~np.packbits(win, bitorder="big")[::-1]
-    else:
-        dual = np.packbits(~win[::-1], bitorder="little")
-    return ((1 << n) - 1) ^ _minimal_packed(dual, n)
-
-
-def _minimal_packed(packed: np.ndarray, n: int) -> np.ndarray:
-    minimal = packed.copy()
-    for i in range(min(n, 3)):
-        minimal &= ~(np.left_shift(packed, 1 << i) & _IN_BYTE[i])
-    for i in range(3, n):
-        run = 1 << (i - 3)
-        minimal.reshape(-1, 2 * run)[:, run:] &= ~packed.reshape(-1, 2 * run)[:, :run]
-    at = np.flatnonzero(minimal)
-    rows, bits = np.nonzero(np.unpackbits(minimal[at, None], axis=1, bitorder="little"))
-    return at[rows] * 8 + bits
+    dual = ~_REVERSED[win[::-1]] >> max(0, 8 - (1 << n))
+    return ((1 << n) - 1) ^ minimal_winning_masks(dual, n)
 
 
 def criticality_size_counts(win: np.ndarray, n: int) -> np.ndarray:
@@ -127,20 +120,19 @@ def criticality_size_counts(win: np.ndarray, n: int) -> np.ndarray:
     2^(i-2)-byte run can hold i; taken in order, those bytes' indices have
     the popcounts of the upper half of all byte indices.
     """
-    packed = np.packbits(win, bitorder="little")
     groups = max(n - 3, 0) + 1  # popcount(j) ranges over 0..n-3
-    high = np.zeros(packed.size, dtype=np.uint16)  # popcount(j) << 8
+    high = np.zeros(win.size, dtype=np.uint16)  # popcount(j) << 8
     for t in range(n - 3):
         np.add(high[:1 << t], 256, out=high[1 << t: 2 << t])
     folded = np.zeros((n, groups, 4))  # (agent, popcount(j), popcount(b))
     chunk = 1 << _CHUNK_BITS
     for i in range(n):
         if i < 3:
-            crit = packed & ~np.left_shift(packed, 1 << i) & _IN_BYTE[i]
+            crit = win & ~np.left_shift(win, 1 << i) & _IN_BYTE[i]
             keys = high
         else:
             run = 1 << (i - 3)
-            halves = packed.reshape(-1, 2 * run)
+            halves = win.reshape(-1, 2 * run)
             crit = (halves[:, run:] & ~halves[:, :run]).reshape(-1)
             keys = high[high.size // 2:]
         for lo in range(0, crit.size, chunk):
@@ -152,4 +144,3 @@ def criticality_size_counts(win: np.ndarray, n: int) -> np.ndarray:
     for k in range(4):  # bit positions of popcount k add k to popcount(j)
         out[:, k:k + groups] += folded[:, :, k].astype(np.int64)
     return out[:, :n + 1]
-

@@ -19,6 +19,8 @@ m samples from its own seeded stream: uniform subsets of the other agents
 all agents are cut into blocks, and each block's coalitions, every sample
 without and then with its agent, are evaluated by one call of the domain's
 batched kernel (``ConnectivityDomain._win_bits``); memory does not grow with m.
+A run of more than 2^23 samples in all (two coalitions each, as many as the
+table at the default enumeration cap) is refused before any draw.
 """
 
 from __future__ import annotations
@@ -47,6 +49,8 @@ except ImportError:
         from hashlib import sha256 as _sha256
 
 DEFAULT_ENUMERATION_CAP = 24
+# Monte Carlo samples per run: two coalitions each, as many as the 2^24 table.
+_MC_SAMPLE_BOUND = 1 << (DEFAULT_ENUMERATION_CAP - 1)
 _BLOCK_BITS = 12  # Monte Carlo coalitions per kernel call: 2^12, 512 bytes per vertex
 
 BANZHAF = "banzhaf"
@@ -73,7 +77,11 @@ class ApproxParams:
 
     @property
     def samples(self) -> int:
-        return max(1, math.ceil(math.log(2.0 / self.delta) / (2.0 * self.epsilon ** 2)))
+        try:
+            return max(1, math.ceil(math.log(2.0 / self.delta) / (2.0 * self.epsilon ** 2)))
+        except (ZeroDivisionError, OverflowError):  # epsilon < 1e-154 or delta < 1e-308
+            log_term = Fraction(math.log(2.0) - math.log(self.delta))
+            return math.ceil(log_term / (2 * Fraction(self.epsilon) ** 2))
 
 
 @dataclass(frozen=True)
@@ -218,11 +226,16 @@ def _estimates(domain, kind, streams, m: int) -> list[float]:
     coalitions, every sample without and then with its agent, go to the
     domain's kernel in one call, one Python int per agent.
     """
+    total = len(streams) * m
+    if total > _MC_SAMPLE_BOUND:
+        shown = m if m < 10 ** 15 else f"about 10^{len(str(m)) - 1}"
+        raise CapExceededError(
+            f"Monte Carlo run too large: {len(streams)} agents x {shown} samples "
+            f"exceeds the bound of {_MC_SAMPLE_BOUND} samples", _MC_SAMPLE_BOUND)
     n = domain.n_agents
     draws = _banzhaf_draws if kind == BANZHAF else _shapley_draws
     agents = np.array([agent for agent, _ in streams], dtype=np.intp)
     counts = np.zeros(len(streams), dtype=np.int64)
-    total = len(streams) * m
     capacity = 1 << (_BLOCK_BITS - 1)
     current, draw = -1, None
     for lo in range(0, total, capacity):

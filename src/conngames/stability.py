@@ -184,7 +184,7 @@ def max_excess(domain: ConnectivityDomain, payoffs, *,
     if negative:
         losing = [negative & m for m in enumeration.maximal_losing_masks(win, n).tolist()]
     else:
-        losing = [] if win[0] else [0]
+        losing = [] if win[0] & 1 else [0]
     keys = []
     for masks, value in ((winning, 1), (losing, 0)):
         if masks:

@@ -152,6 +152,18 @@ def test_indices_auto_falls_back_to_mc_over_cap(files, capsys, monkeypatch):
     assert "monte-carlo" in out
 
 
+@pytest.mark.parametrize("accuracy", [["--epsilon", "1e-6"], ["--epsilon", "1e-160"],
+                                      ["--epsilon", "1e-170"], ["--epsilon", "5e-324"],
+                                      ["--epsilon", "1e-5", "--delta", "5e-324"]])
+def test_indices_mc_tiny_epsilon_exit3(files, capsys, accuracy):
+    # One agent, yet about 10^12 samples and more: refused before any draw.
+    path = write_json(files["tmp"] / "path3.json", domain_to_dict(oracles.path3()))
+    code, out, err = run(capsys, ["indices", path, "--method", "mc", *accuracy])
+    assert (code, out) == (3, "")
+    assert err.startswith("error: Monte Carlo run too large: 1 agents x ")
+    assert err.endswith("samples exceeds the bound of 8388608 samples\n")
+
+
 @pytest.mark.parametrize("env, argv", [
     ("CONNGAMES_EXACT_CAP", ["indices", "cycle4"]),
     ("CONNGAMES_EXACT_CAP", ["ecm", "cycle4", "half", "--epsilon", "0.5"]),

@@ -11,10 +11,13 @@ import oracles
 import strategies
 from conngames import (
     ConnectivityDomain,
+    banzhaf_exact,
     classify,
     coalition_value,
     enumeration,
     is_critical,
+    max_excess,
+    shapley_exact,
     veto_players,
 )
 from conngames.enumeration import (
@@ -26,29 +29,42 @@ from conngames.enumeration import (
 )
 
 
+def _pack(table) -> np.ndarray:
+    """A table of 2^n bools in the packed format of ``win_table``."""
+    return np.packbits(np.asarray(table, dtype=bool), bitorder="little")
+
+
+def _unpack(win: np.ndarray, n: int) -> list[bool]:
+    """The 2^n entries of a packed table as bools; its padding must be clear."""
+    bits = np.unpackbits(win, bitorder="little").view(bool)
+    assert win.dtype == np.uint8 and win.size == max(1, (1 << n) >> 3)
+    assert not bits[1 << n:].any()
+    return bits[:1 << n].tolist()
+
+
 def test_win_table_matches_reference_on_named_domains():
     for domain in (oracles.path3(), oracles.path4(), oracles.cycle4(),
                    oracles.star_domain(), oracles.path3_with_leaf(),
                    oracles.single_primary_domain(), oracles.all_lose_domain()):
-        table = win_table(domain)
-        assert table.tolist() == [bool(v) for v in oracles.reference_table(domain)]
+        assert _unpack(win_table(domain), domain.n_agents) == \
+            [bool(v) for v in oracles.reference_table(domain)]
 
 
 def test_win_table_matches_reference_on_random_domains():
     rng = random.Random(77)
     for _ in range(30):
         domain = oracles.random_graph_domain(rng, max_agents=7)
-        assert win_table(domain).tolist() == \
+        assert _unpack(win_table(domain), domain.n_agents) == \
             [bool(v) for v in oracles.reference_table(domain)]
 
 
-def test_win_table_python_fallback_for_wide_graphs():
+def test_win_table_on_a_domain_past_62_vertices():
     # A 70-vertex domain: a path padded with isolated backbones.
     domain = ConnectivityDomain(
         70, ((0, 1), (1, 2)), primary=(0, 2), backbone=tuple(range(3, 70)),
         standard=(1,))
     assert domain.vertex_count > 62
-    assert win_table(domain).tolist() == [False, True]
+    assert _unpack(win_table(domain), 1) == [False, True]
 
 
 @pytest.mark.parametrize("chunk_bits", [3, enumeration._CHUNK_BITS])
@@ -60,7 +76,8 @@ def test_win_table_matches_scalar_evaluator(chunk_bits, domain):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "_CHUNK_BITS", chunk_bits)
         table = win_table(domain)
-    assert table.tolist() == [bool(v) for v in oracles.reference_table(domain)]
+    assert not table.flags.writeable
+    assert _unpack(table, domain.n_agents) == [bool(v) for v in oracles.reference_table(domain)]
 
 
 @settings(max_examples=100, deadline=None)
@@ -115,7 +132,7 @@ def test_size_table():
     for n in range(13):
         table = np.array([bin(m).count("1") % 2 == 1 for m in range(1 << n)])
         expected = [comb(n - 1, s - 1) if s % 2 else 0 for s in range(n + 1)]
-        hist = criticality_size_counts(table, n)
+        hist = criticality_size_counts(_pack(table), n)
         assert hist.shape == (n, n + 1)
         assert all(row == expected for row in hist.tolist())
         assert hist.sum() == (n << (n - 2) if n >= 2 else n)
@@ -127,14 +144,14 @@ def test_criticality_counts_against_definition():
     for _ in range(20):
         domain = oracles.random_graph_domain(rng, max_agents=6)
         n = domain.n_agents
-        table = win_table(domain)
+        table = _unpack(win_table(domain), n)
         expected = []
         for agent in range(n):
             bit = 1 << agent
             expected.append(sum(
                 1 for mask in range(1 << n)
                 if mask & bit and table[mask] and not table[mask ^ bit]))
-        assert criticality_size_counts(table, n).sum(axis=1).tolist() == expected
+        assert criticality_size_counts(win_table(domain), n).sum(axis=1).tolist() == expected
 
 
 def test_criticality_size_counts_against_definition():
@@ -142,8 +159,8 @@ def test_criticality_size_counts_against_definition():
     for _ in range(10):
         domain = oracles.random_graph_domain(rng, max_agents=6)
         n = domain.n_agents
-        table = win_table(domain)
-        got = criticality_size_counts(table, n)
+        table = _unpack(win_table(domain), n)
+        got = criticality_size_counts(win_table(domain), n)
         for agent in range(n):
             bit = 1 << agent
             expected = [0] * (n + 1)
@@ -164,26 +181,34 @@ def _histograms_by_definition(table, n):
     return out
 
 
+def _drawn_table(n, seed, density, monotone) -> np.ndarray:
+    """2^n bools: a weighted threshold game, or independent draws."""
+    rng = np.random.default_rng(seed)
+    if monotone:
+        weights = rng.integers(0, 5, n)
+        sums = np.array([sum(int(w) for i, w in enumerate(weights) if m >> i & 1)
+                         for m in range(1 << n)])
+        return sums >= density * weights.sum()
+    return rng.random(1 << n) < density
+
+
+_ANY_TABLE = dict(n=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1),
+                  density=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]),
+                  monotone=st.booleans())
+
+
 @pytest.mark.parametrize("chunk_bits", [3, enumeration._CHUNK_BITS])
 @settings(max_examples=60, deadline=None)
-@given(n=st.integers(0, 12), seed=st.integers(0, 2 ** 32 - 1),
-       density=st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0]), monotone=st.booleans())
+@given(**_ANY_TABLE)
 def test_criticality_size_counts_match_definition_on_any_table(chunk_bits, n, seed,
                                                                 density, monotone):
     # Arbitrary tables, not only games: n < 3 leaves a partly used byte, and
     # n = 12 has byte indices past 255 (popcounts up to 9). 3-bit chunks split
     # the counting of n >= 7 into several calls.
-    rng = np.random.default_rng(seed)
-    if monotone:  # a weighted threshold game
-        weights = rng.integers(0, 5, n)
-        sums = np.array([sum(int(w) for i, w in enumerate(weights) if m >> i & 1)
-                         for m in range(1 << n)])
-        table = sums >= density * weights.sum()
-    else:
-        table = rng.random(1 << n) < density
+    table = _drawn_table(n, seed, density, monotone)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(enumeration, "_CHUNK_BITS", chunk_bits)
-        got = criticality_size_counts(table, n)
+        got = criticality_size_counts(_pack(table), n)
     assert got.shape == (n, n + 1)
     assert got.tolist() == _histograms_by_definition(table.tolist(), n)
 
@@ -201,15 +226,58 @@ def test_minimal_winning_masks_against_definition():
     for _ in range(20):
         domain = oracles.random_graph_domain(rng, max_agents=9)
         n = domain.n_agents
-        table = win_table(domain)
-        dual = ~table[::-1]  # C wins the dual game iff its complement loses
+        table = _unpack(win_table(domain), n)
+        dual = [not v for v in table[::-1]]  # C wins the dual game iff its complement loses
         for game in (table, dual):
             expected = [mask for mask in range(1 << n) if game[mask] and all(
                 not game[mask ^ (1 << i)] for i in range(n) if mask >> i & 1)]
-            assert minimal_winning_masks(game, n).tolist() == expected
+            assert minimal_winning_masks(_pack(game), n).tolist() == expected
         maximal_losing = [mask for mask in range(1 << n) if not table[mask] and all(
             table[mask | 1 << i] for i in range(n) if not mask >> i & 1)]
         full = (1 << n) - 1
-        assert sorted(full ^ m for m in minimal_winning_masks(dual, n).tolist()) == \
+        assert sorted(full ^ m for m in minimal_winning_masks(_pack(dual), n).tolist()) == \
             maximal_losing
-        assert maximal_losing_masks(table, n).tolist() == maximal_losing[::-1]
+        assert maximal_losing_masks(win_table(domain), n).tolist() == maximal_losing[::-1]
+
+
+@settings(max_examples=80, deadline=None)
+@given(**_ANY_TABLE)
+def test_minimal_and_maximal_masks_match_definition_on_any_table(n, seed, density,
+                                                                   monotone):
+    # Arbitrary tables, not only games: for n < 3 the dual table is shifted
+    # down past the padding of a partly used byte.
+    table = _drawn_table(n, seed, density, monotone).tolist()
+    win = _pack(table)
+    minimal = [mask for mask in range(1 << n) if table[mask] and all(
+        not table[mask ^ 1 << i] for i in range(n) if mask >> i & 1)]
+    maximal = [mask for mask in range(1 << n) if not table[mask] and all(
+        table[mask | 1 << i] for i in range(n) if not mask >> i & 1)]
+    assert minimal_winning_masks(win, n).tolist() == minimal
+    assert maximal_losing_masks(win, n).tolist() == maximal[::-1]
+
+
+@settings(max_examples=60, deadline=None)
+@given(domain=strategies.domains(), data=st.data())
+def test_relabelling_agents_permutes_every_answer(domain, data):
+    # Agent j of the relabelled domain owns the vertex of agent perm[j]. A
+    # permutation moves agents between the in-byte (i < 3) and run (i >= 3)
+    # cases of every packed pass.
+    n = domain.n_agents
+    perm = data.draw(st.permutations(range(n)))
+    relabelled = ConnectivityDomain(domain.vertex_count, domain.edges, domain.primary,
+                                    domain.backbone, tuple(domain.standard[k] for k in perm))
+
+    def moved(mask):
+        return sum(1 << j for j, k in enumerate(perm) if mask >> k & 1)
+
+    for exact in (banzhaf_exact, shapley_exact):
+        values = exact(domain).values
+        assert exact(relabelled).values == tuple(values[k] for k in perm)
+    assert minimal_winning_masks(win_table(relabelled), n).tolist() == \
+        sorted(moved(m) for m in minimal_winning_masks(win_table(domain), n).tolist())
+    if n:
+        total = 0 if classify(domain).degenerate_all_lose else 1
+        payoffs = data.draw(strategies.payoffs(n, total))
+        assert max_excess(relabelled, [payoffs[k] for k in perm],
+                          allow_negative=True).max_excess == \
+            max_excess(domain, payoffs, allow_negative=True).max_excess

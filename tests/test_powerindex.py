@@ -113,6 +113,10 @@ def test_approx_params_sample_count():
     params = ApproxParams(0.05, 0.05, seed=1)
     assert params.samples == math.ceil(math.log(2 / 0.05) / (2 * 0.05 ** 2))
     assert ApproxParams(1.0, 0.99).samples >= 1
+    for epsilon, delta in ((1e-160, 0.05), (1e-170, 0.05), (5e-324, 0.05), (0.05, 5e-324)):
+        # The float bound overflows; the count is exact.
+        exact = Fraction(math.log(2) - math.log(delta)) / (2 * Fraction(epsilon) ** 2)
+        assert ApproxParams(epsilon, delta).samples == math.ceil(exact)
 
 
 def test_approx_params_validation():
@@ -122,6 +126,31 @@ def test_approx_params_validation():
         ApproxParams(0.5, 0.0)
     with pytest.raises(ValueError):
         ApproxParams(0.5, 1.0)
+
+
+@pytest.mark.parametrize("estimator", [banzhaf_mc_all, shapley_mc_all,
+                                       lambda domain, params: banzhaf_mc(domain, 0, params)])
+def test_mc_refuses_past_the_sample_bound_before_any_draw(estimator, monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("a sample was drawn")
+
+    monkeypatch.setattr(powerindex, "_banzhaf_draws", no_draws)
+    monkeypatch.setattr(powerindex, "_shapley_draws", no_draws)
+    for epsilon in (1e-6, 1e-170, 5e-324):
+        with pytest.raises(CapExceededError, match="Monte Carlo run too large") as info:
+            estimator(oracles.path3(), ApproxParams(epsilon, 0.05))
+        assert info.value.cap == 2 ** (powerindex.DEFAULT_ENUMERATION_CAP - 1)
+
+
+def test_mc_sample_bound_counts_every_agent(monkeypatch):
+    # cycle4 has 2 agents: 2 x 738 samples run at a bound of 1476 and are
+    # refused at 1475.
+    params = ApproxParams(0.05, 0.05, seed=1)
+    monkeypatch.setattr(powerindex, "_MC_SAMPLE_BOUND", 2 * params.samples)
+    assert banzhaf_mc_all(oracles.cycle4(), params).samples == params.samples
+    monkeypatch.setattr(powerindex, "_MC_SAMPLE_BOUND", 2 * params.samples - 1)
+    with pytest.raises(CapExceededError):
+        banzhaf_mc_all(oracles.cycle4(), params)
 
 
 def test_banzhaf_mc_sole_connector_is_always_critical():
@@ -266,11 +295,11 @@ def test_mc_run_does_not_load_openssl(tmp_path):
     assert out.splitlines()[-1] == "False"
 
 
-@pytest.mark.parametrize("n_agents, n_edges, seed, bound_mb", [(18, 85, 26, 4), (24, 120, 24, 32)])
+@pytest.mark.parametrize("n_agents, n_edges, seed, bound_mb", [(18, 85, 26, 4), (24, 120, 24, 16)])
 def test_exact_indices_memory(n_agents, n_edges, seed, bound_mb):
-    # The win table's 2^n bools included (16 MB at 24 agents). The reductions
-    # read the table packed, 2^(n-3) bytes, and allocate no other 2^n-entry
-    # array; the earlier bool passes over a 2^n size table peaked at 48 MB here.
+    # The packed win table included (2^(n-3) bytes, 2 MB at 24 agents). The
+    # reductions allocate no 2^n-entry array; a table of 2^n bools would
+    # break the bound (28 MB at 24 agents).
     domain = oracles.connected_graph_domain(random.Random(seed), n_agents, n_edges=n_edges)
     assert not classify(domain).degenerate
     tracemalloc.start()
