@@ -72,9 +72,11 @@ def _load_imputation(path: str) -> list[Fraction]:
     payoffs = []
     for i, entry in enumerate(data):
         try:
-            # Fraction("1e999999999") would build a billion-digit integer.
+            # Fraction("1e999999999") would build a billion-digit integer, and
+            # Fraction(True) reads a JSON boolean as a number.
             exponent = _EXPONENT.search(entry) if isinstance(entry, str) else None
-            if exponent and abs(int(exponent[1])) > sys.int_info.default_max_str_digits:
+            if isinstance(entry, bool) or exponent and \
+                    abs(int(exponent[1])) > sys.int_info.default_max_str_digits:
                 raise ValueError
             payoffs.append(Fraction(entry))
         except (TypeError, ValueError, ArithmeticError):
@@ -319,12 +321,11 @@ def cmd_ecm(args) -> int:
         "epsilon": args.epsilon,
     }
     if _plan(domain) == "tree":
-        verdict = trees.tree_ecm(domain, payoffs, args.epsilon)
-        essential = trees.tree_core(domain).core.veto_agents
-        essential_payment = sum((payoffs[i] for i in essential), Fraction(0))
+        payment = trees.essential_payment(domain, payoffs)
+        verdict = payment >= 1 - Fraction(args.epsilon) - stability.IMPUTATION_TOL
         report["method"] = "tree-essential-sum"
-        report["essential_agents"] = list(essential)
-        report["essential_payment"] = float(essential_payment)
+        report["essential_agents"] = list(trees.essential_vertices(domain))
+        report["essential_payment"] = float(payment)
         report["threshold"] = 1.0 - args.epsilon
     else:
         excess = stability.max_excess(domain, payoffs, cap=cap, epsilon=args.epsilon)

@@ -6,9 +6,9 @@ agent (agent ``i`` owns ``standard[i]``, which is also bit ``i`` in coalition
 encodings). A coalition wins when the vertices it owns, together with all
 primary and backbone vertices, connect every pair of primary vertices.
 
-Primary and backbone vertices are usable in every coalition, so contracting
-each connected region of them keeps every coalition's value. A domain builds
-that quotient once (``_quotient``), and the tree test checks it is a forest.
+Primary and backbone vertices are usable in every coalition. The tree closed
+forms need no view of the graph beyond the kernel below: they ask whether the
+veto agents win on their own (``trees.essential_vertices``).
 
 Every coalition is evaluated by one bit-sliced kernel, ``_win_bits``, over a
 batch of coalitions at a time: each agent brings a membership bitset over
@@ -183,58 +183,6 @@ class ConnectivityDomain:
                         seen[v] = True
                         stack.append(v)
         return components
-
-    @cached_property
-    def _quotient(self) -> ConnectivityDomain:
-        """This domain with each connected always-usable region contracted to
-        one vertex (primary if the region holds a primary, backbone otherwise).
-
-        Such a region is connected for every coalition, so every coalition
-        keeps its value; standard vertices map to themselves, so agent
-        indices are preserved.
-        """
-        parent = list(range(self.vertex_count))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        usable = set(self.primary) | set(self.backbone)
-        for u, v in self.edges:
-            if u in usable and v in usable:
-                parent[find(u)] = find(v)
-
-        new_id: dict[int, int] = {}
-        kinds: list[str] = []  # parallel to new ids: "p", "b", or "s"
-        primary_roots = {find(p) for p in self.primary}
-
-        def map_vertex(v: int) -> int:
-            key = find(v) if v in usable else v
-            if key not in new_id:
-                new_id[key] = len(kinds)
-                if v in usable:
-                    kinds.append("p" if key in primary_roots else "b")
-                else:
-                    kinds.append("s")
-            return new_id[key]
-
-        standard = tuple(map_vertex(v) for v in self.standard)
-        for v in range(self.vertex_count):
-            map_vertex(v)
-        edges = set()
-        for u, v in self.edges:
-            a, b = map_vertex(u), map_vertex(v)
-            if a != b:
-                edges.add((min(a, b), max(a, b)))
-        return ConnectivityDomain(
-            vertex_count=len(kinds),
-            edges=tuple(sorted(edges)),
-            primary=tuple(i for i, k in enumerate(kinds) if k == "p"),
-            backbone=tuple(i for i, k in enumerate(kinds) if k == "b"),
-            standard=standard,
-        )
 
     @cached_property
     def _slots(self) -> tuple[int, ...]:

@@ -22,4 +22,5 @@ class DegenerateDomainError(ValueError):
 
 
 class NotTreeError(ValueError):
-    """Tree solvers were asked to run on a domain with a cycle."""
+    """Tree solvers were asked to run on a domain whose veto agents lose on
+    their own, so its game is not a unanimity game."""

@@ -160,12 +160,16 @@ def vertexcover_to_ecm(
 
     Vertex order: original vertices (as agents), then one primary vertex per
     original edge, then the backbone vertex. Returns the domain, the equal
-    imputation, and the membership threshold eps = 1 - t/n.
+    imputation, and the membership threshold eps = 1 - t/n; a threshold t
+    past the vertex count n is refused, as eps would be negative.
     """
     n = instance.vertex_count
     _check_size(n + len(instance.edges) + 1)
     if n == 0:
         raise ValueError("vertex-cover instance needs at least one vertex")
+    if instance.threshold > n:
+        raise ValueError(f"threshold t = {instance.threshold} exceeds the {n} vertices, "
+                         f"so epsilon = 1 - t/n would be negative")
     if len(instance.edges) < 2:
         warnings.warn(
             "vertex-cover instance has fewer than two edges; the generated "

@@ -1,23 +1,23 @@
-"""Closed-form solvers for acyclic domains.
+"""Closed-form solvers for games with a winning veto set.
 
 On a tree, a winning coalition must contain every standard vertex lying on
 the unique path between any two primary vertices (the essential vertices),
-and containing all of them is also sufficient. So the essential agents are
-the veto agents, whose removal alone disconnects the primaries, and
-``stability.veto_players`` finds them. Power indices and core questions then
-collapse to counting: m essential agents share the reward 1/m under the
-Shapley value, each has Banzhaf index 2^(1-m), the veto set is the essential
-set, and an imputation is in the eps-core iff its essential payment reaches
-1 - eps.
+and containing all of them is also sufficient. So the game is the unanimity
+game of its veto agents, the agents whose removal alone disconnects the
+primaries, which ``stability.veto_players`` finds. Power indices and core
+questions then collapse to counting: m essential agents share the reward 1/m
+under the Shapley value, each has Banzhaf index 2^(1-m), the veto set is the
+essential set, and an imputation is in the eps-core iff its essential payment
+reaches 1 - eps.
 
-The closed forms apply exactly when the domain's cached quotient is a forest
-(edges = vertices - components) and the domain is non-degenerate, which
-enforces primary connectivity. In the quotient every connected region of
-always-usable vertices (primaries plus backbones) is one vertex: such regions
-are internally connected for every coalition, so the quotient keeps each
-coalition's value while removing the only cycles that do not matter.
-``essential_vertices`` makes that decision and memoizes the essential set on
-the domain.
+These closed forms need only that the game be that unanimity game (Shapley,
+1953). Every winning coalition holds the veto set by definition, so the game
+is that one exactly when the veto set wins on its own, that is, when there
+is a single minimal winning coalition. ``essential_vertices`` tests this on
+a non-degenerate domain with one kernel batch for the veto agents and one
+coalition for their value, and memoizes the essential set on the domain.
+Every tree passes, and so do graphs whose cycles avoid that coalition, such
+as a ring hanging off a path or a cycle of always-usable vertices.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .domain import ConnectivityDomain, classify
+from .domain import ConnectivityDomain, classify, coalition_value
 from .errors import DegenerateDomainError, NotTreeError
 from .powerindex import BANZHAF, SHAPLEY, TREE_CLOSED_FORM, IndexVector
 from .stability import (IMPUTATION_TOL, CoreDescription, _as_payoffs, _check_total,
@@ -56,22 +56,16 @@ class TreeCoreResult:
 
 
 def essential_vertices(domain: ConnectivityDomain) -> EssentialSet:
-    """Agents on the minimal subtree spanning the primary vertices.
+    """The veto agents, if they win on their own: the closed forms' test.
 
-    Removing such an agent disconnects two primaries and removing any other
-    agent does not, so where the closed forms apply they are the veto agents.
-    This is the tree test: it raises ``NotTreeError`` on a cycle in the
-    quotient and ``DegenerateDomainError`` on a degenerate domain. Memoized
-    on the domain instance.
+    On a tree these are the agents on the minimal subtree spanning the
+    primary vertices. Raises ``DegenerateDomainError`` on a degenerate domain,
+    whose empty veto set could win, and ``NotTreeError`` when the veto agents
+    lose on their own. Memoized on the domain instance.
     """
     cached = domain.__dict__.get("_essential_cache")
     if cached is not None:
         return cached
-    domain.ensure_valid()
-    quotient = domain._quotient
-    if len(quotient.edges) != quotient.vertex_count - quotient._component_count:
-        raise NotTreeError(
-            "domain has a cycle through standard vertices; use the general solvers")
     classification = classify(domain)
     if classification.degenerate_all_win:
         raise DegenerateDomainError("every coalition wins; tree solvers need a "
@@ -79,8 +73,11 @@ def essential_vertices(domain: ConnectivityDomain) -> EssentialSet:
     if classification.degenerate_all_lose:
         raise DegenerateDomainError("even the grand coalition loses; tree solvers "
                                     "need a non-degenerate domain")
-    cached = domain.__dict__["_essential_cache"] = EssentialSet(
-        veto_players(domain).veto_agents)
+    veto = veto_players(domain).veto_agents
+    if not coalition_value(domain, sum(1 << i for i in veto)):
+        raise NotTreeError("the veto agents do not win on their own; use the "
+                           "general solvers")
+    cached = domain.__dict__["_essential_cache"] = EssentialSet(veto)
     return cached
 
 
@@ -116,13 +113,18 @@ def tree_core(domain: ConnectivityDomain) -> TreeCoreResult:
     )
 
 
-def tree_ecm(domain: ConnectivityDomain, payoffs, epsilon) -> bool:
-    """Epsilon-core membership on a tree: payment to essential agents must
-    reach 1 - epsilon (non-strict, matching the general solver's tolerance)."""
+def essential_payment(domain: ConnectivityDomain, payoffs) -> Fraction:
+    """What an imputation pays the essential agents; it must be nonnegative
+    and sum to the grand coalition's value."""
     essential = essential_vertices(domain)
     p = _as_payoffs(payoffs, domain.n_agents)
     _check_total(domain, p)
     if any(x < -IMPUTATION_TOL for x in p):
         raise ValueError("negative payoff entries rejected")
-    essential_payment = sum((p[i] for i in essential.members), Fraction(0))
-    return essential_payment >= 1 - Fraction(epsilon) - IMPUTATION_TOL
+    return sum((p[i] for i in essential.members), Fraction(0))
+
+
+def tree_ecm(domain: ConnectivityDomain, payoffs, epsilon) -> bool:
+    """Epsilon-core membership on a tree: payment to essential agents must
+    reach 1 - epsilon (non-strict, matching the general solver's tolerance)."""
+    return essential_payment(domain, payoffs) >= 1 - Fraction(epsilon) - IMPUTATION_TOL

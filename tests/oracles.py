@@ -569,6 +569,16 @@ def path3_with_leaf() -> ConnectivityDomain:
                               backbone=(), standard=(1, 3))
 
 
+def lollipop(ring: int) -> ConnectivityDomain:
+    """a - x - b plus a ring x - r1 - ... - r_ring - x of agents hanging off x
+    (ring >= 2); agent 0 owns x. Its graph has a cycle, yet x alone wins: the
+    unanimity game of agent 0."""
+    ring_vertices = tuple(range(3, 3 + ring))
+    cycle = (1, *ring_vertices, 1)
+    return ConnectivityDomain(3 + ring, ((0, 1), (1, 2), *zip(cycle, cycle[1:])),
+                              primary=(0, 2), backbone=(), standard=(1, *ring_vertices))
+
+
 def single_primary_domain() -> ConnectivityDomain:
     return ConnectivityDomain(2, (), primary=(0,), backbone=(), standard=(1,))
 

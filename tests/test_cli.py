@@ -109,7 +109,8 @@ def test_indices_ranking_descending(files, capsys):
 def test_indices_explicit_tree_method_on_cycle_exit2(files, capsys):
     code, _, err = run(capsys, ["indices", files["cycle4"], "--method", "tree"])
     assert code == 2
-    assert "tree method not applicable" in err
+    assert err == ("error: tree method not applicable: the veto agents do not win on "
+                   "their own; use the general solvers\n")
 
 
 def test_indices_degenerate_domain_auto_uses_exact_zeros(files, capsys):
@@ -253,8 +254,10 @@ def test_core_malformed_imputation_exit2(files, capsys):
     assert "imputation" in err
 
 
-@pytest.mark.parametrize("entry", [None, [1], {"a": 1}, float("inf"), float("nan"), "1/0", "x"],
-                         ids=["null", "list", "object", "inf", "nan", "1/0", "x"])
+@pytest.mark.parametrize("entry", [None, [1], {"a": 1}, float("inf"), float("nan"), "1/0", "x",
+                                   True, False],
+                         ids=["null", "list", "object", "inf", "nan", "1/0", "x", "true",
+                              "false"])
 @pytest.mark.parametrize("argv", [["core", "{path4}", "--imputation", "{bad}"],
                                   ["ecm", "{path4}", "{bad}", "--epsilon", "0.5"],
                                   ["ecm", "{cycle4}", "{bad}", "--epsilon", "0.5"]],
@@ -345,24 +348,6 @@ def test_leastcore_tree_shortcut(files, capsys):
     assert "agent 0: 1/2" in out
 
 
-@pytest.mark.parametrize("argv", [["indices", "{path4}", "--index", "both"],
-                                  ["ecm", "{path4}", "{half}", "--epsilon", "0"],
-                                  ["leastcore", "{path4}"]])
-def test_tree_query_builds_the_quotient_at_most_once(files, capsys, monkeypatch, argv):
-    built = []  # every domain constructed: the loaded one, then its quotients
-    post_init = ConnectivityDomain.__post_init__
-
-    def counting(self):
-        built.append(self)
-        post_init(self)
-
-    monkeypatch.setattr(ConnectivityDomain, "__post_init__", counting)
-    code, out, _ = run(capsys, [arg.format(**files) for arg in argv])
-    assert code == 0
-    assert "tree" in out
-    assert len(built) <= 2
-
-
 def test_indices_both_builds_the_histograms_once(capsys, monkeypatch):
     calls = []
     counts = enumeration.criticality_size_counts
@@ -419,8 +404,10 @@ def test_leastcore_past_the_enumeration_cap_exits_before_any_table(files, capsys
 
 
 # One cell per (command, method, domain kind) that no test above pins. The
-# forest-quotient domain has a triangle of always-usable vertices, so its raw
-# graph is not a tree ("is_tree" false) while its contracted graph is a path.
+# forest-quotient domain has a triangle of always-usable vertices, and the
+# lollipop a ring of agents hanging off the one agent that joins its
+# primaries. Neither raw graph is a tree ("is_tree" false), yet in both the
+# veto agents win on their own, so the closed forms apply.
 _OVER_CAP = ("error: instance too large for exact solver: 30 agents exceeds "
              "the enumeration cap of 24\n")
 
@@ -440,10 +427,14 @@ _OVER_CAP = ("error: instance too large for exact solver: 30 agents exceeds "
     (["ecm", "{degenerate}", "{one}", "--epsilon", "0"], 0, "exact-enumeration"),
     (["ecm", "{big}", "{big_pay}", "--epsilon", "0.5"], 3, _OVER_CAP),
     (["leastcore", "{forest}"], 0, "tree-closed-form"),
+    (["indices", "{lollipop}"], 0, "tree-closed-form"),
+    (["ecm", "{lollipop}", "{lollipop_pay}", "--epsilon", "0.5"], 0, "tree-essential-sum"),
+    (["leastcore", "{lollipop}"], 0, "tree-closed-form"),
 ], ids=["indices-auto-forest", "indices-tree-forest", "indices-auto-cycle",
         "indices-auto-degenerate", "indices-tree-degenerate", "indices-exact-tree",
         "indices-mc-tree", "indices-auto-over-cap", "ecm-forest", "ecm-degenerate",
-        "ecm-over-cap", "leastcore-forest"])
+        "ecm-over-cap", "leastcore-forest", "indices-auto-lollipop", "ecm-lollipop",
+        "leastcore-lollipop"])
 def test_planner_dispatch(files, capsys, argv, code, expected):
     tmp = files["tmp"]
     forest = ConnectivityDomain(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (1, 5)],
@@ -452,7 +443,11 @@ def test_planner_dispatch(files, capsys, argv, code, expected):
     paths = dict(files,
                  forest=write_json(tmp / "forest.json", domain_to_dict(forest)),
                  big=write_json(tmp / "big.json", domain_to_dict(big)),
+                 lollipop=write_json(tmp / "lollipop.json",
+                                     domain_to_dict(oracles.lollipop(3))),
                  one=write_json(tmp / "one.json", {"imputation": [1]}),
+                 lollipop_pay=write_json(tmp / "lollipop_pay.json",
+                                         {"imputation": ["1/4"] * 4}),
                  big_pay=write_json(tmp / "big_pay.json", {"imputation": ["1/30"] * 30}))
     got, out, err = run(capsys, [arg.format(**paths) for arg in argv] + ["--format", "json"])
     assert got == code, err
@@ -463,7 +458,7 @@ def test_planner_dispatch(files, capsys, argv, code, expected):
     assert err == ""
     methods = {row["method"] for row in report.get("results", [report])}
     assert methods == {expected}
-    if "{forest}" in argv:
+    if "{forest}" in argv or "{lollipop}" in argv:
         assert report["domain"]["is_tree"] is False
 
 
@@ -500,6 +495,16 @@ def test_generate_vertexcover_sidecar(files, capsys, tmp_path):
                                 str(payload["epsilon_float"])])
     assert code == 0
     assert "in epsilon-core: yes" in out
+
+
+def test_generate_vertexcover_threshold_past_the_vertex_count_exit2(capsys, tmp_path):
+    inst = write_json(tmp_path / "t5.json", {"vertices": 3, "edges": [[0, 1], [1, 2]], "t": 5})
+    out_path = tmp_path / "t5_domain.json"
+    code, out, err = run(capsys, ["generate", "vertexcover", inst, "--out", str(out_path)])
+    assert (code, out) == (2, "")
+    assert err == ("error: threshold t = 5 exceeds the 3 vertices, so epsilon = 1 - t/n "
+                   "would be negative\n")
+    assert not out_path.exists()
 
 
 def test_generate_uncovered_item_warns_but_writes(files, capsys, tmp_path):
@@ -703,6 +708,20 @@ def test_indices_20_agent_output_is_pinned(capsys):
                                   "--index", "both", "--method", "exact", "--format", "json"])
     assert (code, err) == (0, "")
     assert out.encode() == (DATA / "indices20.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["indices", "--index", "both"], "unanimity30_indices.json"),
+    (["leastcore"], "unanimity30_leastcore.json"),
+], ids=["indices", "leastcore"])
+def test_unanimity_30_agent_output_is_pinned(capsys, argv, golden):
+    # Two primaries joined through one agent, with a ring of 29 agents hanging
+    # off it: past the enumeration cap, yet that agent alone wins, so the
+    # closed forms answer exactly where Monte Carlo and exit 3 answered before.
+    code, out, err = run(capsys, [argv[0], str(DATA / "unanimity30_domain.json"),
+                                  *argv[1:], "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / golden).read_bytes()
 
 
 def test_core_48_agent_output_is_pinned(capsys):

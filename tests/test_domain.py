@@ -134,11 +134,7 @@ def test_classify_single_primary_all_win():
 
 
 def test_classify_adjacent_primaries_merge():
-    domain = oracles.adjacent_primaries_domain()
-    assert classify(domain).degenerate_all_win
-    quotient = domain._quotient
-    assert len(quotient.primary) == 1
-    assert quotient.n_agents == 1
+    assert classify(oracles.adjacent_primaries_domain()).degenerate_all_win
 
 
 def test_classify_path3_tree():
@@ -180,19 +176,6 @@ def test_monotonicity_sampled():
             a = rng.getrandbits(n) if n else 0
             b = rng.getrandbits(n) if n else 0
             assert coalition_value(domain, a | b) >= coalition_value(domain, a)
-
-
-def test_merge_preserves_values_exhaustively():
-    rng = random.Random(23)
-    checked = 0
-    for _ in range(40):
-        domain = oracles.random_graph_domain(rng, max_agents=6, edge_prob=0.5)
-        quotient = domain._quotient
-        assert quotient.n_agents == domain.n_agents
-        checked += len(quotient.primary) < len(domain.primary)
-        for mask in range(1 << domain.n_agents):
-            assert coalition_value(domain, mask) == coalition_value(quotient, mask)
-    assert checked >= 3  # the sample must actually exercise merging primaries
 
 
 def test_value_ignores_edges_between_unusable_vertices():

@@ -184,6 +184,14 @@ def test_vertexcover_ecm_verdict_tracks_cover_size():
             assert ecm(domain, payoffs, 1 - Fraction(t, n)) == (tau >= t)
 
 
+def test_vertexcover_threshold_past_the_vertex_count_is_refused():
+    # t = 5 on 3 vertices would give epsilon = 1 - 5/3 = -2/3, which ecm refuses.
+    with pytest.raises(ValueError, match="threshold t = 5 exceeds the 3 vertices"):
+        vertexcover_to_ecm(VertexCoverInstance(3, ((0, 1), (1, 2)), 5))
+    _, _, epsilon = vertexcover_to_ecm(VertexCoverInstance(3, ((0, 1), (1, 2)), 3))
+    assert epsilon == 0
+
+
 def test_vertexcover_few_edges_warns():
     with pytest.warns(UserWarning):
         vertexcover_to_ecm(VertexCoverInstance(2, ((0, 1),), 1))

@@ -1,8 +1,9 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -13,7 +14,6 @@ from conngames import (
     NotTreeError,
     add_dummy,
     banzhaf_exact,
-    coalition_value,
     ecm,
     essential_vertices,
     shapley_exact,
@@ -43,8 +43,18 @@ def test_essential_ignores_hanging_leaf():
 
 
 def test_essential_rejects_cycles():
-    with pytest.raises(NotTreeError):
+    with pytest.raises(NotTreeError, match="the veto agents do not win on their own"):
         essential_vertices(oracles.cycle4())
+
+
+def test_essential_accepts_a_cycle_off_the_veto_set():
+    # A ring hangs off the one agent that joins the primaries: the graph and
+    # its contraction have a cycle, but that agent alone wins.
+    domain = oracles.lollipop(3)
+    assert oracles.quotient_has_cycle(domain)
+    assert essential_vertices(domain).members == (0,)
+    assert tree_banzhaf(domain).values == banzhaf_exact(domain).values
+    assert tree_shapley(domain).values == shapley_exact(domain).values
 
 
 def test_essential_rejects_degenerate():
@@ -52,6 +62,13 @@ def test_essential_rejects_degenerate():
         essential_vertices(oracles.single_primary_domain())
     with pytest.raises(DegenerateDomainError):
         essential_vertices(oracles.all_lose_domain())
+    # Adjacent primaries 0, 2 and a cycle 0 - 1 - 3 - 4 - 0 of agents: every
+    # coalition wins, so the empty veto set wins, yet the domain is refused.
+    domain = ConnectivityDomain(5, ((0, 1), (0, 2), (0, 4), (1, 3), (3, 4)),
+                                primary=(0, 2), backbone=(), standard=(1, 3, 4))
+    assert oracles.quotient_has_cycle(domain)
+    with pytest.raises(DegenerateDomainError, match="every coalition wins"):
+        essential_vertices(domain)
 
 
 def test_tree_solvers_run_on_merged_domain():
@@ -62,42 +79,56 @@ def test_tree_solvers_run_on_merged_domain():
     assert tree_shapley(domain).values == (Fraction(1),)
 
 
-def test_collapse_usable_preserves_values():
-    rng = random.Random(500)
-    for _ in range(25):
-        domain = oracles.random_graph_domain(rng, max_agents=6)
-        quotient = domain._quotient
-        assert quotient.n_agents == domain.n_agents
-        for mask in range(1 << domain.n_agents):
-            assert coalition_value(domain, mask) == coalition_value(quotient, mask)
+@settings(max_examples=200, deadline=None)
+@given(domain=st.one_of(strategies.domains(max_agents=8),
+                        strategies.domains(max_agents=8, tree=True),
+                        strategies.symmetric_domains(max_agents=8)))
+def test_tree_decision_and_closed_forms_match_oracles(domain):
+    n = domain.n_agents
+    veto = oracles.essential_by_removal(domain)
+    if oracles.reference_value(domain, []) or not oracles.reference_value(domain, range(n)):
+        with pytest.raises(DegenerateDomainError):
+            essential_vertices(domain)
+    elif not oracles.reference_value(domain, veto):
+        with pytest.raises(NotTreeError):
+            essential_vertices(domain)
+    else:
+        assert essential_vertices(domain).members == veto
+        assert tree_banzhaf(domain).values == banzhaf_exact(domain).values
+        assert tree_shapley(domain).values == shapley_exact(domain).values
 
 
-@settings(max_examples=100, deadline=None)
-@given(domain=strategies.domains(max_agents=7))
-def test_quotient_keeps_every_coalition_value(domain):
-    quotient = domain._quotient
-    assert quotient.n_agents == domain.n_agents
-    for mask in range(1 << domain.n_agents):
-        members = [i for i in range(domain.n_agents) if mask >> i & 1]
-        assert oracles.reference_value(quotient, members) == \
-            oracles.reference_value(domain, members)
+@st.composite
+def _forest_quotient_domains(draw):
+    """A random tree with 2-4 primaries and 0-4 backbones, plus edges that
+    contracting the always-usable regions merges away: chords inside a region
+    and second edges from a vertex into a region it already touches."""
+    n = draw(st.integers(0, 8))
+    n_primary = draw(st.integers(2, 4))
+    n_backbone = draw(st.integers(0, 4))
+    size = n + n_primary + n_backbone
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, size)}
+    kinds = draw(st.permutations(range(size)))
+    domain = ConnectivityDomain(size, tuple(sorted(edges)), tuple(kinds[:n_primary]),
+                                tuple(kinds[n_primary:n_primary + n_backbone]),
+                                tuple(kinds[n_primary + n_backbone:]))
+    adjacency, region = oracles._usable_regions(domain)
+    touched = {(u, region[w]) for u in range(size) for w in adjacency.get(u, ()) if w in region}
+    merged = sorted({(min(u, v), max(u, v)) for u in range(size) for v in region
+                     if u != v and (u, region[v]) in touched} - edges)
+    extra = draw(st.lists(st.sampled_from(merged), unique=True)) if merged else []
+    return replace(domain, edges=tuple(sorted(edges | set(extra))))
 
 
 @settings(max_examples=200, deadline=None)
-@given(domain=st.one_of(strategies.domains(max_agents=8),
-                        strategies.domains(max_agents=8, tree=True)))
-def test_tree_decision_and_closed_forms_match_oracles(domain):
-    n = domain.n_agents
-    if oracles.quotient_has_cycle(domain):
-        with pytest.raises(NotTreeError):
-            essential_vertices(domain)
-    elif oracles.reference_value(domain, []) or not oracles.reference_value(domain, range(n)):
-        with pytest.raises(DegenerateDomainError):
-            essential_vertices(domain)
-    else:
-        assert essential_vertices(domain).members == oracles.essential_by_removal(domain)
-        assert tree_banzhaf(domain).values == banzhaf_exact(domain).values
-        assert tree_shapley(domain).values == shapley_exact(domain).values
+@given(domain=_forest_quotient_domains())
+def test_every_forest_quotient_takes_the_closed_form(domain):
+    # A graph that is a forest once always-usable regions are contracted has
+    # one minimal winning coalition, so its veto set wins.
+    assert not oracles.quotient_has_cycle(domain)
+    assume(not oracles.reference_value(domain, []))  # a connected tree never all-loses
+    assert essential_vertices(domain).members == oracles.essential_by_removal(domain)
+    assert tree_shapley(domain).values == shapley_exact(domain).values
 
 
 def test_essential_vertices_memoized_per_domain():
@@ -107,8 +138,8 @@ def test_essential_vertices_memoized_per_domain():
 
 def test_tree_with_primaries_linked_through_backbone_path():
     # Contracting just the primaries would create a cycle here (two of them
-    # join through a two-backbone path); the usable-region quotient stays a
-    # forest, so the closed forms must still apply.
+    # join through a two-backbone path); the game is still the unanimity game
+    # of its veto agents, so the closed forms must still apply.
     domain = ConnectivityDomain(
         12,
         ((0, 1), (0, 2), (2, 3), (0, 4), (2, 5), (5, 6), (1, 7), (4, 8),
@@ -120,7 +151,8 @@ def test_tree_with_primaries_linked_through_backbone_path():
 
 def test_merge_can_remove_cycles():
     # Two primaries joined by two backbone paths (a cycle) plus a standard
-    # vertex guarding a third primary; after merging the domain is a tree.
+    # vertex guarding a third primary: the cycle is always usable, so the
+    # one agent alone wins.
     domain = ConnectivityDomain(
         6, ((0, 1), (1, 2), (0, 3), (3, 2), (2, 4), (4, 5)),
         primary=(0, 2, 5), backbone=(1, 3), standard=(4,))
