@@ -66,7 +66,6 @@ from .stability import (
     veto_players,
 )
 from .trees import (
-    EssentialSet,
     TreeCoreResult,
     essential_vertices,
     tree_banzhaf,
@@ -89,6 +88,6 @@ __all__ = [
     "vertexcover_from_dict", "vertexcover_to_dict", "vertexcover_to_ecm",
     "CoreDescription", "ExcessReport", "Imputation", "LeastCoreResult",
     "ecm", "is_in_core", "least_core_value", "max_excess", "veto_players",
-    "EssentialSet", "TreeCoreResult", "essential_vertices", "tree_banzhaf",
+    "TreeCoreResult", "essential_vertices", "tree_banzhaf",
     "tree_core", "tree_ecm", "tree_shapley",
 ]

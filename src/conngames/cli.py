@@ -159,13 +159,6 @@ def _summary_lines(summary: dict) -> list[str]:
             f"{summary['agents']} agents{suffix}"]
 
 
-def _refuse_degenerate(classification, queries: str) -> None:
-    if classification.degenerate:
-        kind = "all coalitions win" if classification.degenerate_all_win \
-            else "all coalitions lose"
-        raise DegenerateDomainError(f"degenerate domain ({kind}); {queries} queries refused")
-
-
 def _plan(domain, method: str = "auto", cap: int | None = None) -> str:
     """``"tree"`` where the closed forms apply, else ``"exact"``, or ``"mc"``
     past ``cap`` agents. ``ecm`` and ``leastcore`` pass no cap: their exact
@@ -275,7 +268,7 @@ def cmd_indices(args) -> int:
 def cmd_core(args) -> int:
     domain = _load_domain(args.domain)
     classification = classify(domain)
-    _refuse_degenerate(classification, "core")
+    stability._refuse_degenerate(domain, "core")
 
     core = stability.veto_players(domain)
     report = {
@@ -320,16 +313,15 @@ def cmd_ecm(args) -> int:
         "domain": _domain_summary(domain, classification),
         "epsilon": args.epsilon,
     }
+    excess = stability.max_excess(domain, payoffs, cap=cap, epsilon=args.epsilon)
+    verdict = bool(excess.epsilon_verdict)
     if _plan(domain) == "tree":
-        payment = trees.essential_payment(domain, payoffs)
-        verdict = payment >= 1 - Fraction(args.epsilon) - stability.IMPUTATION_TOL
+        essential = trees.essential_vertices(domain)
         report["method"] = "tree-essential-sum"
-        report["essential_agents"] = list(trees.essential_vertices(domain))
-        report["essential_payment"] = float(payment)
+        report["essential_agents"] = list(essential)
+        report["essential_payment"] = float(sum((payoffs[i] for i in essential), Fraction(0)))
         report["threshold"] = 1.0 - args.epsilon
     else:
-        excess = stability.max_excess(domain, payoffs, cap=cap, epsilon=args.epsilon)
-        verdict = bool(excess.epsilon_verdict)
         report["method"] = "exact-enumeration"
         report["max_excess"] = float(excess.max_excess)
         report["max_excess_rational"] = _rational(excess.max_excess)
@@ -360,7 +352,6 @@ def cmd_leastcore(args) -> int:
     domain = _load_domain(args.domain)
     cap = _exact_cap(args)
     classification = classify(domain)
-    _refuse_degenerate(classification, "least-core")
 
     if _plan(domain) == "tree":
         epsilon = Fraction(0)

@@ -6,9 +6,12 @@ agent (agent ``i`` owns ``standard[i]``, which is also bit ``i`` in coalition
 encodings). A coalition wins when the vertices it owns, together with all
 primary and backbone vertices, connect every pair of primary vertices.
 
-Primary and backbone vertices are usable in every coalition. The tree closed
-forms need no view of the graph beyond the kernel below: they ask whether the
-veto agents win on their own (``trees.essential_vertices``).
+Primary and backbone vertices are usable in every coalition. ``classify`` is
+the one structural pass: one kernel batch of n + 2 coalitions (each agent's
+removal from the grand coalition, the empty and the grand coalition) gives
+the degeneracy flags and the veto agents, and one more coalition tells
+whether the veto agents win on their own. The closed forms, the core and the
+epsilon-core scan read that result; none needs another view of the graph.
 
 Every coalition is evaluated by one bit-sliced kernel, ``_win_bits``, over a
 batch of coalitions at a time: each agent brings a membership bitset over
@@ -131,20 +134,6 @@ class ConnectivityDomain:
     def vertex_of(self, agent: int) -> int:
         return self.standard[agent]
 
-    def agent_of(self, vertex: int) -> int | None:
-        """Agent owning ``vertex``, or None when it is not a standard vertex."""
-        try:
-            return self.standard.index(vertex)
-        except ValueError:
-            return None
-
-    def kind_of(self, vertex: int) -> str:
-        if vertex in self.primary:
-            return PRIMARY
-        if vertex in self.backbone:
-            return BACKBONE
-        return STANDARD
-
     @cached_property
     def _validation(self) -> ValidationReport:
         return validate(self)
@@ -229,11 +218,15 @@ class ConnectivityDomain:
 
 @dataclass(frozen=True)
 class DomainClassification:
-    """Degeneracy flags and tree-ness of a domain."""
+    """Degeneracy flags, tree-ness of the graph, the veto agents (those in
+    every winning coalition) and whether they win on their own. ``veto_wins``
+    is False on a degenerate domain, where it is not asked."""
 
     degenerate_all_win: bool
     degenerate_all_lose: bool
     is_tree: bool
+    veto_agents: tuple[int, ...]
+    veto_wins: bool
 
     @property
     def degenerate(self) -> bool:
@@ -329,18 +322,30 @@ def is_critical(domain: ConnectivityDomain, agent: int, coalition) -> bool:
 
 
 def classify(domain: ConnectivityDomain) -> DomainClassification:
-    """Degeneracy flags and tree detection; memoized on the domain instance."""
+    """The structural pass, memoized on the domain instance.
+
+    Coalition i < n of one batch lacks agent i, so agent i is veto iff it
+    loses; coalition n is the empty one and n + 1 the grand one. On a
+    non-degenerate domain the veto set is then evaluated on its own.
+    """
     cached = domain.__dict__.get("_classification_cache")
     if cached is None:
         domain.ensure_valid()
-        # Coalition 0 of the batch is the empty one, coalition 1 the grand one.
-        wins = domain._win_bits([2] * domain.n_agents, 3)
+        n = domain.n_agents
+        full = (1 << (n + 2)) - 1
+        wins = domain._win_bits([full ^ (1 << i) ^ (1 << n) for i in range(n)], full)
+        veto = tuple(i for i in range(n) if not wins >> i & 1)
+        all_win, all_lose = bool(wins >> n & 1), not wins >> (n + 1) & 1
         is_tree = (domain._component_count == 1
                    and len(domain.edges) == domain.vertex_count - 1)
+        veto_wins = not (all_win or all_lose) and bool(
+            coalition_value(domain, sum(1 << i for i in veto)))
         cached = domain.__dict__["_classification_cache"] = DomainClassification(
-            degenerate_all_win=bool(wins & 1),
-            degenerate_all_lose=not wins & 2,
+            degenerate_all_win=all_win,
+            degenerate_all_lose=all_lose,
             is_tree=is_tree,
+            veto_agents=veto,
+            veto_wins=veto_wins,
         )
     return cached
 

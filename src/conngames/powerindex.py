@@ -94,9 +94,6 @@ class IndexVector:
     samples: int | None = None
     seed: int | None = None
 
-    def as_floats(self) -> tuple[float, ...]:
-        return tuple(float(v) for v in self.values)
-
 
 def _check_cap(n: int, cap: int) -> None:
     if n > cap:

@@ -4,8 +4,8 @@ epsilon-core membership, and the least core.
 The core of a connectivity game has a concise representation: the set of veto
 agents (agents present in every winning coalition). An imputation is in the
 core iff it hands the whole unit of reward to veto agents. Agent i is veto iff
-the coalition of everyone else loses, so the core is computable with one
-batch of n coalitions for the domain's kernel.
+the coalition of everyone else loses, which the structural pass
+``domain.classify`` asks for every agent in its one kernel batch.
 
 Maximal excess is found from the minimal winning coalitions. With N- the
 negatively paid agents, a least-paid winning coalition is W | N- for some
@@ -16,13 +16,18 @@ dual game (C wins iff its complement loses). For nonnegative payoffs the
 losing side is just the empty coalition, with excess 0. Each candidate list is
 scored exactly in Python integers.
 
+Both lists come from ``_extremal_masks``. When the veto set wins, it is the
+only minimal winning coalition and the maximal losing ones are N - {i} for
+each veto agent i, at any size; otherwise both are read from the win table,
+behind the enumeration cap.
+
 The least core solves  min eps  s.t.  p(C) >= v(C) - eps  over nonempty
 coalitions, exactly, with constraints generated lazily. Its payoffs are
 nonnegative, so a least-paid winning coalition is always a minimal winning
 one (Maschler, Peleg & Shapley 1979): the minimal winning coalitions are
-listed once from the win table, and each round scores only them, exactly in
-Python integers. The rounds are bounded by the number of those coalitions,
-so the enumeration cap on the table is the least core's only cap.
+listed once, and each round scores only them, exactly in Python integers.
+The rounds are bounded by the number of those coalitions, so the enumeration
+cap on the win table is the least core's only cap.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from . import enumeration, lp
 from .domain import Coalition, ConnectivityDomain, classify
@@ -58,9 +63,6 @@ class Imputation:
     def of(cls, values) -> "Imputation":
         return cls(tuple(_to_fraction(v) for v in values))
 
-    def total(self) -> Fraction:
-        return sum(self.payoffs, Fraction(0))
-
     def __len__(self) -> int:
         return len(self.payoffs)
 
@@ -84,10 +86,6 @@ class ExcessReport:
     max_excess: Fraction
     witness: Coalition
     epsilon_verdict: bool | None = None
-
-    @property
-    def max_excess_float(self) -> float:
-        return float(self.max_excess)
 
 
 @dataclass(frozen=True)
@@ -116,35 +114,32 @@ def _check_total(domain: ConnectivityDomain, payoffs: Sequence[Fraction]) -> Non
 
 
 def veto_players(domain: ConnectivityDomain) -> CoreDescription:
-    """Agents present in every winning coalition; the core is non-empty iff
-    at least one exists. Agent i is veto iff everyone-but-i loses; one batch
-    of n coalitions, coalition i lacking agent i, checks every agent."""
-    domain.ensure_valid()
-    n = domain.n_agents
-    full = (1 << n) - 1
-    wins = domain._win_bits([full ^ (1 << i) for i in range(n)], full)
-    veto = tuple(i for i in range(n) if not wins >> i & 1)
+    """Agents present in every winning coalition, as ``classify`` found them;
+    the core is non-empty iff at least one exists."""
+    veto = classify(domain).veto_agents
     return CoreDescription(veto_agents=veto, is_empty=not veto)
 
 
-def _refuse_degenerate(domain: ConnectivityDomain, question: str) -> None:
-    if classify(domain).degenerate:
-        raise DegenerateDomainError(
-            f"{question} is undefined on a degenerate domain "
-            "(all coalitions win or all coalitions lose)")
+def _refuse_degenerate(domain: ConnectivityDomain, queries: str) -> None:
+    """Raise ``DegenerateDomainError`` on a degenerate domain, naming the
+    refused ``queries`` (the CLI prints this text as it is)."""
+    classification = classify(domain)
+    if classification.degenerate:
+        kind = "all coalitions win" if classification.degenerate_all_win \
+            else "all coalitions lose"
+        raise DegenerateDomainError(f"degenerate domain ({kind}); {queries} queries refused")
 
 
 def is_in_core(domain: ConnectivityDomain, payoffs) -> bool:
     """Core membership via the veto representation: nonnegative payoffs with
     the full unit on veto agents. Refuses degenerate domains."""
     domain.ensure_valid()
-    _refuse_degenerate(domain, "core membership")
+    _refuse_degenerate(domain, "core")
     p = _as_payoffs(payoffs, domain.n_agents)
     _check_total(domain, p)
     if any(x < -IMPUTATION_TOL for x in p):
         return False
-    veto = veto_players(domain)
-    veto_total = sum((p[i] for i in veto.veto_agents), Fraction(0))
+    veto_total = sum((p[i] for i in classify(domain).veto_agents), Fraction(0))
     return abs(veto_total - 1) <= IMPUTATION_TOL
 
 
@@ -157,6 +152,28 @@ def _scaled_payment(mask: int, weights: Sequence[int]) -> int:
     return total
 
 
+def _extremal_masks(domain: ConnectivityDomain, cap: int
+                    ) -> tuple[Callable[[], list[int]], Callable[[], list[int]]]:
+    """Two functions listing the masks of the minimal winning and of the
+    maximal losing coalitions.
+
+    When the veto set wins, it is the only minimal winning coalition and
+    the maximal losing ones are N - {i} for each veto agent i, so no table
+    is built at any size. Otherwise both lists come from the win table,
+    built on the first call; past ``cap`` the domain is refused here, before
+    the caller reads anything else.
+    """
+    classification = classify(domain)
+    n = domain.n_agents
+    if classification.veto_wins:
+        veto = classification.veto_agents
+        return (lambda: [sum(1 << i for i in veto)],
+                lambda: [((1 << n) - 1) ^ (1 << i) for i in veto])
+    _check_cap(n, cap)
+    return (lambda: enumeration.minimal_winning_masks(enumeration.win_table(domain), n).tolist(),
+            lambda: enumeration.maximal_losing_masks(enumeration.win_table(domain), n).tolist())
+
+
 def max_excess(domain: ConnectivityDomain, payoffs, *,
                cap: int = DEFAULT_ENUMERATION_CAP,
                allow_negative: bool = False,
@@ -166,11 +183,12 @@ def max_excess(domain: ConnectivityDomain, payoffs, *,
     For nonnegative payoffs the maximum is max(0, 1 - min winning payment).
     Payoffs below -IMPUTATION_TOL are rejected unless ``allow_negative`` is
     set; any negative payoff adds the maximal losing coalitions' candidates,
-    as losing coalitions can then have positive excess too.
+    as losing coalitions can then have positive excess too. Past the
+    enumeration ``cap`` only a domain whose veto set wins is answered.
     """
     domain.ensure_valid()
     n = domain.n_agents
-    _check_cap(n, cap)
+    minimal_winning, maximal_losing = _extremal_masks(domain, cap)
     p = _as_payoffs(payoffs, n)
     _check_total(domain, p)
     if not allow_negative and any(x < -IMPUTATION_TOL for x in p):
@@ -179,12 +197,11 @@ def max_excess(domain: ConnectivityDomain, payoffs, *,
     # Payoffs tolerated as nonnegative may still be slightly negative; a
     # losing coalition of such agents then has a small positive excess.
     negative = sum(1 << i for i, x in enumerate(p) if x < 0)
-    win = enumeration.win_table(domain)
-    winning = [m | negative for m in enumeration.minimal_winning_masks(win, n).tolist()]
+    winning = [m | negative for m in minimal_winning()]
     if negative:
-        losing = [negative & m for m in enumeration.maximal_losing_masks(win, n).tolist()]
+        losing = [negative & m for m in maximal_losing()]
     else:
-        losing = [] if win[0] & 1 else [0]
+        losing = [] if classify(domain).degenerate_all_win else [0]
     keys = []
     for masks, value in ((winning, 1), (losing, 0)):
         if masks:
@@ -231,18 +248,16 @@ def least_core_value(domain: ConnectivityDomain, *,
     """Smallest eps whose eps-core is non-empty, with an optimal imputation.
 
     Deviating coalitions are the nonempty ones. Both eps and the imputation
-    are exact rationals. Past the enumeration ``cap`` the domain is refused
-    (``CapExceededError``) before any table is built. Constraints are
-    generated lazily: each round adds the least-paid minimal winning
-    coalition, listed once from the win table, and the integer simplex of
-    ``lp`` solves each restricted program. Refuses degenerate domains.
+    are exact rationals. Past the enumeration ``cap`` a domain whose veto
+    set loses is refused (``CapExceededError``) before any table is built.
+    Constraints are generated lazily: each round adds the least-paid minimal
+    winning coalition, listed once, and the integer simplex of ``lp`` solves
+    each restricted program. Refuses degenerate domains.
     """
     domain.ensure_valid()
-    _refuse_degenerate(domain, "the least core")
+    _refuse_degenerate(domain, "least-core")
     n = domain.n_agents
-    _check_cap(n, cap)
-    win = enumeration.win_table(domain)
-    minimal = enumeration.minimal_winning_masks(win, n).tolist()
+    minimal = _extremal_masks(domain, cap)[0]()
     active = [(1 << n) - 1]
     for _ in range(len(minimal) + 2):
         solution = _solve_active_exact(active, n, 1)  # the grand coalition wins
@@ -253,6 +268,6 @@ def least_core_value(domain: ConnectivityDomain, *,
         active.append(mask)
     else:
         raise RuntimeError("least-core constraint generation failed to converge")
-    if (eps_star == 0) == veto_players(domain).is_empty:
+    if (eps_star == 0) == (not classify(domain).veto_agents):
         raise RuntimeError("least-core solution inconsistent with the veto-player analysis")
     return LeastCoreResult(eps_star, p_star, EXACT_LP)

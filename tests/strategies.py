@@ -73,6 +73,30 @@ def symmetric_domains(draw, max_agents: int = 12) -> ConnectivityDomain:
 
 
 @st.composite
+def unanimity_domains(draw, max_agents: int = 6) -> ConnectivityDomain:
+    """A random spanning tree with 2-4 primaries, 0-3 backbones and 1 to
+    ``max_agents`` agents, and maybe a ring of 2 or 3 more agents hanging off
+    one vertex. A path through the ring leaves and re-enters at that vertex,
+    so the ring's agents are null players: unless every coalition wins, the
+    veto set wins on its own, although the graph may have a cycle."""
+    n = draw(st.integers(1, max_agents))
+    n_primary = draw(st.integers(2, 4))
+    n_backbone = draw(st.integers(0, 3))
+    size = n + n_primary + n_backbone
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, size)]
+    kinds = draw(st.permutations(range(size)))
+    standard = list(kinds[n_primary + n_backbone:])
+    ring = draw(st.sampled_from([0, 2, 3]))
+    if ring:
+        cycle = [draw(st.integers(0, size - 1)), *range(size, size + ring)]
+        edges += zip(cycle, cycle[1:] + cycle[:1])
+        standard += range(size, size + ring)
+        size += ring
+    return ConnectivityDomain(size, tuple(edges), tuple(kinds[:n_primary]),
+                              tuple(kinds[n_primary:n_primary + n_backbone]), tuple(standard))
+
+
+@st.composite
 def payoffs(draw, n: int, total: int = 1) -> list[Fraction]:
     """n - 1 payoffs in about [-1, 1] plus one that brings the sum to
     ``total``. Each is of one drawn kind:

@@ -131,7 +131,7 @@ def test_criterion_5_tree_stability(tree_corpus):
     for name, domain in tree_corpus:
         core = tree_core(domain)
         assert not core.core.is_empty, name
-        assert core.core.veto_agents == essential_vertices(domain).members, name
+        assert core.core.veto_agents == essential_vertices(domain), name
 
         result = least_core_value(domain)
         if domain.n_agents <= 12:
@@ -147,7 +147,7 @@ def test_criterion_5_tree_stability(tree_corpus):
                     ecm(domain, payoffs, eps), (name, payoffs, eps)
 
         # Boundary convention: membership is non-strict at p(essential) = 1 - eps.
-        essential = essential_vertices(domain).members
+        essential = essential_vertices(domain)
         dummies = [i for i in range(domain.n_agents) if i not in essential]
         if dummies:
             payoffs = [0.0] * domain.n_agents

@@ -315,6 +315,61 @@ def test_ecm_tree_path_reports_essential_payment(files, capsys, tmp_path):
     assert "in epsilon-core: yes" in out
 
 
+def test_ecm_at_zero_and_core_agree_on_a_winning_veto_set(files, capsys):
+    # Agent 0 alone joins the primaries; the isolated agents 1 and 2 are each
+    # paid a tolerated -1e-9. At eps = 0 the eps-core is the core.
+    tmp = files["tmp"]
+    dpath = write_json(tmp / "veto.json", {"vertices": 5, "edges": [[0, 1], [1, 2]],
+                                           "primary": [0, 2], "backbone": [],
+                                           "standard": [1, 3, 4]})
+    ppath = write_json(tmp / "pay.json", {"imputation": [
+        "1000000002/1000000000", "-1/1000000000", "-1/1000000000"]})
+    code, ecm_out, err = run(capsys, ["ecm", dpath, ppath, "--epsilon", "0"])
+    assert (code, err) == (0, "")
+    assert "method: tree-essential-sum" in ecm_out
+    code, core_out, err = run(capsys, ["core", dpath, "--imputation", ppath])
+    assert (code, err) == (0, "")
+    assert ecm_out.splitlines()[-1] == "in epsilon-core: no"
+    assert core_out.splitlines()[-1] == "in core: no"
+
+
+@pytest.mark.parametrize("name", ["path4", "lollipop"])
+@pytest.mark.parametrize("command", ["indices", "ecm", "leastcore", "core"])
+def test_closed_form_commands_make_at_most_two_kernel_calls(tmp_path, capsys, monkeypatch,
+                                                            command, name):
+    # One batch for the veto agents and the degeneracy flags, one coalition
+    # for the veto set: every reader of the veto set shares that pass.
+    domain = oracles.path4() if name == "path4" else oracles.lollipop(3)
+    dpath = write_json(tmp_path / "domain.json", domain_to_dict(domain))
+    ppath = write_json(tmp_path / "pay.json",
+                       {"imputation": [f"1/{domain.n_agents}"] * domain.n_agents})
+    argv = {"indices": ["indices", dpath],
+            "ecm": ["ecm", dpath, ppath, "--epsilon", "0.5"],
+            "leastcore": ["leastcore", dpath],
+            "core": ["core", dpath, "--imputation", ppath]}[command]
+    kernel = ConnectivityDomain._win_bits
+    calls = []
+
+    def counting(self, usable, full):
+        calls.append(full)
+        return kernel(self, usable, full)
+
+    monkeypatch.setattr(ConnectivityDomain, "_win_bits", counting)
+    code, _, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert len(calls) <= 2
+
+
+def test_ecm_refuses_past_the_cap_before_reading_payoffs(files, capsys):
+    # A 30-agent graph whose veto set loses, with a 2-entry imputation: the
+    # cap refusal (exit 3) comes before the imputation's length is checked.
+    big = oracles.connected_graph_domain(random.Random(30), 30, n_edges=70)
+    assert not oracles.reference_value(big, oracles.essential_by_removal(big))
+    dpath = write_json(files["tmp"] / "big.json", domain_to_dict(big))
+    code, out, err = run(capsys, ["ecm", dpath, files["half"], "--epsilon", "0.5"])
+    assert (code, out, err) == (3, "", _OVER_CAP)
+
+
 def test_ecm_negative_epsilon_exit2(files, capsys):
     code, _, err = run(capsys, ["ecm", files["cycle4"], files["half"],
                                 "--epsilon", "-0.1"])
@@ -713,11 +768,14 @@ def test_indices_20_agent_output_is_pinned(capsys):
 @pytest.mark.parametrize("argv, golden", [
     (["indices", "--index", "both"], "unanimity30_indices.json"),
     (["leastcore"], "unanimity30_leastcore.json"),
-], ids=["indices", "leastcore"])
+    (["ecm", str(DATA / "unanimity30_imputation.json"), "--epsilon", "0.5"],
+     "unanimity30_ecm.json"),
+], ids=["indices", "leastcore", "ecm"])
 def test_unanimity_30_agent_output_is_pinned(capsys, argv, golden):
     # Two primaries joined through one agent, with a ring of 29 agents hanging
     # off it: past the enumeration cap, yet that agent alone wins, so the
     # closed forms answer exactly where Monte Carlo and exit 3 answered before.
+    # The ecm golden pins the tree-essential-sum report field by field.
     code, out, err = run(capsys, [argv[0], str(DATA / "unanimity30_domain.json"),
                                   *argv[1:], "--format", "json"])
     assert (code, err) == (0, "")

@@ -284,6 +284,35 @@ def test_max_excess_full_scan_matches_bruteforce_with_ties(data):
     assert (report.max_excess, report.witness.mask) == (-expected[0], expected[2])
 
 
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_winning_veto_set_is_solved_without_a_win_table(data):
+    # When the veto set wins it is the only minimal winning coalition, and
+    # N - {i} for each veto agent i are the maximal losing ones: the scans
+    # match the oracles, negative payoffs included, and build no table even
+    # under a cap of 0.
+    domain = data.draw(strategies.unanimity_domains())
+    assume(not classify(domain).degenerate)
+    assert classify(domain).veto_wins
+    payoffs = data.draw(strategies.payoffs(domain.n_agents))
+    expected_excess = oracles.max_excess_bruteforce(domain, payoffs)
+    expected_least_core = oracles.least_core_by_table_scan(domain)[:2]
+
+    def no_table(domain):
+        raise AssertionError("a win table was requested")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(enumeration, "win_table", no_table)
+        for cap in (stability.DEFAULT_ENUMERATION_CAP, 0):
+            report = max_excess(domain, payoffs, allow_negative=True, cap=cap)
+            assert report.max_excess == expected_excess
+            witness = report.witness.mask
+            assert oracles.reference_mask_value(domain, witness) - \
+                _payment(witness, payoffs) == expected_excess
+            result = least_core_value(domain, cap=cap)
+            assert (result.epsilon, result.imputation) == expected_least_core
+
+
 def test_max_excess_memory_at_18_agents():
     domain = oracles.connected_graph_domain(random.Random(26), 18, n_edges=85)
     assert not classify(domain).degenerate

@@ -16,6 +16,8 @@ from conngames import (
     banzhaf_exact,
     ecm,
     essential_vertices,
+    is_in_core,
+    max_excess,
     shapley_exact,
     tree_banzhaf,
     tree_core,
@@ -28,17 +30,17 @@ HALF = Fraction(1, 2)
 
 
 def test_essential_path4():
-    assert essential_vertices(oracles.path4()).members == (0, 1)
+    assert essential_vertices(oracles.path4()) == (0, 1)
 
 
 def test_essential_star_prunes_extra_leaf():
-    assert essential_vertices(oracles.star_domain()).members == (0,)
+    assert essential_vertices(oracles.star_domain()) == (0,)
 
 
 def test_essential_ignores_hanging_leaf():
     # Oracle-derived: z sits in no minimal winning coalition.
     domain = oracles.path3_with_leaf()
-    assert essential_vertices(domain).members == (0,)
+    assert essential_vertices(domain) == (0,)
     assert oracles.essential_by_removal(domain) == (0,)
 
 
@@ -52,7 +54,7 @@ def test_essential_accepts_a_cycle_off_the_veto_set():
     # its contraction have a cycle, but that agent alone wins.
     domain = oracles.lollipop(3)
     assert oracles.quotient_has_cycle(domain)
-    assert essential_vertices(domain).members == (0,)
+    assert essential_vertices(domain) == (0,)
     assert tree_banzhaf(domain).values == banzhaf_exact(domain).values
     assert tree_shapley(domain).values == shapley_exact(domain).values
 
@@ -75,7 +77,7 @@ def test_tree_solvers_run_on_merged_domain():
     # a - b - x - c with a, b primary and adjacent; merging makes it P - x - c.
     domain = ConnectivityDomain(4, ((0, 1), (1, 2), (2, 3)), primary=(0, 1, 3),
                                 backbone=(), standard=(2,))
-    assert essential_vertices(domain).members == (0,)
+    assert essential_vertices(domain) == (0,)
     assert tree_shapley(domain).values == (Fraction(1),)
 
 
@@ -93,7 +95,7 @@ def test_tree_decision_and_closed_forms_match_oracles(domain):
         with pytest.raises(NotTreeError):
             essential_vertices(domain)
     else:
-        assert essential_vertices(domain).members == veto
+        assert essential_vertices(domain) == veto
         assert tree_banzhaf(domain).values == banzhaf_exact(domain).values
         assert tree_shapley(domain).values == shapley_exact(domain).values
 
@@ -127,13 +129,21 @@ def test_every_forest_quotient_takes_the_closed_form(domain):
     # one minimal winning coalition, so its veto set wins.
     assert not oracles.quotient_has_cycle(domain)
     assume(not oracles.reference_value(domain, []))  # a connected tree never all-loses
-    assert essential_vertices(domain).members == oracles.essential_by_removal(domain)
+    assert essential_vertices(domain) == oracles.essential_by_removal(domain)
     assert tree_shapley(domain).values == shapley_exact(domain).values
 
 
-def test_essential_vertices_memoized_per_domain():
-    domain = oracles.path4()
-    assert essential_vertices(domain) is essential_vertices(domain)
+def test_epsilon_core_verdicts_agree_at_epsilon_zero():
+    # Agent 0 alone joins the primaries; agents 1 and 2 are isolated and each
+    # paid a tolerated -1e-9, so the losing coalition {1, 2} has excess 2e-9.
+    # At eps = 0 the eps-core is the core, and every route says no.
+    domain = ConnectivityDomain(5, ((0, 1), (1, 2)), primary=(0, 2), backbone=(),
+                                standard=(1, 3, 4))
+    payoffs = [Fraction(1000000002, 10 ** 9), Fraction(-1, 10 ** 9), Fraction(-1, 10 ** 9)]
+    report = max_excess(domain, payoffs, epsilon=0)
+    assert (report.max_excess, report.witness.mask) == (Fraction(1, 500000000), 0b110)
+    assert {tree_ecm(domain, payoffs, 0), ecm(domain, payoffs, 0),
+            is_in_core(domain, payoffs), report.epsilon_verdict} == {False}
 
 
 def test_tree_with_primaries_linked_through_backbone_path():
@@ -156,7 +166,7 @@ def test_merge_can_remove_cycles():
     domain = ConnectivityDomain(
         6, ((0, 1), (1, 2), (0, 3), (3, 2), (2, 4), (4, 5)),
         primary=(0, 2, 5), backbone=(1, 3), standard=(4,))
-    assert essential_vertices(domain).members == (0,)
+    assert essential_vertices(domain) == (0,)
     assert tree_banzhaf(domain).values == (Fraction(1),)
 
 
@@ -194,7 +204,7 @@ def test_tree_closed_forms_at_larger_sizes():
 
 def test_forest_reading_after_add_dummy():
     domain = add_dummy(oracles.path4())
-    assert essential_vertices(domain).members == (0, 1)
+    assert essential_vertices(domain) == (0, 1)
     assert tree_shapley(domain).values == shapley_exact(domain).values
 
 
@@ -202,7 +212,7 @@ def test_essential_equals_veto_on_trees():
     rng = random.Random(404)
     for _ in range(30):
         domain = oracles.random_tree_domain(rng, max_agents=10)
-        assert essential_vertices(domain).members == \
+        assert essential_vertices(domain) == \
             veto_players(domain).veto_agents
 
 
