@@ -3,9 +3,9 @@
 Agents own standard vertices of a graph; a coalition wins when the vertices
 it owns, plus always-available backbone and primary vertices, connect every
 pair of primary vertices. This package computes fair reward shares (Banzhaf
-index, Shapley value: exact, tree closed form, or Monte Carlo) and stable
-reward shares (core, epsilon-core, least core), along with generators that
-turn set-cover and vertex-cover instances into games for end-to-end checks.
+index, Shapley value: exact or Monte Carlo) and stable reward shares (core,
+epsilon-core, least core), along with generators that turn set-cover and
+vertex-cover instances into games for end-to-end checks.
 """
 
 from .domain import (
@@ -27,7 +27,6 @@ from .errors import (
     CapExceededError,
     DegenerateDomainError,
     InvalidDomainError,
-    NotTreeError,
 )
 from .powerindex import (
     DEFAULT_ENUMERATION_CAP,
@@ -65,21 +64,14 @@ from .stability import (
     max_excess,
     veto_players,
 )
-from .trees import (
-    TreeCoreResult,
-    essential_vertices,
-    tree_banzhaf,
-    tree_core,
-    tree_ecm,
-    tree_shapley,
-)
+from . import trees  # noqa: F401  (a layer bench/tracing.py wraps; it holds no solver)
 
 __all__ = [
     "BACKBONE", "PRIMARY", "STANDARD",
     "Coalition", "ConnectivityDomain", "DomainClassification", "ValidationReport",
     "classify", "coalition_value", "domain_from_dict", "domain_to_dict",
     "is_critical", "validate",
-    "CapExceededError", "DegenerateDomainError", "InvalidDomainError", "NotTreeError",
+    "CapExceededError", "DegenerateDomainError", "InvalidDomainError",
     "DEFAULT_ENUMERATION_CAP", "ApproxParams", "IndexVector",
     "banzhaf_exact", "banzhaf_mc", "banzhaf_mc_all", "derive_seed",
     "shapley_exact", "shapley_mc", "shapley_mc_all",
@@ -88,6 +80,4 @@ __all__ = [
     "vertexcover_from_dict", "vertexcover_to_dict", "vertexcover_to_ecm",
     "CoreDescription", "ExcessReport", "Imputation", "LeastCoreResult",
     "ecm", "is_in_core", "least_core_value", "max_excess", "veto_players",
-    "TreeCoreResult", "essential_vertices", "tree_banzhaf",
-    "tree_core", "tree_ecm", "tree_shapley",
 ]

@@ -1,6 +1,8 @@
 """Command-line surface: load domain/instance files, dispatch to solvers, and
 emit deterministic text/JSON/CSV reports. ``_plan`` is the one place where a
-method is chosen: tree closed forms, exact enumeration or Monte Carlo.
+method is chosen, exact or Monte Carlo; how an exact answer is computed, by
+the closed forms of a unanimity game or from the win table, is the exact
+solvers' choice, and each report names it by the tag they return.
 
 Exit codes: 0 ok, 2 input or usage error, 3 resource cap exceeded,
 4 degenerate domain. The handlers raise on every refusal, and ``main`` alone
@@ -26,9 +28,9 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 
-from . import powerindex, reductions, stability, trees
+from . import enumeration, powerindex, reductions, stability
 from .domain import classify, domain_from_dict, domain_to_dict
-from .errors import CapExceededError, DegenerateDomainError, NotTreeError
+from .errors import CapExceededError, DegenerateDomainError
 
 SCHEMA_VERSION = 1
 
@@ -159,20 +161,28 @@ def _summary_lines(summary: dict) -> list[str]:
             f"{summary['agents']} agents{suffix}"]
 
 
-def _plan(domain, method: str = "auto", cap: int | None = None) -> str:
-    """``"tree"`` where the closed forms apply, else ``"exact"``, or ``"mc"``
-    past ``cap`` agents. ``ecm`` and ``leastcore`` pass no cap: their exact
-    solvers refuse past the enumeration cap. ``indices --method exact`` and
-    ``mc`` skip the tree test; ``--method tree`` is refused where it fails."""
-    if method in ("exact", "mc"):
+def _plan(domain, method: str, cap: int) -> str:
+    """``"exact"`` where the exact solvers answer within ``cap`` agents, else
+    ``"mc"``; ``--method exact`` and ``mc`` force one. ``--method tree`` is
+    exact, refused unless the veto agents win on their own."""
+    if method == "tree":
+        classification = classify(domain)
+        if classification.degenerate:
+            kind = ("every coalition wins" if classification.degenerate_all_win
+                    else "even the grand coalition loses")
+            raise ValueError(f"tree method not applicable: {kind}; tree solvers need a "
+                             f"non-degenerate domain")
+        if not classification.veto_wins:
+            raise ValueError("tree method not applicable: the veto agents do not win "
+                             "on their own; use the general solvers")
+        return "exact"
+    if method != "auto":
         return method
     try:
-        trees.essential_vertices(domain)
-        return "tree"
-    except (NotTreeError, DegenerateDomainError) as exc:
-        if method == "tree":
-            raise ValueError(f"tree method not applicable: {exc}") from None
-    return "mc" if cap is not None and domain.n_agents > cap else "exact"
+        enumeration._exact_game(domain, cap)
+    except CapExceededError:
+        return "mc"
+    return "exact"
 
 
 def _value_cell(value: Fraction) -> str:
@@ -240,10 +250,7 @@ def cmd_indices(args) -> int:
 
     vectors = []
     for kind in kinds:
-        if method == "tree":
-            vectors.append(trees.tree_banzhaf(domain) if kind == "banzhaf"
-                           else trees.tree_shapley(domain))
-        elif method == "exact":
+        if method == "exact":
             vectors.append(powerindex.banzhaf_exact(domain, cap=cap) if kind == "banzhaf"
                            else powerindex.shapley_exact(domain, cap=cap))
         else:
@@ -315,8 +322,8 @@ def cmd_ecm(args) -> int:
     }
     excess = stability.max_excess(domain, payoffs, cap=cap, epsilon=args.epsilon)
     verdict = bool(excess.epsilon_verdict)
-    if _plan(domain) == "tree":
-        essential = trees.essential_vertices(domain)
+    if excess.method == enumeration.TREE_CLOSED_FORM:
+        essential = classification.veto_agents
         report["method"] = "tree-essential-sum"
         report["essential_agents"] = list(essential)
         report["essential_payment"] = float(sum((payoffs[i] for i in essential), Fraction(0)))
@@ -353,13 +360,8 @@ def cmd_leastcore(args) -> int:
     cap = _exact_cap(args)
     classification = classify(domain)
 
-    if _plan(domain) == "tree":
-        epsilon = Fraction(0)
-        imputation = trees.tree_core(domain).canonical_imputation
-        method = powerindex.TREE_CLOSED_FORM
-    else:
-        result = stability.least_core_value(domain, cap=cap)
-        epsilon, imputation, method = result.epsilon, result.imputation, result.method
+    result = stability.least_core_value(domain, cap=cap)
+    epsilon, imputation, method = result.epsilon, result.imputation, result.method
 
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -1,5 +1,13 @@
-"""The win table and its reductions: criticality size histograms and the
-minimal winning coalitions.
+"""The exact game source, and the win table with its reductions: criticality
+size histograms and the minimal winning coalitions.
+
+Every exact solver asks ``_exact_game`` for the domain's exact form. Where
+the veto agents win on their own, the game is their unanimity game
+(Shapley 1953), and ``_Unanimity`` answers at any size with no table: 1/m
+Shapley values and 2^(1-m) Banzhaf indices for the m veto agents, the veto
+set as the one minimal winning coalition, and a least core of eps = 0 with
+the equal split. Otherwise ``_Table`` reads the win table, which is refused
+past the enumeration cap before it is built.
 
 The win table holds the values of all 2^n coalitions as packed bits, the
 format the domain's batched kernel (``ConnectivityDomain._win_bits``)
@@ -16,9 +24,18 @@ Banzhaf counts. Tables and histograms are memoized on the domain.
 
 from __future__ import annotations
 
+import math
+from fractions import Fraction
+
 import numpy as np
 
-from .domain import ConnectivityDomain
+from .domain import ConnectivityDomain, classify
+from .errors import CapExceededError
+
+DEFAULT_ENUMERATION_CAP = 24
+
+EXACT_ENUMERATION = "exact-enumeration"
+TREE_CLOSED_FORM = "tree-closed-form"
 
 # Win-table blocks of 2^18 coalitions (32 KB per vertex bitset), and 2^18
 # bytes per bincount in the reductions (a 2 MB intp copy).
@@ -144,3 +161,77 @@ def criticality_size_counts(win: np.ndarray, n: int) -> np.ndarray:
     for k in range(4):  # bit positions of popcount k add k to popcount(j)
         out[:, k:k + groups] += folded[:, :, k].astype(np.int64)
     return out[:, :n + 1]
+
+
+def _check_cap(n: int, cap: int) -> None:
+    if n > cap:
+        raise CapExceededError(
+            f"instance too large for exact solver: {n} agents exceeds the "
+            f"enumeration cap of {cap}", cap)
+
+
+class _Unanimity:
+    """The unanimity game of the veto agents ``veto`` among ``n`` agents."""
+
+    method = TREE_CLOSED_FORM
+
+    def __init__(self, n: int, veto: tuple[int, ...]):
+        self.n, self.veto = n, veto
+
+    def _split(self, share: Fraction) -> tuple[Fraction, ...]:
+        members = set(self.veto)
+        return tuple(share if i in members else Fraction(0) for i in range(self.n))
+
+    def banzhaf(self) -> tuple[Fraction, ...]:
+        return self._split(Fraction(1, 1 << (len(self.veto) - 1)))
+
+    def shapley(self) -> tuple[Fraction, ...]:
+        return self._split(Fraction(1, len(self.veto)))
+
+    def minimal_winning(self) -> list[int]:
+        return [sum(1 << i for i in self.veto)]
+
+    def maximal_losing(self) -> list[int]:
+        return [((1 << self.n) - 1) ^ (1 << i) for i in self.veto]
+
+    def least_core(self) -> tuple[Fraction, tuple[Fraction, ...]]:
+        return Fraction(0), self.shapley()
+
+
+class _Table:
+    """The domain's win table, built on first use, and its reductions; the
+    index sums are those the ``powerindex`` module docstring gives."""
+
+    method = EXACT_ENUMERATION
+
+    def __init__(self, domain: ConnectivityDomain):
+        self.domain, self.n = domain, domain.n_agents
+
+    def banzhaf(self) -> tuple[Fraction, ...]:
+        counts = criticality_histograms(self.domain).sum(axis=1).tolist()
+        return tuple(Fraction(c, 1 << (self.n - 1)) for c in counts)
+
+    def shapley(self) -> tuple[Fraction, ...]:
+        n = self.n
+        weights = [math.factorial(size - 1) * math.factorial(n - size) for size in range(1, n + 1)]
+        n_fact = math.factorial(n)
+        return tuple(Fraction(sum(count * weight for count, weight in zip(hist[1:], weights)),
+                              n_fact)
+                     for hist in criticality_histograms(self.domain).tolist())
+
+    def minimal_winning(self) -> list[int]:
+        return minimal_winning_masks(win_table(self.domain), self.n).tolist()
+
+    def maximal_losing(self) -> list[int]:
+        return maximal_losing_masks(win_table(self.domain), self.n).tolist()
+
+
+def _exact_game(domain: ConnectivityDomain, cap: int) -> _Unanimity | _Table:
+    """The domain's exact form: the unanimity game where the veto agents win
+    on their own, at any size; else the win table, refused past ``cap``
+    agents (``CapExceededError``) before anything is built."""
+    classification = classify(domain)
+    if classification.veto_wins:
+        return _Unanimity(domain.n_agents, classification.veto_agents)
+    _check_cap(domain.n_agents, cap)
+    return _Table(domain)

@@ -19,8 +19,3 @@ class CapExceededError(RuntimeError):
 
 class DegenerateDomainError(ValueError):
     """Core-style queries are refused on all-win / all-lose domains."""
-
-
-class NotTreeError(ValueError):
-    """Tree solvers were asked to run on a domain whose veto agents lose on
-    their own, so its game is not a unanimity game."""

@@ -1,8 +1,10 @@
 """Banzhaf indices and Shapley values, exact and Monte Carlo.
 
-Exact solvers enumerate all 2^n coalitions once, reduce the win table to
-per-agent histograms of critical coalitions by size, and sum those in
-integers, making one ``Fraction`` per value:
+Exact solvers take their values from the domain's exact game
+(``enumeration._exact_game``): the closed forms of the unanimity game where
+the veto agents win on their own, at any size, and otherwise per-agent
+histograms of critical coalitions by size, read from the 2^n win table and
+summed in integers, one ``Fraction`` per value:
 
 * Banzhaf index of agent i: (number of coalitions containing i in which i is
   critical) / 2^(n-1).
@@ -35,6 +37,7 @@ import numpy as np
 
 from . import enumeration
 from .domain import ConnectivityDomain
+from .enumeration import DEFAULT_ENUMERATION_CAP
 from .errors import CapExceededError
 
 # The builtin SHA-256 module, tried first as random.py does for SHA-512:
@@ -48,7 +51,6 @@ except ImportError:
     except ImportError:
         from hashlib import sha256 as _sha256
 
-DEFAULT_ENUMERATION_CAP = 24
 # Monte Carlo samples per run: two coalitions each, as many as the 2^24 table.
 _MC_SAMPLE_BOUND = 1 << (DEFAULT_ENUMERATION_CAP - 1)
 _BLOCK_BITS = 12  # Monte Carlo coalitions per kernel call: 2^12, 512 bytes per vertex
@@ -56,8 +58,6 @@ _BLOCK_BITS = 12  # Monte Carlo coalitions per kernel call: 2^12, 512 bytes per 
 BANZHAF = "banzhaf"
 SHAPLEY = "shapley"
 
-EXACT_ENUMERATION = "exact-enumeration"
-TREE_CLOSED_FORM = "tree-closed-form"
 MONTE_CARLO = "monte-carlo"
 
 
@@ -95,37 +95,16 @@ class IndexVector:
     seed: int | None = None
 
 
-def _check_cap(n: int, cap: int) -> None:
-    if n > cap:
-        raise CapExceededError(
-            f"instance too large for exact solver: {n} agents exceeds the "
-            f"enumeration cap of {cap}", cap)
-
-
 def banzhaf_exact(domain: ConnectivityDomain, *, cap: int = DEFAULT_ENUMERATION_CAP) -> IndexVector:
     """Exact Banzhaf index of every agent, as rationals."""
-    domain.ensure_valid()
-    n = domain.n_agents
-    _check_cap(n, cap)
-    if n == 0:
-        return IndexVector(BANZHAF, (), EXACT_ENUMERATION)
-    counts = enumeration.criticality_histograms(domain).sum(axis=1).tolist()
-    denom = 1 << (n - 1)
-    return IndexVector(BANZHAF, tuple(Fraction(c, denom) for c in counts), EXACT_ENUMERATION)
+    game = enumeration._exact_game(domain, cap)
+    return IndexVector(BANZHAF, game.banzhaf(), game.method)
 
 
 def shapley_exact(domain: ConnectivityDomain, *, cap: int = DEFAULT_ENUMERATION_CAP) -> IndexVector:
     """Exact Shapley value of every agent, as rationals."""
-    domain.ensure_valid()
-    n = domain.n_agents
-    _check_cap(n, cap)
-    if n == 0:
-        return IndexVector(SHAPLEY, (), EXACT_ENUMERATION)
-    weights = [math.factorial(size - 1) * math.factorial(n - size) for size in range(1, n + 1)]
-    n_fact = math.factorial(n)
-    values = [Fraction(sum(count * weight for count, weight in zip(hist[1:], weights)), n_fact)
-              for hist in enumeration.criticality_histograms(domain).tolist()]
-    return IndexVector(SHAPLEY, tuple(values), EXACT_ENUMERATION)
+    game = enumeration._exact_game(domain, cap)
+    return IndexVector(SHAPLEY, game.shapley(), game.method)
 
 
 def derive_seed(seed: int, label: str) -> int:

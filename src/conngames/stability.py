@@ -16,18 +16,19 @@ dual game (C wins iff its complement loses). For nonnegative payoffs the
 losing side is just the empty coalition, with excess 0. Each candidate list is
 scored exactly in Python integers.
 
-Both lists come from ``_extremal_masks``. When the veto set wins, it is the
-only minimal winning coalition and the maximal losing ones are N - {i} for
-each veto agent i, at any size; otherwise both are read from the win table,
-behind the enumeration cap.
+Both lists come from the domain's exact game (``enumeration._exact_game``).
+When the veto set wins, it is the only minimal winning coalition and the
+maximal losing ones are N - {i} for each veto agent i, at any size; otherwise
+both are read from the win table, behind the enumeration cap.
 
-The least core solves  min eps  s.t.  p(C) >= v(C) - eps  over nonempty
-coalitions, exactly, with constraints generated lazily. Its payoffs are
-nonnegative, so a least-paid winning coalition is always a minimal winning
-one (Maschler, Peleg & Shapley 1979): the minimal winning coalitions are
-listed once, and each round scores only them, exactly in Python integers.
-The rounds are bounded by the number of those coalitions, so the enumeration
-cap on the win table is the least core's only cap.
+The least core of a game whose veto set wins is eps = 0 with the equal split
+over the veto agents. Otherwise it solves  min eps  s.t.  p(C) >= v(C) - eps
+over nonempty coalitions, exactly, with constraints generated lazily. Its
+payoffs are nonnegative, so a least-paid winning coalition is always a
+minimal winning one (Maschler, Peleg & Shapley 1979): the minimal winning
+coalitions are listed once, and each round scores only them, exactly in
+Python integers. The rounds are bounded by the number of those coalitions,
+so the enumeration cap on the win table is the least core's only cap.
 """
 
 from __future__ import annotations
@@ -35,12 +36,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from . import enumeration, lp
 from .domain import Coalition, ConnectivityDomain, classify
+from .enumeration import DEFAULT_ENUMERATION_CAP, TREE_CLOSED_FORM
 from .errors import DegenerateDomainError
-from .powerindex import DEFAULT_ENUMERATION_CAP, _check_cap
 
 EXACT_LP = "exact-lp"
 
@@ -83,9 +84,13 @@ class CoreDescription:
 
 @dataclass(frozen=True)
 class ExcessReport:
+    """The maximal excess with a witness coalition, the epsilon verdict when
+    asked, and the method tag of the exact form that gave them."""
+
     max_excess: Fraction
     witness: Coalition
     epsilon_verdict: bool | None = None
+    method: str = enumeration.EXACT_ENUMERATION
 
 
 @dataclass(frozen=True)
@@ -152,28 +157,6 @@ def _scaled_payment(mask: int, weights: Sequence[int]) -> int:
     return total
 
 
-def _extremal_masks(domain: ConnectivityDomain, cap: int
-                    ) -> tuple[Callable[[], list[int]], Callable[[], list[int]]]:
-    """Two functions listing the masks of the minimal winning and of the
-    maximal losing coalitions.
-
-    When the veto set wins, it is the only minimal winning coalition and
-    the maximal losing ones are N - {i} for each veto agent i, so no table
-    is built at any size. Otherwise both lists come from the win table,
-    built on the first call; past ``cap`` the domain is refused here, before
-    the caller reads anything else.
-    """
-    classification = classify(domain)
-    n = domain.n_agents
-    if classification.veto_wins:
-        veto = classification.veto_agents
-        return (lambda: [sum(1 << i for i in veto)],
-                lambda: [((1 << n) - 1) ^ (1 << i) for i in veto])
-    _check_cap(n, cap)
-    return (lambda: enumeration.minimal_winning_masks(enumeration.win_table(domain), n).tolist(),
-            lambda: enumeration.maximal_losing_masks(enumeration.win_table(domain), n).tolist())
-
-
 def max_excess(domain: ConnectivityDomain, payoffs, *,
                cap: int = DEFAULT_ENUMERATION_CAP,
                allow_negative: bool = False,
@@ -184,22 +167,24 @@ def max_excess(domain: ConnectivityDomain, payoffs, *,
     Payoffs below -IMPUTATION_TOL are rejected unless ``allow_negative`` is
     set; any negative payoff adds the maximal losing coalitions' candidates,
     as losing coalitions can then have positive excess too. Past the
-    enumeration ``cap`` only a domain whose veto set wins is answered.
+    enumeration ``cap`` only a domain whose veto set wins is answered, and
+    any other is refused before its payoffs are read.
     """
-    domain.ensure_valid()
     n = domain.n_agents
-    minimal_winning, maximal_losing = _extremal_masks(domain, cap)
+    game = enumeration._exact_game(domain, cap)
     p = _as_payoffs(payoffs, n)
     _check_total(domain, p)
-    if not allow_negative and any(x < -IMPUTATION_TOL for x in p):
-        raise ValueError(
-            "negative payoffs rejected; pass allow_negative=True for the full scan")
+    if not allow_negative:
+        for i, x in enumerate(p):
+            if x < -IMPUTATION_TOL:
+                raise ValueError(f"agent {i} has negative payoff {x}; the "
+                                 f"epsilon-core test takes nonnegative payoffs")
     # Payoffs tolerated as nonnegative may still be slightly negative; a
     # losing coalition of such agents then has a small positive excess.
     negative = sum(1 << i for i, x in enumerate(p) if x < 0)
-    winning = [m | negative for m in minimal_winning()]
+    winning = [m | negative for m in game.minimal_winning()]
     if negative:
-        losing = [negative & m for m in maximal_losing()]
+        losing = [negative & m for m in game.maximal_losing()]
     else:
         losing = [] if classify(domain).degenerate_all_win else [0]
     keys = []
@@ -215,7 +200,8 @@ def max_excess(domain: ConnectivityDomain, payoffs, *,
         verdict = best_excess <= _to_fraction(epsilon) + IMPUTATION_TOL
     return ExcessReport(max_excess=best_excess,
                         witness=Coalition(best_mask, n),
-                        epsilon_verdict=verdict)
+                        epsilon_verdict=verdict,
+                        method=game.method)
 
 
 def ecm(domain: ConnectivityDomain, payoffs, epsilon, *,
@@ -248,16 +234,20 @@ def least_core_value(domain: ConnectivityDomain, *,
     """Smallest eps whose eps-core is non-empty, with an optimal imputation.
 
     Deviating coalitions are the nonempty ones. Both eps and the imputation
-    are exact rationals. Past the enumeration ``cap`` a domain whose veto
-    set loses is refused (``CapExceededError``) before any table is built.
-    Constraints are generated lazily: each round adds the least-paid minimal
-    winning coalition, listed once, and the integer simplex of ``lp`` solves
-    each restricted program. Refuses degenerate domains.
+    are exact rationals. Where the veto set wins, eps is 0 and the imputation
+    is the equal split over the veto agents, tagged ``tree-closed-form``.
+    Past the enumeration ``cap`` a domain whose veto set loses is refused
+    (``CapExceededError``) before any table is built. Constraints are
+    generated lazily: each round adds the least-paid minimal winning
+    coalition, listed once, and the integer simplex of ``lp`` solves each
+    restricted program. Refuses degenerate domains.
     """
-    domain.ensure_valid()
     _refuse_degenerate(domain, "least-core")
     n = domain.n_agents
-    minimal = _extremal_masks(domain, cap)[0]()
+    game = enumeration._exact_game(domain, cap)
+    if game.method == TREE_CLOSED_FORM:
+        return LeastCoreResult(*game.least_core(), game.method)
+    minimal = game.minimal_winning()
     active = [(1 << n) - 1]
     for _ in range(len(minimal) + 2):
         solution = _solve_active_exact(active, n, 1)  # the grand coalition wins

@@ -13,6 +13,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
+from math import factorial
 
 from conngames import (
     Coalition,
@@ -21,6 +22,7 @@ from conngames import (
     VertexCoverInstance,
     classify,
     derive_seed,
+    enumeration,
     stability,
 )
 from conngames.lp import LPInfeasible, LPSolution, LPUnbounded
@@ -93,6 +95,18 @@ def shapley_permutation(domain: ConnectivityDomain) -> list[Fraction]:
     for k in range(2, n + 1):
         n_fact *= k
     return [Fraction(t, n_fact) for t in totals]
+
+
+def table_indices(domain: ConnectivityDomain) -> tuple[tuple[Fraction, ...], ...]:
+    """(Banzhaf, Shapley) values read from the library's win table through
+    ``enumeration.criticality_size_counts``, whatever form the exact solvers
+    pick: the cross-check of the closed forms, not an independent oracle."""
+    n = domain.n_agents
+    hists = enumeration.criticality_size_counts(enumeration.win_table(domain), n).tolist()
+    banzhaf = tuple(Fraction(sum(h), 1 << (n - 1)) for h in hists)
+    shapley = tuple(sum((Fraction(c * factorial(s - 1) * factorial(n - s), factorial(n))
+                         for s, c in enumerate(h) if s), Fraction(0)) for h in hists)
+    return banzhaf, shapley
 
 
 # ----------------------------------------------------------- core oracles

@@ -22,17 +22,12 @@ from conngames import (
     count_set_covers,
     domain_to_dict,
     ecm,
-    essential_vertices,
     is_in_core,
     least_core_value,
     max_excess,
     min_vertex_cover,
     setcover_to_cg,
     shapley_exact,
-    tree_banzhaf,
-    tree_core,
-    tree_ecm,
-    tree_shapley,
     vertexcover_to_ecm,
     veto_players,
 )
@@ -47,8 +42,9 @@ def test_criterion_1_tree_closed_forms():
     rng = random.Random(1001)
     for _ in range(200):
         domain = oracles.random_tree_domain(rng, max_agents=14)
-        assert tree_shapley(domain).values == shapley_exact(domain).values
-        assert tree_banzhaf(domain).values == banzhaf_exact(domain).values
+        banzhaf, shapley = banzhaf_exact(domain), shapley_exact(domain)
+        assert banzhaf.method == shapley.method == "tree-closed-form"
+        assert (banzhaf.values, shapley.values) == oracles.table_indices(domain)
     elapsed = time.perf_counter() - started
     assert elapsed < 60.0, f"tree closed-form sweep took {elapsed:.1f}s"
     print(f"\nacceptance criterion 1 (tree closed forms, 200 domains, "
@@ -128,35 +124,36 @@ def test_criterion_4_core_characterization(corpus):
 
 def test_criterion_5_tree_stability(tree_corpus):
     rng = random.Random(5005)
+    tol = Fraction(1, 10 ** 9)
     for name, domain in tree_corpus:
-        core = tree_core(domain)
-        assert not core.core.is_empty, name
-        assert core.core.veto_agents == essential_vertices(domain), name
+        core = veto_players(domain)
+        essential = oracles.essential_by_removal(domain)
+        assert not core.is_empty, name
+        assert core.veto_agents == essential, name
 
         result = least_core_value(domain)
-        if domain.n_agents <= 12:
-            assert result.epsilon == 0, name
-        else:
-            assert abs(result.epsilon) <= 1e-9, name
+        assert result.epsilon == 0, name
+        assert result.method == "tree-closed-form", name
 
         if domain.n_agents <= 14:
             for _ in range(50):
                 payoffs = oracles.random_imputation(rng, domain.n_agents)
                 eps = rng.random()
-                assert tree_ecm(domain, payoffs, eps) == \
-                    ecm(domain, payoffs, eps), (name, payoffs, eps)
+                # The essential-payment test: the least-paid winning coalition
+                # is the essential set, and the empty coalition has excess 0.
+                shortfall = 1 - sum(Fraction(payoffs[i]) for i in essential)
+                assert ecm(domain, payoffs, eps) == (shortfall <= Fraction(eps) + tol), \
+                    (name, payoffs, eps)
 
         # Boundary convention: membership is non-strict at p(essential) = 1 - eps.
-        essential = essential_vertices(domain)
         dummies = [i for i in range(domain.n_agents) if i not in essential]
         if dummies:
             payoffs = [0.0] * domain.n_agents
             payoffs[essential[0]] = 0.75
             payoffs[dummies[0]] = 0.25
-            assert tree_ecm(domain, payoffs, 0.25), name
             assert ecm(domain, payoffs, 0.25), name
-            assert not tree_ecm(domain, payoffs, 0.25 - 1e-6), name
-        assert tree_ecm(domain, core.canonical_imputation, 0), name
+            assert not ecm(domain, payoffs, 0.25 - 1e-6), name
+        assert ecm(domain, result.imputation, 0), name
     print(f"acceptance criterion 5 (tree stability, {len(tree_corpus)} trees): PASS")
 
 

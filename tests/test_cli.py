@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from conngames import (ConnectivityDomain, cli, domain_from_dict, domain_to_dict, enumeration,
-                       validate)
+                       least_core_value, validate)
 from conngames.cli import main
 
 
@@ -111,6 +111,14 @@ def test_indices_explicit_tree_method_on_cycle_exit2(files, capsys):
     assert code == 2
     assert err == ("error: tree method not applicable: the veto agents do not win on "
                    "their own; use the general solvers\n")
+
+
+def test_indices_explicit_tree_method_on_all_lose_exit2(files, capsys):
+    path = write_json(files["tmp"] / "lose.json", domain_to_dict(oracles.all_lose_domain()))
+    code, out, err = run(capsys, ["indices", path, "--method", "tree"])
+    assert (code, out) == (2, "")
+    assert err == ("error: tree method not applicable: even the grand coalition loses; "
+                   "tree solvers need a non-degenerate domain\n")
 
 
 def test_indices_degenerate_domain_auto_uses_exact_zeros(files, capsys):
@@ -370,6 +378,17 @@ def test_ecm_refuses_past_the_cap_before_reading_payoffs(files, capsys):
     assert (code, out, err) == (3, "", _OVER_CAP)
 
 
+@pytest.mark.parametrize("name", ["path4", "cycle4"])
+def test_ecm_names_the_negative_payoff_it_refuses(files, capsys, name):
+    # The closed form (path4) and the table (cycle4) refuse alike, in the
+    # terms of the input file.
+    ppath = write_json(files["tmp"] / "neg.json", {"imputation": ["1.5", "-0.5"]})
+    code, out, err = run(capsys, ["ecm", files[name], ppath, "--epsilon", "0.5"])
+    assert (code, out) == (2, "")
+    assert err == ("error: agent 1 has negative payoff -1/2; the epsilon-core test "
+                   "takes nonnegative payoffs\n")
+
+
 def test_ecm_negative_epsilon_exit2(files, capsys):
     code, _, err = run(capsys, ["ecm", files["cycle4"], files["half"],
                                 "--epsilon", "-0.1"])
@@ -416,6 +435,56 @@ def test_indices_both_builds_the_histograms_once(capsys, monkeypatch):
                               "--index", "both", "--method", "exact"])
     assert code == 0
     assert calls == [20]
+
+
+@pytest.mark.parametrize("name", ["path4", "lollipop"])
+def test_leastcore_library_and_cli_agree_where_the_veto_set_wins(files, capsys, name):
+    domain = oracles.path4() if name == "path4" else oracles.lollipop(3)
+    path = write_json(files["tmp"] / "domain.json", domain_to_dict(domain))
+    code, out, err = run(capsys, ["leastcore", path, "--format", "json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    result = least_core_value(domain)
+    m = len(oracles.veto_enumeration(domain))
+    split = [Fraction(1, m) if i in oracles.veto_enumeration(domain) else 0
+             for i in range(domain.n_agents)]
+    assert (result.epsilon, list(result.imputation), result.method) == \
+        (0, split, "tree-closed-form")
+    assert (report["epsilon_min_rational"], report["method"]) == ("0", result.method)
+    assert [Fraction(row["value_rational"]) for row in report["imputation"]] == split
+
+
+def test_a_2000_agent_path_is_answered_without_a_table(files, capsys, monkeypatch):
+    # Every agent of the path is veto, and together they win: exactly 1/m,
+    # 2^(1-m) and eps = 0, with no win table and no histograms.
+    m = 2000
+    path = write_json(files["tmp"] / "path.json", {
+        "vertices": m + 2, "edges": [[v, v + 1] for v in range(m + 1)],
+        "primary": [0, m + 1], "backbone": [], "standard": list(range(1, m + 1))})
+    ppath = write_json(files["tmp"] / "pay.json", {"imputation": [f"1/{m}"] * m})
+
+    def refused(domain):
+        raise AssertionError("a 2^2000 table was requested")
+
+    monkeypatch.setattr(enumeration, "win_table", refused)
+    monkeypatch.setattr(enumeration, "criticality_histograms", refused)
+    code, out, err = run(capsys, ["indices", path, "--format", "json"])
+    assert (code, err) == (0, "")
+    results = {result["index_kind"]: result for result in json.loads(out)["results"]}
+    want = {"banzhaf": f"1/{1 << (m - 1)}", "shapley": f"1/{m}"}
+    for kind, result in results.items():
+        assert result["method"] == "tree-closed-form"
+        assert {row["value_rational"] for row in result["values"]} == {want[kind]}
+    code, out, err = run(capsys, ["leastcore", path, "--format", "json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["epsilon_min_rational"] == "0"
+    assert {row["value_rational"] for row in report["imputation"]} == {f"1/{m}"}
+    code, out, err = run(capsys, ["ecm", path, ppath, "--epsilon", "0", "--format", "json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["essential_agents"] == list(range(m))
+    assert (report["essential_payment"], report["in_epsilon_core"]) == (1.0, True)
 
 
 def test_leastcore_cycle(files, capsys):
@@ -475,7 +544,7 @@ _OVER_CAP = ("error: instance too large for exact solver: 30 agents exceeds "
     (["indices", "{degenerate}", "--method", "tree"], 2,
      "error: tree method not applicable: every coalition wins; tree solvers need "
      "a non-degenerate domain\n"),
-    (["indices", "{path4}", "--method", "exact"], 0, "exact-enumeration"),
+    (["indices", "{path4}", "--method", "exact"], 0, "tree-closed-form"),
     (["indices", "{path4}", "--method", "mc"], 0, "monte-carlo"),
     (["indices", "{big}", "--index", "banzhaf"], 0, "monte-carlo"),
     (["ecm", "{forest}", "{half}", "--epsilon", "0.5"], 0, "tree-essential-sum"),
@@ -767,15 +836,17 @@ def test_indices_20_agent_output_is_pinned(capsys):
 
 @pytest.mark.parametrize("argv, golden", [
     (["indices", "--index", "both"], "unanimity30_indices.json"),
+    (["indices", "--index", "both", "--method", "exact"], "unanimity30_indices.json"),
     (["leastcore"], "unanimity30_leastcore.json"),
     (["ecm", str(DATA / "unanimity30_imputation.json"), "--epsilon", "0.5"],
      "unanimity30_ecm.json"),
-], ids=["indices", "leastcore", "ecm"])
+], ids=["indices", "indices-exact", "leastcore", "ecm"])
 def test_unanimity_30_agent_output_is_pinned(capsys, argv, golden):
     # Two primaries joined through one agent, with a ring of 29 agents hanging
     # off it: past the enumeration cap, yet that agent alone wins, so the
     # closed forms answer exactly where Monte Carlo and exit 3 answered before.
-    # The ecm golden pins the tree-essential-sum report field by field.
+    # "--method exact" asks the same exact solvers, so it prints the same
+    # bytes. The ecm golden pins the tree-essential-sum report field by field.
     code, out, err = run(capsys, [argv[0], str(DATA / "unanimity30_domain.json"),
                                   *argv[1:], "--format", "json"])
     assert (code, err) == (0, "")

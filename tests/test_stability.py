@@ -22,7 +22,6 @@ from conngames import (
     lp,
     max_excess,
     stability,
-    tree_core,
     vertexcover_to_ecm,
     veto_players,
 )
@@ -31,6 +30,17 @@ from conngames.enumeration import minimal_winning_masks, win_table
 from conngames.lp import LPInfeasible, LPUnbounded, solve_exact
 
 HALF = Fraction(1, 2)
+
+
+def _assert_closed_form_least_core(domain, result):
+    # eps is the table scan's; the imputation is the equal split over the
+    # veto agents found by the removal test, and its maximal excess is eps.
+    eps = oracles.least_core_by_table_scan(domain)[0]
+    veto = oracles.essential_by_removal(domain)
+    split = tuple(Fraction(1, len(veto)) if i in veto else Fraction(0)
+                  for i in range(domain.n_agents))
+    assert (result.epsilon, result.imputation, result.method) == (eps, split, "tree-closed-form")
+    assert max_excess(domain, result.imputation).max_excess == eps
 
 
 # ----------------------------------------------------------- exact simplex
@@ -296,7 +306,6 @@ def test_winning_veto_set_is_solved_without_a_win_table(data):
     assert classify(domain).veto_wins
     payoffs = data.draw(strategies.payoffs(domain.n_agents))
     expected_excess = oracles.max_excess_bruteforce(domain, payoffs)
-    expected_least_core = oracles.least_core_by_table_scan(domain)[:2]
 
     def no_table(domain):
         raise AssertionError("a win table was requested")
@@ -309,8 +318,7 @@ def test_winning_veto_set_is_solved_without_a_win_table(data):
             witness = report.witness.mask
             assert oracles.reference_mask_value(domain, witness) - \
                 _payment(witness, payoffs) == expected_excess
-            result = least_core_value(domain, cap=cap)
-            assert (result.epsilon, result.imputation) == expected_least_core
+            _assert_closed_form_least_core(domain, least_core_value(domain, cap=cap))
 
 
 def test_max_excess_memory_at_18_agents():
@@ -376,8 +384,8 @@ def test_ecm_monotone_in_epsilon():
 
 def test_least_core_tree_is_zero():
     result = least_core_value(oracles.path4())
-    assert result.epsilon == 0
-    assert result.method == "exact-lp"
+    assert (result.epsilon, result.imputation, result.method) == \
+        (0, (HALF, HALF), "tree-closed-form")
 
 
 def test_least_core_cycle4():
@@ -443,6 +451,9 @@ def test_least_core_matches_table_scan(domain):
         with pytest.raises(DegenerateDomainError):
             least_core_value(domain)
         return
+    if classify(domain).veto_wins:
+        _assert_closed_form_least_core(domain, least_core_value(domain))
+        return
     programs = []
 
     def recording(active, n, grand_value):
@@ -485,12 +496,11 @@ def test_least_core_exact_on_larger_tree(tree_corpus):
         if domain.n_agents <= 12:
             continue
         result = least_core_value(domain)
-        assert result.method == "exact-lp", name
+        assert result.method == "tree-closed-form", name
         assert type(result.epsilon) is Fraction and result.epsilon == 0, name
         assert all(type(v) is Fraction for v in result.imputation), name
         assert is_in_core(domain, result.imputation), name
-        canonical = tree_core(domain).canonical_imputation
-        assert sum(canonical) == 1
+        assert oracles.definitional_in_core(domain, result.imputation), name
         checked += 1
     assert checked == 2
 
@@ -515,7 +525,8 @@ def test_least_core_with_two_primary_regions_is_one_minus_inverse_cut():
         domain = oracles.two_region_domain(rng, n)
         kappa = oracles.min_agent_cut(domain)
         result = least_core_value(domain)
-        assert result.method == "exact-lp"
+        unanimity = oracles.reference_value(domain, oracles.essential_by_removal(domain))
+        assert result.method == ("tree-closed-form" if unanimity else "exact-lp")
         assert result.epsilon == 1 - Fraction(1, kappa), (n, kappa)
         cuts[(n > 12) + (n > 16)].add(kappa)
     assert all(len(kappas) >= 3 for kappas in cuts.values())
