@@ -39,7 +39,8 @@ def corpus():
 
 @pytest.fixture(scope="session")
 def tree_corpus():
-    """Non-degenerate acyclic domains, including sizes beyond the exact LP cap."""
+    """Non-degenerate acyclic domains, with trees of 13 and 14 agents past
+    the old 12-agent exact LP cap."""
     rng = random.Random(31337)
     domains = [
         ("path3", oracles.path3()),

@@ -178,6 +178,34 @@ def linear_programs(draw, max_vars: int = 6, max_rows: int = 8):
 
 
 @st.composite
+def twin_column_programs(draw, max_vars: int = 4, max_rows: int = 6):
+    """A ``linear_programs`` draw with its columns copied: nv + 1 to
+    2 nv + 2 columns, each a copy of a drawn column with its cost (some
+    costs set to 0), so some columns are certain to be twins. Integral
+    entries come as ``int`` or ``Fraction``; some draws append a multiple of
+    an equality (a redundant row) and some have no rows at all."""
+    c, a_ub, b_ub, a_eq, b_eq = draw(linear_programs(max_vars, max_rows))
+    nv = len(c)
+    order = draw(st.lists(st.integers(0, nv - 1), min_size=nv + 1, max_size=2 * nv + 2))
+    zero_cost = draw(st.lists(st.booleans(), min_size=nv, max_size=nv))
+    c = [0 if zero else v for v, zero in zip(c, zero_cost)]
+    if a_eq and draw(st.booleans()):
+        k = draw(st.integers(0, len(a_eq) - 1))
+        f = draw(st.sampled_from([1, 2, Fraction(1, 3)]))
+        a_eq.append([f * v for v in a_eq[k]])
+        b_eq.append(f * b_eq[k])
+    if draw(st.integers(0, 5)) == 0:
+        a_ub, b_ub, a_eq, b_eq = [], [], [], []
+
+    def mixed(v):
+        return int(v) if v.denominator == 1 and draw(st.booleans()) else Fraction(v)
+
+    return ([mixed(Fraction(c[j])) for j in order],
+            [[mixed(row[j]) for j in order] for row in a_ub], [mixed(b) for b in b_ub],
+            [[mixed(row[j]) for j in order] for row in a_eq], [mixed(b) for b in b_eq])
+
+
+@st.composite
 def least_core_programs(draw, max_agents: int = 5, max_rows: int = 7):
     """The least-core LP over drawn coalitions C: min eps (or 0) s.t.
     p(C) + eps >= 1 and p(N) = 1. Its rows tie in the ratio test, so the

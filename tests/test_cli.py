@@ -796,6 +796,13 @@ def test_leastcore_16_agent_output_is_pinned(capsys):
     assert out.encode() == (DATA / "leastcore16.json").read_bytes()
 
 
+def test_leastcore_16_agent_text_report_is_pinned(capsys):
+    # The same least core as the JSON golden above, as the default text report.
+    code, out, err = run(capsys, ["leastcore", str(DATA / "leastcore16_domain.json")])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "leastcore16.txt").read_bytes()
+
+
 def test_leastcore_20_agent_output_is_pinned(capsys):
     # A 20-agent non-tree graph past the old least-core LP cap of 16; its 24
     # minimal winning coalitions bound the rounds, the enumeration cap the table.

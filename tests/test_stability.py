@@ -89,6 +89,18 @@ def test_lp_matches_fraction_simplex(problem):
         _lp_outcome(oracles.fraction_simplex, problem)
 
 
+@settings(max_examples=300, deadline=None)
+@given(problem=strategies.twin_column_programs())
+# The first row is scaled by 2, so its artificial coefficient is 2: phase 1's
+# reduced costs must weight it by 1/2 to enter the oracle's column.
+@example(problem=([0, 0, 0], [[-HALF, -1, -1], [-1, 0, 1], [1, 1, 1]], [0, 0, 1], [], []))
+def test_lp_with_twin_columns_matches_fraction_simplex(problem):
+    # Copied columns are dropped before the tableau is built; the oracle
+    # keeps them, so any pivot that differed would show here.
+    assert _lp_outcome(solve_exact, problem) == \
+        _lp_outcome(oracles.fraction_simplex, problem)
+
+
 def test_lp_matches_fraction_simplex_on_least_core_lps(corpus, monkeypatch):
     problems = []
 
@@ -103,6 +115,40 @@ def test_lp_matches_fraction_simplex_on_least_core_lps(corpus, monkeypatch):
     assert max(len(problem[1]) for problem in problems) >= 5
     for problem in problems:
         assert solve_exact(*problem) == oracles.fraction_simplex(*problem)
+
+
+def test_least_core_matches_fraction_simplex_at_bench_sizes(monkeypatch):
+    # Twelve graphs of 10-16 agents at the density of the leastcore bench
+    # workload (a quarter of all vertex pairs are edges), whose veto set
+    # loses: the least core by the integer simplex equals the one by the
+    # Fraction tableau, with the same number of restricted programs.
+    rng = random.Random(20261019)
+    domains = []
+    while len(domains) < 12:
+        n = 10 + len(domains) * 6 // 11
+        domain = oracles.connected_graph_domain(rng, n, (n + 5) * (n + 4) // 8)
+        c = classify(domain)
+        if not (c.degenerate or c.veto_wins):
+            domains.append(domain)
+
+    def least_cores(solver):
+        calls = []
+
+        def counting(*problem):
+            calls.append(problem)
+            return solver(*problem)
+
+        monkeypatch.setattr(lp, "solve_exact", counting)
+        results = []
+        for domain in domains:
+            before = len(calls)
+            result = least_core_value(domain)
+            results.append((result.epsilon, result.imputation, len(calls) - before))
+        return results
+
+    integer = least_cores(solve_exact)
+    assert integer == least_cores(oracles.fraction_simplex)
+    assert sum(solves for _, _, solves in integer) >= 3 * len(domains)
 
 
 # ----------------------------------------------------------- veto players
