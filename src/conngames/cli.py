@@ -32,7 +32,7 @@ from . import enumeration, powerindex, reductions, stability
 from .domain import classify, domain_from_dict, domain_to_dict
 from .errors import CapExceededError, DegenerateDomainError
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -119,7 +119,6 @@ def _domain_summary(domain, classification) -> dict:
         "edges": len(domain.edges),
         "degenerate_all_win": classification.degenerate_all_win,
         "degenerate_all_lose": classification.degenerate_all_lose,
-        "is_tree": classification.is_tree,
     }
 
 
@@ -154,8 +153,6 @@ def _summary_lines(summary: dict) -> list[str]:
         flags.append("degenerate: all coalitions win")
     if summary["degenerate_all_lose"]:
         flags.append("degenerate: all coalitions lose")
-    if summary["is_tree"]:
-        flags.append("tree")
     suffix = f" [{', '.join(flags)}]" if flags else ""
     return [f"domain: {summary['vertices']} vertices, {summary['edges']} edges, "
             f"{summary['agents']} agents{suffix}"]
@@ -163,19 +160,7 @@ def _summary_lines(summary: dict) -> list[str]:
 
 def _plan(domain, method: str, cap: int) -> str:
     """``"exact"`` where the exact solvers answer within ``cap`` agents, else
-    ``"mc"``; ``--method exact`` and ``mc`` force one. ``--method tree`` is
-    exact, refused unless the veto agents win on their own."""
-    if method == "tree":
-        classification = classify(domain)
-        if classification.degenerate:
-            kind = ("every coalition wins" if classification.degenerate_all_win
-                    else "even the grand coalition loses")
-            raise ValueError(f"tree method not applicable: {kind}; tree solvers need a "
-                             f"non-degenerate domain")
-        if not classification.veto_wins:
-            raise ValueError("tree method not applicable: the veto agents do not win "
-                             "on their own; use the general solvers")
-        return "exact"
+    ``"mc"``; ``--method exact`` and ``mc`` force one."""
     if method != "auto":
         return method
     try:
@@ -245,6 +230,9 @@ def cmd_indices(args) -> int:
     cap = _exact_cap(args)
     classification = classify(domain)
     kinds = ["banzhaf", "shapley"] if args.index == "both" else [args.index]
+    # Validated whatever the plan, so an argv's validity does not depend on
+    # the domain's size.
+    params = powerindex.ApproxParams(args.epsilon, args.delta, args.seed)
 
     method = _plan(domain, args.method, cap)
 
@@ -254,7 +242,6 @@ def cmd_indices(args) -> int:
             vectors.append(powerindex.banzhaf_exact(domain, cap=cap) if kind == "banzhaf"
                            else powerindex.shapley_exact(domain, cap=cap))
         else:
-            params = powerindex.ApproxParams(args.epsilon, args.delta, args.seed)
             vectors.append(powerindex.banzhaf_mc_all(domain, params) if kind == "banzhaf"
                            else powerindex.shapley_mc_all(domain, params))
 
@@ -322,17 +309,10 @@ def cmd_ecm(args) -> int:
     }
     excess = stability.max_excess(domain, payoffs, cap=cap, epsilon=args.epsilon)
     verdict = bool(excess.epsilon_verdict)
-    if excess.method == enumeration.TREE_CLOSED_FORM:
-        essential = classification.veto_agents
-        report["method"] = "tree-essential-sum"
-        report["essential_agents"] = list(essential)
-        report["essential_payment"] = float(sum((payoffs[i] for i in essential), Fraction(0)))
-        report["threshold"] = 1.0 - args.epsilon
-    else:
-        report["method"] = "exact-enumeration"
-        report["max_excess"] = float(excess.max_excess)
-        report["max_excess_rational"] = _rational(excess.max_excess)
-        report["witness"] = sorted(excess.witness.members())
+    report["method"] = excess.method
+    report["max_excess"] = float(excess.max_excess)
+    report["max_excess_rational"] = _rational(excess.max_excess)
+    report["witness"] = sorted(excess.witness.members())
     report["in_epsilon_core"] = verdict
 
     if args.format == "json":
@@ -342,13 +322,9 @@ def cmd_ecm(args) -> int:
             print(line)
         print(f"epsilon: {args.epsilon!r}")
         print(f"method: {report['method']}")
-        if report["method"] == "tree-essential-sum":
-            print(f"essential payment: {report['essential_payment']!r} "
-                  f"(threshold 1 - eps = {report['threshold']!r})")
-        else:
-            print(f"max excess: {_value_cell(Fraction(report['max_excess_rational']))}")
-            witness = ", ".join(str(a) for a in report["witness"]) or "(empty)"
-            print(f"witness coalition: {witness}")
+        print(f"max excess: {_value_cell(excess.max_excess)}")
+        witness = ", ".join(str(a) for a in report["witness"]) or "(empty)"
+        print(f"witness coalition: {witness}")
         print(f"in epsilon-core: {'yes' if verdict else 'no'}")
     return EXIT_OK
 
@@ -449,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("indices", help="per-agent Banzhaf / Shapley indices")
     p.add_argument("domain", help="domain JSON file")
     p.add_argument("--index", choices=["banzhaf", "shapley", "both"], default="both")
-    p.add_argument("--method", choices=["auto", "exact", "tree", "mc"], default="auto")
+    p.add_argument("--method", choices=["auto", "exact", "mc"], default="auto")
     p.add_argument("--epsilon", type=float, default=0.05, help="MC accuracy target")
     p.add_argument("--delta", type=float, default=0.05, help="MC failure probability")
     p.add_argument("--seed", type=int, default=0, help="MC random seed")
@@ -472,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--exact-cap", type=int, default=None,
-                   help=f"agents allowed for exact enumeration on non-trees "
+                   help=f"agents allowed for exact enumeration "
                         f"(default {powerindex.DEFAULT_ENUMERATION_CAP}, "
                         f"env {ENV_EXACT_CAP})")
     p.set_defaults(func=cmd_ecm)

@@ -154,26 +154,6 @@ class ConnectivityDomain:
         return tuple(tuple(ns) for ns in nbrs)
 
     @cached_property
-    def _component_count(self) -> int:
-        """Connected components of the graph; a graph is a forest iff it has
-        ``vertex_count - _component_count`` edges."""
-        seen = [False] * self.vertex_count
-        adj = self._adjacency
-        components = 0
-        for root in range(self.vertex_count):
-            if seen[root]:
-                continue
-            components += 1
-            seen[root] = True
-            stack = [root]
-            while stack:
-                for v in adj[stack.pop()]:
-                    if not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-        return components
-
-    @cached_property
     def _slots(self) -> tuple[int, ...]:
         """Per vertex, the index of its usable bitset in a kernel batch: the
         owner's for a standard vertex, ``n_agents`` (all ones) otherwise."""
@@ -218,13 +198,12 @@ class ConnectivityDomain:
 
 @dataclass(frozen=True)
 class DomainClassification:
-    """Degeneracy flags, tree-ness of the graph, the veto agents (those in
-    every winning coalition) and whether they win on their own. ``veto_wins``
-    is False on a degenerate domain, where it is not asked."""
+    """Degeneracy flags, the veto agents (those in every winning coalition)
+    and whether they win on their own. ``veto_wins`` is False on a
+    degenerate domain, where it is not asked."""
 
     degenerate_all_win: bool
     degenerate_all_lose: bool
-    is_tree: bool
     veto_agents: tuple[int, ...]
     veto_wins: bool
 
@@ -336,14 +315,11 @@ def classify(domain: ConnectivityDomain) -> DomainClassification:
         wins = domain._win_bits([full ^ (1 << i) ^ (1 << n) for i in range(n)], full)
         veto = tuple(i for i in range(n) if not wins >> i & 1)
         all_win, all_lose = bool(wins >> n & 1), not wins >> (n + 1) & 1
-        is_tree = (domain._component_count == 1
-                   and len(domain.edges) == domain.vertex_count - 1)
         veto_wins = not (all_win or all_lose) and bool(
             coalition_value(domain, sum(1 << i for i in veto)))
         cached = domain.__dict__["_classification_cache"] = DomainClassification(
             degenerate_all_win=all_win,
             degenerate_all_lose=all_lose,
-            is_tree=is_tree,
             veto_agents=veto,
             veto_wins=veto_wins,
         )

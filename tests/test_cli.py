@@ -9,13 +9,13 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 import oracles
 import strategies
-from conngames import (ConnectivityDomain, cli, domain_from_dict, domain_to_dict, enumeration,
-                       least_core_value, validate)
+from conngames import (ConnectivityDomain, classify, cli, domain_from_dict, domain_to_dict,
+                       enumeration, least_core_value, stability, validate)
 from conngames.cli import main
 
 
@@ -106,19 +106,28 @@ def test_indices_ranking_descending(files, capsys):
     assert ranking == sorted(values, key=lambda a: (-values[a], a))
 
 
-def test_indices_explicit_tree_method_on_cycle_exit2(files, capsys):
-    code, _, err = run(capsys, ["indices", files["cycle4"], "--method", "tree"])
-    assert code == 2
-    assert err == ("error: tree method not applicable: the veto agents do not win on "
-                   "their own; use the general solvers\n")
+def test_indices_explicit_tree_method_on_cycle_exit2(files):
+    # The option is gone: "--method exact" takes the closed forms wherever the
+    # veto set wins. argparse refuses it before main's error mapping.
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "conngames.cli", "indices", files["cycle4"],
+                           "--method", "tree"], env=env, capture_output=True, text=True)
+    assert (done.returncode, done.stdout) == (2, "")
+    assert "argument --method: invalid choice: 'tree'" in done.stderr
+    assert "Traceback" not in done.stderr
 
 
-def test_indices_explicit_tree_method_on_all_lose_exit2(files, capsys):
-    path = write_json(files["tmp"] / "lose.json", domain_to_dict(oracles.all_lose_domain()))
-    code, out, err = run(capsys, ["indices", path, "--method", "tree"])
-    assert (code, out) == (2, "")
-    assert err == ("error: tree method not applicable: even the grand coalition loses; "
-                   "tree solvers need a non-degenerate domain\n")
+@pytest.mark.parametrize("option, value, message", [
+    ("--epsilon", "0", "epsilon must lie in (0, 1]"),
+    ("--delta", "1", "delta must lie in (0, 1)"),
+])
+def test_indices_checks_the_mc_options_on_the_exact_path_too(files, capsys, option, value,
+                                                             message):
+    # path3 is answered exactly, yet the argv is refused as it would be where
+    # the planner picks Monte Carlo.
+    path = write_json(files["tmp"] / "path3.json", domain_to_dict(oracles.path3()))
+    code, out, err = run(capsys, ["indices", path, option, value])
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 def test_indices_degenerate_domain_auto_uses_exact_zeros(files, capsys):
@@ -311,16 +320,40 @@ def test_ecm_cycle(files, capsys):
     assert "in epsilon-core: no" in out
 
 
-def test_ecm_tree_path_reports_essential_payment(files, capsys, tmp_path):
+def test_ecm_closed_form_reports_max_excess(files, capsys, tmp_path):
+    # Agents 0 and 1 of path4 are veto and paid 1/2 in all; the dummy gets 1/2.
     from conngames import add_dummy
     domain = add_dummy(oracles.path4())
     dpath = write_json(tmp_path / "dummy.json", domain_to_dict(domain))
     ppath = write_json(tmp_path / "p3.json", {"imputation": [0.25, 0.25, 0.5]})
     code, out, _ = run(capsys, ["ecm", dpath, ppath, "--epsilon", "0.5"])
     assert code == 0
-    assert "tree-essential-sum" in out
-    assert "essential payment: 0.5" in out
-    assert "in epsilon-core: yes" in out
+    assert out.splitlines()[2:] == ["method: tree-closed-form", "max excess: 1/2 (0.5)",
+                                    "witness coalition: 0, 1", "in epsilon-core: yes"]
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_ecm_closed_form_report_matches_brute_force(tmp_path, capsys, data):
+    domain = data.draw(strategies.unanimity_domains())
+    assume(classify(domain).veto_wins)
+    payoffs = data.draw(strategies.payoffs(domain.n_agents))
+    dpath = write_json(tmp_path / "domain.json", domain_to_dict(domain))
+    ppath = write_json(tmp_path / "pay.json", {"imputation": [str(x) for x in payoffs]})
+    code, out, err = run(capsys, ["ecm", dpath, ppath, "--epsilon", "0", "--format", "json"])
+    if any(x < -stability.IMPUTATION_TOL for x in payoffs):
+        assert (code, out) == (2, "") and "negative payoff" in err
+        return
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    want = oracles.max_excess_bruteforce(domain, payoffs)
+    assert report["method"] == "tree-closed-form"
+    assert Fraction(report["max_excess_rational"]) == want
+    witness = sum(1 << i for i in report["witness"])
+    assert oracles.reference_mask_value(domain, witness) - \
+        sum(payoffs[i] for i in report["witness"]) == want
+    assert report["in_epsilon_core"] == (want <= stability.IMPUTATION_TOL)
 
 
 def test_ecm_at_zero_and_core_agree_on_a_winning_veto_set(files, capsys):
@@ -334,7 +367,7 @@ def test_ecm_at_zero_and_core_agree_on_a_winning_veto_set(files, capsys):
         "1000000002/1000000000", "-1/1000000000", "-1/1000000000"]})
     code, ecm_out, err = run(capsys, ["ecm", dpath, ppath, "--epsilon", "0"])
     assert (code, err) == (0, "")
-    assert "method: tree-essential-sum" in ecm_out
+    assert "method: tree-closed-form" in ecm_out
     code, core_out, err = run(capsys, ["core", dpath, "--imputation", ppath])
     assert (code, err) == (0, "")
     assert ecm_out.splitlines()[-1] == "in epsilon-core: no"
@@ -483,8 +516,8 @@ def test_a_2000_agent_path_is_answered_without_a_table(files, capsys, monkeypatc
     code, out, err = run(capsys, ["ecm", path, ppath, "--epsilon", "0", "--format", "json"])
     assert (code, err) == (0, "")
     report = json.loads(out)
-    assert report["essential_agents"] == list(range(m))
-    assert (report["essential_payment"], report["in_epsilon_core"]) == (1.0, True)
+    assert report["method"] == "tree-closed-form"
+    assert (report["max_excess_rational"], report["in_epsilon_core"]) == ("0", True)
 
 
 def test_leastcore_cycle(files, capsys):
@@ -530,32 +563,30 @@ def test_leastcore_past_the_enumeration_cap_exits_before_any_table(files, capsys
 # One cell per (command, method, domain kind) that no test above pins. The
 # forest-quotient domain has a triangle of always-usable vertices, and the
 # lollipop a ring of agents hanging off the one agent that joins its
-# primaries. Neither raw graph is a tree ("is_tree" false), yet in both the
-# veto agents win on their own, so the closed forms apply.
+# primaries. Neither raw graph is a tree, yet in both the veto agents win on
+# their own, so the closed forms apply.
 _OVER_CAP = ("error: instance too large for exact solver: 30 agents exceeds "
              "the enumeration cap of 24\n")
 
 
 @pytest.mark.parametrize("argv, code, expected", [
     (["indices", "{forest}"], 0, "tree-closed-form"),
-    (["indices", "{forest}", "--method", "tree"], 0, "tree-closed-form"),
+    (["indices", "{forest}", "--method", "exact"], 0, "tree-closed-form"),
     (["indices", "{cycle4}"], 0, "exact-enumeration"),
     (["indices", "{degenerate}"], 0, "exact-enumeration"),
-    (["indices", "{degenerate}", "--method", "tree"], 2,
-     "error: tree method not applicable: every coalition wins; tree solvers need "
-     "a non-degenerate domain\n"),
+    (["indices", "{degenerate}", "--method", "exact"], 0, "exact-enumeration"),
     (["indices", "{path4}", "--method", "exact"], 0, "tree-closed-form"),
     (["indices", "{path4}", "--method", "mc"], 0, "monte-carlo"),
     (["indices", "{big}", "--index", "banzhaf"], 0, "monte-carlo"),
-    (["ecm", "{forest}", "{half}", "--epsilon", "0.5"], 0, "tree-essential-sum"),
+    (["ecm", "{forest}", "{half}", "--epsilon", "0.5"], 0, "tree-closed-form"),
     (["ecm", "{degenerate}", "{one}", "--epsilon", "0"], 0, "exact-enumeration"),
     (["ecm", "{big}", "{big_pay}", "--epsilon", "0.5"], 3, _OVER_CAP),
     (["leastcore", "{forest}"], 0, "tree-closed-form"),
     (["indices", "{lollipop}"], 0, "tree-closed-form"),
-    (["ecm", "{lollipop}", "{lollipop_pay}", "--epsilon", "0.5"], 0, "tree-essential-sum"),
+    (["ecm", "{lollipop}", "{lollipop_pay}", "--epsilon", "0.5"], 0, "tree-closed-form"),
     (["leastcore", "{lollipop}"], 0, "tree-closed-form"),
-], ids=["indices-auto-forest", "indices-tree-forest", "indices-auto-cycle",
-        "indices-auto-degenerate", "indices-tree-degenerate", "indices-exact-tree",
+], ids=["indices-auto-forest", "indices-exact-forest", "indices-auto-cycle",
+        "indices-auto-degenerate", "indices-exact-degenerate", "indices-exact-tree",
         "indices-mc-tree", "indices-auto-over-cap", "ecm-forest", "ecm-degenerate",
         "ecm-over-cap", "leastcore-forest", "indices-auto-lollipop", "ecm-lollipop",
         "leastcore-lollipop"])
@@ -582,8 +613,6 @@ def test_planner_dispatch(files, capsys, argv, code, expected):
     assert err == ""
     methods = {row["method"] for row in report.get("results", [report])}
     assert methods == {expected}
-    if "{forest}" in argv or "{lollipop}" in argv:
-        assert report["domain"]["is_tree"] is False
 
 
 def test_generate_setcover_roundtrip(files, capsys, tmp_path):
@@ -853,7 +882,7 @@ def test_unanimity_30_agent_output_is_pinned(capsys, argv, golden):
     # off it: past the enumeration cap, yet that agent alone wins, so the
     # closed forms answer exactly where Monte Carlo and exit 3 answered before.
     # "--method exact" asks the same exact solvers, so it prints the same
-    # bytes. The ecm golden pins the tree-essential-sum report field by field.
+    # bytes. The ecm golden pins the closed form's max-excess report field by field.
     code, out, err = run(capsys, [argv[0], str(DATA / "unanimity30_domain.json"),
                                   *argv[1:], "--format", "json"])
     assert (code, err) == (0, "")
@@ -948,7 +977,8 @@ def test_cli_exit_codes_hold_for_any_json_input(tmp_path, capsys, monkeypatch, i
     mc = ["--method", "mc", "--epsilon", "0.3", "--delta", "0.3"]
     out = str(tmp_path / "out.json")
     for argv in (["indices", "{domain}"], ["indices", "{domain}", "--method", "exact"],
-                 ["indices", "{domain}", "--method", "tree"], ["indices", "{domain}", *mc],
+                 ["indices", "{domain}", "--method", "exact", *mc[2:]],
+                 ["indices", "{domain}", *mc],
                  ["core", "{domain}", "--imputation", "{imputation}"],
                  ["ecm", "{domain}", "{imputation}", "--epsilon", "0.5"],
                  ["leastcore", "{domain}"],

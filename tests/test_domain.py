@@ -139,7 +139,7 @@ def test_classify_adjacent_primaries_merge():
 
 def test_classify_path3_tree():
     c = classify(oracles.path3())
-    assert c.is_tree
+    assert (c.veto_agents, c.veto_wins) == ((0,), True)
     assert not c.degenerate_all_win and not c.degenerate_all_lose
 
 
