@@ -1,8 +1,11 @@
 """Command-line surface: load domain/instance files, dispatch to solvers, and
 emit deterministic text/JSON/CSV reports. ``_plan`` is the one place where a
 method is chosen, exact or Monte Carlo; how an exact answer is computed, by
-the closed forms of a unanimity game or from the win table, is the exact
-solvers' choice, and each report names it by the tag they return.
+the closed forms of a unanimity game, from the win table or, for ``ecm`` and
+``leastcore``, by the Steiner oracle, is the exact solvers' choice, and each
+report names it by the tag they return. The enumeration cap bounds the win
+table only; the oracle's work budget, and past the cap the size of the
+least core's program, are fixed.
 
 Exit codes: 0 ok, 2 input or usage error, 3 resource cap exceeded,
 4 degenerate domain. The handlers raise on every refusal, and ``main`` alone
@@ -21,7 +24,6 @@ import functools
 import json
 import math
 import os
-import re
 import sys
 import warnings
 from fractions import Fraction
@@ -40,7 +42,6 @@ EXIT_CAP = 3
 EXIT_DEGENERATE = 4
 
 ENV_EXACT_CAP = "CONNGAMES_EXACT_CAP"
-_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def _fail(message: str, code: int) -> int:
@@ -74,13 +75,9 @@ def _load_imputation(path: str) -> list[Fraction]:
     payoffs = []
     for i, entry in enumerate(data):
         try:
-            # Fraction("1e999999999") would build a billion-digit integer, and
-            # Fraction(True) reads a JSON boolean as a number.
-            exponent = _EXPONENT.search(entry) if isinstance(entry, str) else None
-            if isinstance(entry, bool) or exponent and \
-                    abs(int(exponent[1])) > sys.int_info.default_max_str_digits:
+            if isinstance(entry, bool):  # Fraction(True) reads a JSON boolean as a number
                 raise ValueError
-            payoffs.append(Fraction(entry))
+            payoffs.append(stability._to_fraction(entry))
         except (TypeError, ValueError, ArithmeticError):
             raise ValueError(f"{path}: imputation entry {i} is not a number: "
                              f"{entry!r}") from None
@@ -448,9 +445,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--format", choices=["text", "json"], default="text")
     p.add_argument("--exact-cap", type=int, default=None,
-                   help=f"agents allowed for exact enumeration "
+                   help=f"agents allowed for the exact win table "
                         f"(default {powerindex.DEFAULT_ENUMERATION_CAP}, "
-                        f"env {ENV_EXACT_CAP})")
+                        f"env {ENV_EXACT_CAP}); the Steiner oracle answers "
+                        f"past it within a fixed work budget")
     p.set_defaults(func=cmd_ecm)
 
     p = sub.add_parser("leastcore", help="least-core value and an optimal imputation")

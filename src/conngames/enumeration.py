@@ -1,5 +1,6 @@
-"""The exact game source, and the win table with its reductions: criticality
-size histograms and the minimal winning coalitions.
+"""The exact game source, the Steiner separation oracle, and the win table
+with its reductions: criticality size histograms and the minimal winning
+coalitions.
 
 Every exact solver asks ``_exact_game`` for the domain's exact form. Where
 the veto agents win on their own, the game is their unanimity game
@@ -7,7 +8,14 @@ the veto agents win on their own, the game is their unanimity game
 Shapley values and 2^(1-m) Banzhaf indices for the m veto agents, the veto
 set as the one minimal winning coalition, and a least core of eps = 0 with
 the equal split. Otherwise ``_Table`` reads the win table, which is refused
-past the enumeration cap before it is built.
+past the enumeration cap before it is built. A solver that needs only
+least-paid winning coalitions (maximal excess, the least core's separation)
+may get ``_Steiner`` instead, a minimum node-weighted Steiner tree search
+over the primaries, where a deterministic estimate of its work beats the
+table's 2^n coalitions, and past the cap where the estimate fits the fixed
+``STEINER_BUDGET``. Every form answers ``least_paid_winning``.
+
+numpy is imported on first use, by the table and its reductions only.
 
 The win table holds the values of all 2^n coalitions as packed bits, the
 format the domain's batched kernel (``ConnectivityDomain._win_bits``)
@@ -24,10 +32,12 @@ Banzhaf counts. Tables and histograms are memoized on the domain.
 
 from __future__ import annotations
 
+import functools
+import heapq
 import math
 from fractions import Fraction
-
-import numpy as np
+from operator import add, sub
+from typing import Sequence
 
 from .domain import ConnectivityDomain, classify
 from .errors import CapExceededError
@@ -35,6 +45,7 @@ from .errors import CapExceededError
 DEFAULT_ENUMERATION_CAP = 24
 
 EXACT_ENUMERATION = "exact-enumeration"
+EXACT_STEINER = "exact-steiner"
 TREE_CLOSED_FORM = "tree-closed-form"
 
 # Win-table blocks of 2^18 coalitions (32 KB per vertex bitset), and 2^18
@@ -43,10 +54,21 @@ _CHUNK_BITS = 18
 _WIN_CACHE_KEY = "_win_table_cache"
 _HISTOGRAM_CACHE_KEY = "_histogram_cache"
 _IN_BYTE = (0xAA, 0xCC, 0xF0)  # bits b of a byte whose bit i is set, for i < 3
-_REVERSED = np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np.uint8)
-# Row v: how many set bits of byte value v sit at bit positions of popcount 0..3.
-_BYTE_FOLD = np.stack([sum(np.arange(256) >> b & 1 for b in range(8) if bin(b).count("1") == k)
-                       for k in range(4)], axis=1).astype(np.float64)
+
+
+@functools.cache
+def _reversed_bytes() -> np.ndarray:
+    """Entry v: byte value v with its bit order reversed."""
+    import numpy as np
+    return np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np.uint8)
+
+
+@functools.cache
+def _byte_fold() -> np.ndarray:
+    """Row v: how many set bits of byte value v sit at bit positions of popcount 0..3."""
+    import numpy as np
+    return np.stack([sum(np.arange(256) >> b & 1 for b in range(8) if bin(b).count("1") == k)
+                     for k in range(4)], axis=1).astype(np.float64)
 
 
 def _memoized(domain: ConnectivityDomain, key: str, compute) -> np.ndarray:
@@ -82,6 +104,7 @@ def _periodic_bitset(i: int, nbytes: int) -> int:
 
 
 def _compute_win_table(domain: ConnectivityDomain) -> np.ndarray:
+    import numpy as np
     n = domain.n_agents
     k = min(n, _CHUNK_BITS)
     nbytes = max(1, 1 << k >> 3)
@@ -101,6 +124,7 @@ def minimal_winning_masks(win: np.ndarray, n: int) -> np.ndarray:
     for i < 3 (a shift and a constant mask), and from the low half of each
     run of 2^(i-2) bytes onto its high half for i >= 3.
     """
+    import numpy as np
     minimal = win.copy()
     for i in range(min(n, 3)):
         minimal &= ~(np.left_shift(win, 1 << i) & _IN_BYTE[i])
@@ -121,7 +145,7 @@ def maximal_losing_masks(win: np.ndarray, n: int) -> np.ndarray:
     bit m, past the 8 - 2^n padding bits of a table of n < 3; the shift
     drops those and leaves the new padding clear.
     """
-    dual = ~_REVERSED[win[::-1]] >> max(0, 8 - (1 << n))
+    dual = ~_reversed_bytes()[win[::-1]] >> max(0, 8 - (1 << n))
     return ((1 << n) - 1) ^ minimal_winning_masks(dual, n)
 
 
@@ -133,10 +157,11 @@ def criticality_size_counts(win: np.ndarray, n: int) -> np.ndarray:
     critical bytes are counted by (popcount(j), byte value) in one
     ``bincount`` per 2^_CHUNK_BITS bytes, keyed by a uint16 holding
     popcount(j) in its high byte, and the counts are folded into sizes by
-    the byte table ``_BYTE_FOLD``. For i >= 3 only the upper half of each
+    the byte table ``_byte_fold()``. For i >= 3 only the upper half of each
     2^(i-2)-byte run can hold i; taken in order, those bytes' indices have
     the popcounts of the upper half of all byte indices.
     """
+    import numpy as np
     groups = max(n - 3, 0) + 1  # popcount(j) ranges over 0..n-3
     high = np.zeros(win.size, dtype=np.uint16)  # popcount(j) << 8
     for t in range(n - 3):
@@ -156,7 +181,7 @@ def criticality_size_counts(win: np.ndarray, n: int) -> np.ndarray:
             pairs = np.bincount(keys[lo:lo + chunk] | crit[lo:lo + chunk],
                                 minlength=groups << 8)
             # A float64 product goes to BLAS; every count is below 2^53.
-            folded[i] += pairs.reshape(groups, 256).astype(np.float64) @ _BYTE_FOLD
+            folded[i] += pairs.reshape(groups, 256).astype(np.float64) @ _byte_fold()
     out = np.zeros((n, groups + 3), dtype=np.int64)
     for k in range(4):  # bit positions of popcount k add k to popcount(j)
         out[:, k:k + groups] += folded[:, :, k].astype(np.int64)
@@ -170,7 +195,37 @@ def _check_cap(n: int, cap: int) -> None:
             f"enumeration cap of {cap}", cap)
 
 
-class _Unanimity:
+def _scaled_payment(mask: int, weights: Sequence[int]) -> int:
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += weights[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+def _least_paid(masks: list[int], payoffs: Sequence[Fraction]) -> tuple[int, Fraction] | None:
+    """Mask of least (payment, size, mask) in the list ``masks``, with its
+    payment, or None if the list is empty; payments are scored exactly, as
+    integers scaled by the lcm of the payoff denominators."""
+    if not masks:
+        return None
+    scale = math.lcm(*(x.denominator for x in payoffs))
+    weights = [x.numerator * (scale // x.denominator) for x in payoffs]
+    total, _, mask = min((_scaled_payment(m, weights), m.bit_count(), m) for m in masks)
+    return mask, Fraction(total, scale)
+
+
+class _Listed:
+    """A form that lists its minimal winning coalitions, ``minimal_winning``."""
+
+    def least_paid_winning(self, payoffs: Sequence[Fraction]) -> tuple[int, Fraction] | None:
+        """The minimal winning coalition of least (payment, size, mask), with
+        its payment; None if no coalition wins."""
+        return _least_paid(self.minimal_winning, payoffs)
+
+
+class _Unanimity(_Listed):
     """The unanimity game of the veto agents ``veto`` among ``n`` agents."""
 
     method = TREE_CLOSED_FORM
@@ -188,9 +243,11 @@ class _Unanimity:
     def shapley(self) -> tuple[Fraction, ...]:
         return self._split(Fraction(1, len(self.veto)))
 
+    @property
     def minimal_winning(self) -> list[int]:
         return [sum(1 << i for i in self.veto)]
 
+    @property
     def maximal_losing(self) -> list[int]:
         return [((1 << self.n) - 1) ^ (1 << i) for i in self.veto]
 
@@ -198,9 +255,10 @@ class _Unanimity:
         return Fraction(0), self.shapley()
 
 
-class _Table:
+class _Table(_Listed):
     """The domain's win table, built on first use, and its reductions; the
-    index sums are those the ``powerindex`` module docstring gives."""
+    index sums are those the ``powerindex`` module docstring gives. The
+    minimal winning coalitions are listed once per form."""
 
     method = EXACT_ENUMERATION
 
@@ -219,19 +277,165 @@ class _Table:
                               n_fact)
                      for hist in criticality_histograms(self.domain).tolist())
 
+    @functools.cached_property
     def minimal_winning(self) -> list[int]:
         return minimal_winning_masks(win_table(self.domain), self.n).tolist()
 
+    @property
     def maximal_losing(self) -> list[int]:
         return maximal_losing_masks(win_table(self.domain), self.n).tolist()
 
 
-def _exact_game(domain: ConnectivityDomain, cap: int) -> _Unanimity | _Table:
-    """The domain's exact form: the unanimity game where the veto agents win
-    on their own, at any size; else the win table, refused past ``cap``
-    agents (``CapExceededError``) before anything is built."""
+class _Steiner:
+    """Least-paid winning coalitions as minimum node-weighted Steiner trees
+    over the primaries (Dreyfus & Wagner, Networks 1, 1971), with no table.
+
+    The graph is contracted: each connected region of primary and backbone
+    vertices is one node of weight 0, and a region holding a primary is a
+    terminal, so with k terminals a search costs O(3^k V + 2^k (E + V log V))
+    operations on node weights of over n bits (below), in time and memory.
+    ``work`` = 3^k (V + E) (n // 64 + 1), with the domain's vertex and edge
+    counts and the 64-bit words of 2^n, estimates it before the contracted
+    edges are built, on the first search, and before the payoffs, whose
+    digits widen the weights further, are known.
+
+    For nonnegative payoffs agent i's node weighs
+    w_i = P_i (n+1) 2^n + 2^n + 2^i, P_i its payoff scaled to an integer by
+    the lcm of the denominators. A coalition W then weighs
+    P(W) (n+1) 2^n + |W| 2^n + mask(W), so the lightest tree holds the
+    winning coalition of least (payment, size, mask), which is minimal, and
+    its mask is its weight mod 2^n.
+    """
+
+    method = EXACT_STEINER
+
+    def __init__(self, domain: ConnectivityDomain):
+        self.domain, self.n = domain, domain.n_agents
+        adjacency = domain._adjacency
+        node = [-1] * domain.vertex_count  # agent i is node i, regions follow
+        for i, v in enumerate(domain.standard):
+            node[v] = i
+        nodes = self.n
+        for start in (*domain.primary, *domain.backbone):
+            if node[start] < 0:
+                node[start] = nodes
+                stack = [start]
+                while stack:
+                    for u in adjacency[stack.pop()]:
+                        if node[u] < 0:  # not an agent's, so always usable
+                            node[u] = nodes
+                            stack.append(u)
+                nodes += 1
+        self._node, self._nodes = node, nodes
+        self.terminals = sorted({node[p] for p in domain.primary})
+        self.work = (3 ** len(self.terminals) * (domain.vertex_count + len(domain.edges))
+                     * (self.n // 64 + 1))
+
+    @functools.cached_property
+    def _nbrs(self) -> list[tuple[int, ...]]:
+        """The contracted graph's adjacency lists."""
+        node = self._node
+        nbrs: list[set[int]] = [set() for _ in range(self._nodes)]
+        for u, v in self.domain.edges:
+            if node[u] != node[v]:
+                nbrs[node[u]].add(node[v])
+                nbrs[node[v]].add(node[u])
+        return [tuple(ns) for ns in nbrs]
+
+    def least_paid_winning(self, payoffs: Sequence[Fraction]) -> tuple[int, Fraction] | None:
+        """The winning coalition of least (payment, size, mask) for
+        nonnegative ``payoffs``, with its payment; None if no coalition wins."""
+        n = self.n
+        scale = math.lcm(*(x.denominator for x in payoffs))
+        step = (n + 1) << n
+        weights = [x.numerator * (scale // x.denominator) * step + (1 << n) + (1 << i)
+                   for i, x in enumerate(payoffs)]
+        weights += [0] * (self._nodes - n)
+        total = self._lightest_tree(weights)
+        if total is None:
+            return None
+        return total & ((1 << n) - 1), Fraction((total >> n) // (n + 1), scale)
+
+    def _lightest_tree(self, weights: list[int]) -> int | None:
+        """Weight of the lightest connected node set holding every terminal.
+
+        best[S][v] is the lightest tree holding node v and the terminals in
+        S, S ranging over the terminals other than the root: one Dijkstra
+        from each terminal, then for |S| >= 2 each split of S is merged at v
+        and a Dijkstra grows the merged trees along edges. A merge may count
+        a node shared by both parts twice; that only overstates a connected
+        set the search also reaches, so the least value is a tree's weight.
+        """
+        if len(self.terminals) < 2:
+            return 0
+        root, *rest = self.terminals
+        nbrs = self._nbrs
+        unreached = sum(weights) + 1  # heavier than any tree
+        full = (1 << len(rest)) - 1
+
+        def grow(dist: list[int], stop: int | None) -> list[int]:
+            heap = [(d, v) for v, d in enumerate(dist) if d < unreached]
+            heapq.heapify(heap)
+            while heap:
+                d, v = heapq.heappop(heap)
+                if d > dist[v]:
+                    continue
+                if v == stop:
+                    break
+                for u in nbrs[v]:
+                    grown = d + weights[u]
+                    if grown < dist[u]:
+                        dist[u] = grown
+                        heapq.heappush(heap, (grown, u))
+            return dist
+
+        best: list[list[int]] = [[]] * (full + 1)
+        for j, terminal in enumerate(rest):
+            dist = [unreached] * len(nbrs)
+            dist[terminal] = 0
+            best[1 << j] = grow(dist, root if 1 << j == full else None)
+        for s in range(3, full + 1):
+            if s & (s - 1) == 0:
+                continue
+            low = s & -s
+            merged = None
+            part = (s - 1) & s
+            while part:  # each split once: the part holding the lowest terminal
+                if part & low:
+                    pair = map(add, best[part], best[s ^ part])
+                    merged = list(pair) if merged is None else list(map(min, merged, pair))
+                part = (part - 1) & s
+            best[s] = grow(list(map(sub, merged, weights)), root if s == full else None)
+        total = best[full][root]
+        return total if total < unreached else None
+
+
+# Steiner work (``_Steiner.work``) allowed per separation past the enumeration cap.
+STEINER_BUDGET = 1 << 20
+
+
+def _exact_game(domain: ConnectivityDomain, cap: int,
+                separations: int = 0) -> _Unanimity | _Table | _Steiner:
+    """The domain's exact form, chosen by a deterministic cost estimate.
+
+    Where the veto agents win on their own it is the unanimity game, at any
+    size. ``separations`` is how many least-paid winning coalitions the
+    caller will ask for; 0 means it needs the table's histograms or its
+    minimal winning and maximal losing lists. A caller that separates gets
+    the Steiner oracle where ``separations`` times its work is under the 2^n
+    coalitions of the table, and past ``cap`` agents where its work fits
+    ``STEINER_BUDGET``. Otherwise it is the win table, refused past ``cap``
+    (``CapExceededError``) before anything is built.
+    """
     classification = classify(domain)
+    n = domain.n_agents
     if classification.veto_wins:
-        return _Unanimity(domain.n_agents, classification.veto_agents)
-    _check_cap(domain.n_agents, cap)
+        return _Unanimity(n, classification.veto_agents)
+    if separations:
+        steiner = _Steiner(domain)
+        # Past the cap the fixed budget; under it, 2^n coalitions over the separations.
+        budget = STEINER_BUDGET if n > cap else ((1 << n) - 1) // separations
+        if steiner.work <= budget:
+            return steiner
+    _check_cap(n, cap)
     return _Table(domain)

@@ -33,8 +33,6 @@ from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import enumeration
 from .domain import ConnectivityDomain
 from .enumeration import DEFAULT_ENUMERATION_CAP
@@ -160,6 +158,7 @@ def _mc_vector(domain, params, kind) -> IndexVector:
 def _banzhaf_draws(n: int, agent: int, seed: int):
     """``draw(count)``: the next ``count`` coalitions of the agent's stream,
     as rows of agent membership, the agent itself left out."""
+    import numpy as np
     getrandbits = random.Random(seed).getrandbits
     width = (n + 7) >> 3
 
@@ -176,6 +175,7 @@ def _banzhaf_draws(n: int, agent: int, seed: int):
 def _shapley_draws(n: int, agent: int, seed: int):
     """``draw(count)``: the agent's predecessors in the next ``count``
     permutations of its stream, as rows of agent membership."""
+    import numpy as np
     shuffle = random.Random(seed).shuffle
     order = list(range(n))
     typecode = "H" if n <= 1 << 16 else "L"
@@ -202,6 +202,7 @@ def _estimates(domain, kind, streams, m: int) -> list[float]:
     coalitions, every sample without and then with its agent, go to the
     domain's kernel in one call, one Python int per agent.
     """
+    import numpy as np
     total = len(streams) * m
     if total > _MC_SAMPLE_BOUND:
         shown = m if m < 10 ** 15 else f"about 10^{len(str(m)) - 1}"

@@ -7,33 +7,41 @@ core iff it hands the whole unit of reward to veto agents. Agent i is veto iff
 the coalition of everyone else loses, which the structural pass
 ``domain.classify`` asks for every agent in its one kernel batch.
 
-Maximal excess is found from the minimal winning coalitions. With N- the
-negatively paid agents, a least-paid winning coalition is W | N- for some
-minimal winning W: every winning coalition contains such a W, and adding the
-rest of N- only lowers its payment. Likewise a least-paid losing coalition is
-L & N- for some maximal losing L, the complement of a minimal winner of the
-dual game (C wins iff its complement loses). For nonnegative payoffs the
-losing side is just the empty coalition, with excess 0. Each candidate list is
-scored exactly in Python integers.
-
-Both lists come from the domain's exact game (``enumeration._exact_game``).
-When the veto set wins, it is the only minimal winning coalition and the
-maximal losing ones are N - {i} for each veto agent i, at any size; otherwise
-both are read from the win table, behind the enumeration cap.
+Maximal excess is found from the least-paid winning coalition. For
+nonnegative payoffs it is a minimal winning one, and the losing side is just
+the empty coalition, with excess 0; the domain's exact game
+(``enumeration._exact_game``) gives that coalition by ``least_paid_winning``:
+the veto set where it wins, at any size; else the minimal winning coalition
+of least (payment, size, mask) read from the win table, behind the
+enumeration cap; or, where a cost estimate favours it, and past the cap
+within its budget, a minimum node-weighted Steiner tree on the primaries,
+with no table. With N- the negatively paid agents, a least-paid winning
+coalition is W | N- for some minimal winning W: every winning coalition
+contains such a W, and adding the rest of N- only lowers its payment.
+Likewise a least-paid losing coalition is L & N- for some maximal losing L,
+the complement of a minimal winner of the dual game (C wins iff its
+complement loses). Any negative payoff takes these two lists, from the
+unanimity form or the win table. Each candidate list is scored exactly in
+Python integers.
 
 The least core of a game whose veto set wins is eps = 0 with the equal split
 over the veto agents. Otherwise it solves  min eps  s.t.  p(C) >= v(C) - eps
 over nonempty coalitions, exactly, with constraints generated lazily. Its
-payoffs are nonnegative, so a least-paid winning coalition is always a
-minimal winning one (Maschler, Peleg & Shapley 1979): the minimal winning
-coalitions are listed once, and each round scores only them, exactly in
-Python integers. The rounds are bounded by the number of those coalitions,
-so the enumeration cap on the win table is the least core's only cap.
+payoffs are nonnegative, so each round's separation asks the exact game for
+the least-paid winning coalition, which is minimal (Maschler, Peleg &
+Shapley 1979): the table lists the minimal winning coalitions once and
+scores them exactly in Python integers, or the Steiner oracle searches. No
+cut is added twice, so the rounds are bounded by the number of minimal
+winning coalitions. Behind the enumeration cap that number bounds them;
+past it, where each search fits the oracle's budget, ``LEAST_CORE_BUDGET``
+bounds the restricted program's size, and so the rounds: a least core that
+needs more cuts is refused.
 """
 
 from __future__ import annotations
 
-import math
+import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -41,16 +49,37 @@ from typing import Sequence
 from . import enumeration, lp
 from .domain import Coalition, ConnectivityDomain, classify
 from .enumeration import DEFAULT_ENUMERATION_CAP, TREE_CLOSED_FORM
-from .errors import DegenerateDomainError
+from .errors import CapExceededError, DegenerateDomainError
 
 EXACT_LP = "exact-lp"
 
 IMPUTATION_TOL = Fraction(1, 10 ** 9)
 
+# The least core's separations as ``enumeration._exact_game`` weighs them
+# against the 2^n table below the cap (the oracle runs once per round): with
+# 128, bench-style graphs of 4 primaries leave the table from 17 agents
+# (2 primary regions) to 21 (4 regions), and none of 16 or fewer does.
+LEAST_CORE_SEPARATIONS = 128
+
+# Past the enumeration cap, the most coefficients, cuts times (n + 1), that
+# the least core's restricted program may hold; a program that needs more
+# is refused. It allows 334 cuts at 48 agents, 168 at 96 and 32 at 500.
+LEAST_CORE_BUDGET = 1 << 14
+
+
+_EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
+
 
 def _to_fraction(value) -> Fraction:
+    """``value`` as an exact rational. A decimal string whose exponent
+    exceeds ``sys.int_info.default_max_str_digits``, the most digits ``int``
+    parses, is refused with ``ValueError``: ``Fraction("1e999999999")``
+    would build a billion-digit integer."""
     if isinstance(value, Fraction):
         return value
+    exponent = _EXPONENT.search(value) if isinstance(value, str) else None
+    if exponent and abs(int(exponent[1])) > sys.int_info.default_max_str_digits:
+        raise ValueError(f"exponent of {value!r} is out of range")
     return Fraction(value)
 
 
@@ -100,11 +129,14 @@ class LeastCoreResult:
     method: str
 
 
-def _as_payoffs(payoffs, n: int) -> tuple[Fraction, ...]:
+def _fractions(payoffs) -> tuple[Fraction, ...]:
     if isinstance(payoffs, Imputation):
-        values = payoffs.payoffs
-    else:
-        values = tuple(_to_fraction(v) for v in payoffs)
+        return payoffs.payoffs
+    return tuple(_to_fraction(v) for v in payoffs)
+
+
+def _as_payoffs(payoffs, n: int) -> tuple[Fraction, ...]:
+    values = _fractions(payoffs)
     if len(values) != n:
         raise ValueError(f"imputation has {len(values)} entries for {n} agents")
     return values
@@ -148,31 +180,26 @@ def is_in_core(domain: ConnectivityDomain, payoffs) -> bool:
     return abs(veto_total - 1) <= IMPUTATION_TOL
 
 
-def _scaled_payment(mask: int, weights: Sequence[int]) -> int:
-    total = 0
-    while mask:
-        low = mask & -mask
-        total += weights[low.bit_length() - 1]
-        mask ^= low
-    return total
-
-
 def max_excess(domain: ConnectivityDomain, payoffs, *,
                cap: int = DEFAULT_ENUMERATION_CAP,
                allow_negative: bool = False,
                epsilon: float | None = None) -> ExcessReport:
     """Maximal excess v(C) - p(C) over all coalitions, with a witness.
 
-    For nonnegative payoffs the maximum is max(0, 1 - min winning payment).
+    For nonnegative payoffs the maximum is max(0, 1 - min winning payment),
+    and the exact game's ``least_paid_winning`` gives that coalition.
     Payoffs below -IMPUTATION_TOL are rejected unless ``allow_negative`` is
-    set; any negative payoff adds the maximal losing coalitions' candidates,
-    as losing coalitions can then have positive excess too. Past the
-    enumeration ``cap`` only a domain whose veto set wins is answered, and
-    any other is refused before its payoffs are read.
+    set; any negative payoff, tolerated or not, takes the unanimity form or
+    the win table, whose maximal losing coalitions give the losing
+    candidates, as losing coalitions can then have positive excess too. Past
+    the enumeration ``cap`` a domain answered by neither the closed forms
+    nor the Steiner oracle is refused before the payoffs are checked.
     """
     n = domain.n_agents
-    game = enumeration._exact_game(domain, cap)
-    p = _as_payoffs(payoffs, n)
+    values = _fractions(payoffs)
+    negative = sum(1 << i for i, x in enumerate(values) if x < 0)
+    game = enumeration._exact_game(domain, cap, separations=0 if negative else 1)
+    p = _as_payoffs(values, n)
     _check_total(domain, p)
     if not allow_negative:
         for i, x in enumerate(p):
@@ -181,16 +208,16 @@ def max_excess(domain: ConnectivityDomain, payoffs, *,
                                  f"epsilon-core test takes nonnegative payoffs")
     # Payoffs tolerated as nonnegative may still be slightly negative; a
     # losing coalition of such agents then has a small positive excess.
-    negative = sum(1 << i for i, x in enumerate(p) if x < 0)
-    winning = [m | negative for m in game.minimal_winning()]
     if negative:
-        losing = [negative & m for m in game.maximal_losing()]
+        winning = enumeration._least_paid([m | negative for m in game.minimal_winning], p)
+        losing = enumeration._least_paid([negative & m for m in game.maximal_losing], p)
     else:
-        losing = [] if classify(domain).degenerate_all_win else [0]
+        winning = game.least_paid_winning(p)
+        losing = None if classify(domain).degenerate_all_win else (0, Fraction(0))
     keys = []
-    for masks, value in ((winning, 1), (losing, 0)):
-        if masks:
-            mask, payment = _least_paid(masks, p)
+    for found, value in ((winning, 1), (losing, 0)):
+        if found:
+            mask, payment = found
             keys.append((payment - value, mask.bit_count(), mask))
     # Largest excess, then the smallest coalition, then the smallest mask.
     deficit, _, best_mask = min(keys)
@@ -219,16 +246,6 @@ def _solve_active_exact(active: list[int], n: int, grand_value: int) -> lp.LPSol
                           [[1] * n + [0]], [grand_value])
 
 
-def _least_paid(masks: list[int], payoffs: Sequence[Fraction]) -> tuple[int, Fraction]:
-    """Mask of least (payment, size, mask) in the nonempty list ``masks``,
-    with its payment; payments are scored exactly, as integers scaled by the
-    lcm of the payoff denominators."""
-    scale = math.lcm(*(x.denominator for x in payoffs))
-    weights = [x.numerator * (scale // x.denominator) for x in payoffs]
-    total, _, mask = min((_scaled_payment(m, weights), m.bit_count(), m) for m in masks)
-    return mask, Fraction(total, scale)
-
-
 def least_core_value(domain: ConnectivityDomain, *,
                      cap: int = DEFAULT_ENUMERATION_CAP) -> LeastCoreResult:
     """Smallest eps whose eps-core is non-empty, with an optimal imputation.
@@ -236,28 +253,37 @@ def least_core_value(domain: ConnectivityDomain, *,
     Deviating coalitions are the nonempty ones. Both eps and the imputation
     are exact rationals. Where the veto set wins, eps is 0 and the imputation
     is the equal split over the veto agents, tagged ``tree-closed-form``.
-    Past the enumeration ``cap`` a domain whose veto set loses is refused
-    (``CapExceededError``) before any table is built. Constraints are
-    generated lazily: each round adds the least-paid minimal winning
-    coalition, listed once, and the integer simplex of ``lp`` solves each
-    restricted program. Refuses degenerate domains.
+    Past the enumeration ``cap`` a domain whose veto set loses is answered
+    only where the Steiner oracle's work fits its budget, and refused
+    (``CapExceededError``) otherwise, before any table is built; there a
+    least core that needs more than ``LEAST_CORE_BUDGET // (n + 1)`` cuts
+    is refused too, before the program that would hold them is solved.
+    Constraints are generated lazily: each round adds the least-paid winning
+    coalition, which the exact game's ``least_paid_winning`` finds from the
+    table's minimal winning coalitions, listed once, or by the Steiner
+    oracle, and the integer simplex of ``lp`` solves each restricted
+    program. Refuses degenerate domains.
     """
     _refuse_degenerate(domain, "least-core")
     n = domain.n_agents
-    game = enumeration._exact_game(domain, cap)
+    game = enumeration._exact_game(domain, cap, separations=LEAST_CORE_SEPARATIONS)
     if game.method == TREE_CLOSED_FORM:
         return LeastCoreResult(*game.least_core(), game.method)
-    minimal = game.minimal_winning()
+    cuts = LEAST_CORE_BUDGET // (n + 1) if n > cap else None
     active = [(1 << n) - 1]
-    for _ in range(len(minimal) + 2):
+    while True:
+        if cuts is not None and len(active) > cuts:
+            raise CapExceededError(
+                f"instance too large for exact solver: the least core of {n} agents "
+                f"needs more than {cuts} cuts past the enumeration cap of {cap}", cap)
         solution = _solve_active_exact(active, n, 1)  # the grand coalition wins
         p_star, eps_star = solution.x[:n], solution.x[n]
-        mask, payment = _least_paid(minimal, p_star)
+        mask, payment = game.least_paid_winning(p_star)
         if 1 - payment <= eps_star:
             break
+        if mask in active:  # a cut the program already holds: no progress
+            raise RuntimeError("least-core constraint generation failed to converge")
         active.append(mask)
-    else:
-        raise RuntimeError("least-core constraint generation failed to converge")
     if (eps_star == 0) == (not classify(domain).veto_agents):
         raise RuntimeError("least-core solution inconsistent with the veto-player analysis")
     return LeastCoreResult(eps_star, p_star, EXACT_LP)

@@ -478,19 +478,19 @@ def random_graph_domain(rng: random.Random, max_agents=8, edge_prob=0.4,
     raise RuntimeError("failed to sample a non-degenerate graph domain")
 
 
-def connected_graph_domain(rng: random.Random, n_agents: int,
-                           n_edges: int) -> ConnectivityDomain:
-    """Connected graph on n_agents + 5 vertices (4 primaries, 1 backbone): a
-    random spanning tree plus random chords up to ``n_edges`` edges."""
-    total = n_agents + 5
+def connected_graph_domain(rng: random.Random, n_agents: int, n_edges: int,
+                           n_primary: int = 4) -> ConnectivityDomain:
+    """Connected graph on n_agents + n_primary + 1 vertices (one backbone):
+    a random spanning tree plus random chords up to ``n_edges`` edges."""
+    total = n_agents + n_primary + 1
     edges = {(rng.randrange(v), v) for v in range(1, total)}
     while len(edges) < n_edges:
         u, v = sorted(rng.sample(range(total), 2))
         edges.add((u, v))
     ids = list(range(total))
     rng.shuffle(ids)
-    return ConnectivityDomain(total, tuple(sorted(edges)), primary=tuple(ids[:4]),
-                              backbone=(ids[4],), standard=tuple(ids[5:]))
+    return ConnectivityDomain(total, tuple(sorted(edges)), primary=tuple(ids[:n_primary]),
+                              backbone=(ids[n_primary],), standard=tuple(ids[n_primary + 1:]))
 
 
 def two_region_domain(rng: random.Random, n_agents: int) -> ConnectivityDomain:
@@ -616,6 +616,27 @@ def fig_style_setcover() -> SetCoverInstance:
 
 def k3_instance(threshold: int) -> VertexCoverInstance:
     return VertexCoverInstance(3, ((0, 1), (0, 2), (1, 2)), threshold)
+
+
+def many_primaries_domain() -> ConnectivityDomain:
+    """30 agents and 24 primaries in 15 regions, whose veto set loses: past
+    the enumeration cap, and 3^15 terminal subsets put the Steiner oracle
+    far past its budget."""
+    return connected_graph_domain(random.Random(30), 30, n_edges=75, n_primary=24)
+
+
+def ladder_domain(length: int) -> ConnectivityDomain:
+    """Primaries 0 and 1 joined by two agent paths of ``length`` each, agents
+    2 .. length + 1 on the first and the rest on the second: 2 * ``length``
+    agents, the veto set losing, and one cut of 2 agents."""
+    edges, vertex = [], 2
+    for _ in range(2):
+        edges.append((0, vertex))
+        edges.extend((v, v + 1) for v in range(vertex, vertex + length - 1))
+        vertex += length
+        edges.append((1, vertex - 1))
+    return ConnectivityDomain(vertex, tuple(edges), primary=(0, 1), backbone=(),
+                              standard=tuple(range(2, vertex)))
 
 
 def grand_mask(domain: ConnectivityDomain) -> int:

@@ -1,4 +1,5 @@
 import gc
+import itertools
 import json
 import os
 import random
@@ -402,13 +403,37 @@ def test_closed_form_commands_make_at_most_two_kernel_calls(tmp_path, capsys, mo
 
 
 def test_ecm_refuses_past_the_cap_before_reading_payoffs(files, capsys):
-    # A 30-agent graph whose veto set loses, with a 2-entry imputation: the
-    # cap refusal (exit 3) comes before the imputation's length is checked.
-    big = oracles.connected_graph_domain(random.Random(30), 30, n_edges=70)
+    # A 30-agent graph whose veto set loses and whose 15 primary regions put
+    # the Steiner oracle past its budget, with a 2-entry imputation: the cap
+    # refusal (exit 3) comes before the imputation's length is checked.
+    big = oracles.many_primaries_domain()
     assert not oracles.reference_value(big, oracles.essential_by_removal(big))
     dpath = write_json(files["tmp"] / "big.json", domain_to_dict(big))
     code, out, err = run(capsys, ["ecm", dpath, files["half"], "--epsilon", "0.5"])
     assert (code, out, err) == (3, "", _OVER_CAP)
+
+
+def test_ecm_answers_a_four_primary_graph_past_the_cap_exactly(files, capsys):
+    # A 30-agent graph whose veto set loses, paid 1/30 each: the Steiner
+    # oracle finds the smallest winning coalition, then the smallest mask.
+    big = oracles.connected_graph_domain(random.Random(30), 30, n_edges=70)
+    assert not oracles.reference_value(big, oracles.essential_by_removal(big))
+    dpath = write_json(files["tmp"] / "big.json", domain_to_dict(big))
+    ppath = write_json(files["tmp"] / "pay.json", {"imputation": ["1/30"] * 30})
+    code, out, err = run(capsys, ["ecm", dpath, ppath, "--epsilon", "0.9",
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    witness = report["witness"]
+    assert report["method"] == "exact-steiner"
+    assert report["max_excess_rational"] == str(1 - Fraction(len(witness), 30))
+    assert report["in_epsilon_core"] is (len(witness) >= 3)
+    assert oracles.reference_value(big, witness)
+    mask = sum(1 << i for i in witness)
+    for size in range(1, len(witness) + 1):
+        for members in itertools.combinations(range(30), size):
+            if size < len(witness) or sum(1 << i for i in members) < mask:
+                assert not oracles.reference_value(big, members), members
 
 
 @pytest.mark.parametrize("name", ["path4", "cycle4"])
@@ -440,11 +465,23 @@ def test_ecm_non_finite_epsilon_exit2(files, capsys, epsilon):
 
 def test_ecm_non_tree_over_cap_exit3(files, capsys, monkeypatch):
     monkeypatch.setenv("CONNGAMES_EXACT_CAP", "1")
-    code, out, err = run(capsys, ["ecm", files["cycle4"], files["half"],
-                                  "--epsilon", "0.5"])
+    big = write_json(files["tmp"] / "big.json", domain_to_dict(oracles.many_primaries_domain()))
+    code, out, err = run(capsys, ["ecm", big, files["half"], "--epsilon", "0.5"])
     assert (code, out) == (3, "")
-    assert err == ("error: instance too large for exact solver: 2 agents exceeds "
+    assert err == ("error: instance too large for exact solver: 30 agents exceeds "
                    "the enumeration cap of 1\n")
+
+
+def test_ecm_over_cap_within_the_steiner_budget_answers_exactly(files, capsys, monkeypatch):
+    # The enumeration cap bounds the table only: the Steiner oracle answers
+    # the 4-cycle past a cap of 1 as the table does under the default cap.
+    argv = ["ecm", files["cycle4"], files["half"], "--epsilon", "0.5"]
+    code, table_out, _ = run(capsys, argv)
+    monkeypatch.setenv("CONNGAMES_EXACT_CAP", "1")
+    code, out, err = run(capsys, argv)
+    assert (code, err) == (0, "")
+    assert "method: exact-enumeration" in table_out
+    assert out == table_out.replace("exact-enumeration", "exact-steiner")
 
 
 def test_leastcore_tree_shortcut(files, capsys):
@@ -535,22 +572,34 @@ def test_leastcore_degenerate_exit4(files, capsys):
 
 def test_leastcore_over_cap_exit3(files, capsys, monkeypatch):
     monkeypatch.setenv("CONNGAMES_EXACT_CAP", "1")
-    code, _, err = run(capsys, ["leastcore", files["cycle4"]])
+    big = write_json(files["tmp"] / "big.json", domain_to_dict(oracles.many_primaries_domain()))
+    code, _, err = run(capsys, ["leastcore", big])
     assert code == 3
     assert "cap" in err
 
 
+def test_leastcore_over_cap_within_the_steiner_budget_answers_exactly(files, capsys,
+                                                                      monkeypatch):
+    monkeypatch.setenv("CONNGAMES_EXACT_CAP", "1")
+    code, out, err = run(capsys, ["leastcore", files["cycle4"], "--format", "json"])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert (report["method"], report["epsilon_min_rational"]) == ("exact-lp", "1/2")
+
+
 def test_leastcore_past_the_enumeration_cap_exits_before_any_table(files, capsys,
                                                                     monkeypatch):
-    # The enumeration cap (24, or CONNGAMES_EXACT_CAP) refuses before a
-    # 2^30 table is allocated.
-    domain = oracles.connected_graph_domain(random.Random(30), 30, n_edges=70)
+    # Past the enumeration cap (24, or CONNGAMES_EXACT_CAP) and the Steiner
+    # budget, the refusal comes before a 2^30 table is allocated or the
+    # oracle searches.
+    domain = oracles.many_primaries_domain()
     path = write_json(files["tmp"] / "graph30.json", domain_to_dict(domain))
 
-    def unbounded(domain):
-        raise AssertionError("a 2^30 win table was requested")
+    def unbounded(*args):
+        raise AssertionError("a 2^30 win table or a Steiner search was requested")
 
     monkeypatch.setattr(enumeration, "win_table", unbounded)
+    monkeypatch.setattr(enumeration._Steiner, "least_paid_winning", unbounded)
     for env, cap in ((None, 24), ("29", 29)):
         if env is not None:
             monkeypatch.setenv("CONNGAMES_EXACT_CAP", env)
@@ -558,6 +607,51 @@ def test_leastcore_past_the_enumeration_cap_exits_before_any_table(files, capsys
         assert (code, out) == (3, "")
         assert err == (f"error: instance too large for exact solver: 30 agents "
                        f"exceeds the enumeration cap of {cap}\n")
+
+
+def test_leastcore_past_the_program_budget_exits3(files, capsys):
+    # 500 agents in 2 primary regions: each Steiner search fits its budget,
+    # but the least core needs more cuts than LEAST_CORE_BUDGET lets its
+    # program hold, so it is refused after 32 rounds; ecm is answered.
+    domain = oracles.connected_graph_domain(random.Random(6), 500, n_edges=6312,
+                                            n_primary=2)
+    path = write_json(files["tmp"] / "graph500.json", domain_to_dict(domain))
+    code, out, err = run(capsys, ["leastcore", path])
+    assert (code, out) == (3, "")
+    assert err == ("error: instance too large for exact solver: the least core of "
+                   "500 agents needs more than 32 cuts past the enumeration cap of 24\n")
+    ppath = write_json(files["tmp"] / "pay.json", {"imputation": ["1/500"] * 500})
+    code, out, err = run(capsys, ["ecm", path, ppath, "--epsilon", "0.5"])
+    assert (code, err) == (0, "")
+    assert "method: exact-steiner" in out
+
+
+def test_leastcore_past_the_enumeration_cap_answers_without_a_table(files, capsys,
+                                                                    monkeypatch):
+    # The 30-agent graph of 4 primaries is answered by the Steiner oracle,
+    # whatever the cap, and the imputation's maximal excess is the least
+    # core's epsilon.
+    domain = oracles.connected_graph_domain(random.Random(30), 30, n_edges=70)
+    path = write_json(files["tmp"] / "graph30.json", domain_to_dict(domain))
+
+    def unbounded(domain):
+        raise AssertionError("a 2^30 win table was requested")
+
+    monkeypatch.setattr(enumeration, "win_table", unbounded)
+    outs = []
+    for env in (None, "29"):
+        if env is not None:
+            monkeypatch.setenv("CONNGAMES_EXACT_CAP", env)
+        code, out, err = run(capsys, ["leastcore", path, "--format", "json"])
+        assert (code, err) == (0, "")
+        outs.append(out)
+    assert outs[0] == outs[1]
+    report = json.loads(outs[0])
+    epsilon = Fraction(report["epsilon_min_rational"])
+    payoffs = [Fraction(row["value_rational"]) for row in report["imputation"]]
+    assert report["method"] == "exact-lp" and 0 < epsilon < 1
+    excess = stability.max_excess(domain, payoffs)
+    assert (excess.max_excess, excess.method) == (epsilon, "exact-steiner")
 
 
 # One cell per (command, method, domain kind) that no test above pins. The
@@ -580,7 +674,12 @@ _OVER_CAP = ("error: instance too large for exact solver: 30 agents exceeds "
     (["indices", "{big}", "--index", "banzhaf"], 0, "monte-carlo"),
     (["ecm", "{forest}", "{half}", "--epsilon", "0.5"], 0, "tree-closed-form"),
     (["ecm", "{degenerate}", "{one}", "--epsilon", "0"], 0, "exact-enumeration"),
-    (["ecm", "{big}", "{big_pay}", "--epsilon", "0.5"], 3, _OVER_CAP),
+    (["ecm", "{many}", "{big_pay}", "--epsilon", "0.5"], 3, _OVER_CAP),
+    (["ecm", "{big}", "{big_pay}", "--epsilon", "0.5"], 0, "exact-steiner"),
+    (["indices", "{big}", "--method", "exact"], 3, _OVER_CAP),
+    (["leastcore", "{big}"], 0, "exact-lp"),
+    (["ecm", "{graph17}", "{pay17}", "--epsilon", "0.5"], 0, "exact-steiner"),
+    (["ecm", "{graph17}", "{negative17}", "--epsilon", "0.5"], 0, "exact-enumeration"),
     (["leastcore", "{forest}"], 0, "tree-closed-form"),
     (["indices", "{lollipop}"], 0, "tree-closed-form"),
     (["ecm", "{lollipop}", "{lollipop_pay}", "--epsilon", "0.5"], 0, "tree-closed-form"),
@@ -588,9 +687,14 @@ _OVER_CAP = ("error: instance too large for exact solver: 30 agents exceeds "
 ], ids=["indices-auto-forest", "indices-exact-forest", "indices-auto-cycle",
         "indices-auto-degenerate", "indices-exact-degenerate", "indices-exact-tree",
         "indices-mc-tree", "indices-auto-over-cap", "ecm-forest", "ecm-degenerate",
-        "ecm-over-cap", "leastcore-forest", "indices-auto-lollipop", "ecm-lollipop",
-        "leastcore-lollipop"])
+        "ecm-over-cap", "ecm-steiner-over-cap", "indices-exact-over-cap",
+        "leastcore-steiner-over-cap", "ecm-steiner-under-cap", "ecm-negative-payoff-table",
+        "leastcore-forest", "indices-auto-lollipop", "ecm-lollipop", "leastcore-lollipop"])
 def test_planner_dispatch(files, capsys, argv, code, expected):
+    # ``ecm`` reports the Steiner oracle's tag; the least core's report is
+    # exact-lp whichever form separates. A payoff below 0, here ecm17's
+    # tolerated -1e-12, keeps the table, whose maximal losing coalitions the
+    # losing side needs.
     tmp = files["tmp"]
     forest = ConnectivityDomain(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (1, 5)],
                                 primary=(0, 4), backbone=(1, 2), standard=(3, 5))
@@ -598,6 +702,11 @@ def test_planner_dispatch(files, capsys, argv, code, expected):
     paths = dict(files,
                  forest=write_json(tmp / "forest.json", domain_to_dict(forest)),
                  big=write_json(tmp / "big.json", domain_to_dict(big)),
+                 many=write_json(tmp / "many.json",
+                                 domain_to_dict(oracles.many_primaries_domain())),
+                 graph17=str(DATA / "ecm17_domain.json"),
+                 pay17=write_json(tmp / "pay17.json", {"imputation": ["1/17"] * 17}),
+                 negative17=str(DATA / "ecm17_imputation.json"),
                  lollipop=write_json(tmp / "lollipop.json",
                                      domain_to_dict(oracles.lollipop(3))),
                  one=write_json(tmp / "one.json", {"imputation": [1]}),
@@ -844,7 +953,8 @@ def test_leastcore_20_agent_output_is_pinned(capsys):
 def test_ecm_17_agent_output_is_pinned(capsys):
     # A 17-agent non-tree graph. Six winning coalitions of three agents share
     # the least payment, so the witness is the smallest mask among them; agent
-    # 0's tolerated -1e-12 puts it in every candidate and adds the losing side.
+    # 0's tolerated -1e-12 puts it in every candidate and adds the losing side,
+    # so the table answers, not the Steiner oracle.
     code, out, err = run(capsys, ["ecm", str(DATA / "ecm17_domain.json"),
                                   str(DATA / "ecm17_imputation.json"), "--epsilon", "0.75",
                                   "--format", "json"])
@@ -896,6 +1006,42 @@ def test_core_48_agent_output_is_pinned(capsys):
                                   "--format", "json"])
     assert (code, err) == (0, "")
     assert out.encode() == (DATA / "core48.json").read_bytes()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["ecm", str(DATA / "steiner48_imputation.json"), "--epsilon", "0.75"], "ecm48.json"),
+    (["leastcore"], "leastcore48.json"),
+], ids=["ecm", "leastcore"])
+def test_steiner_48_agent_output_is_pinned(capsys, argv, golden):
+    # A 48-agent graph (a spanning tree plus chords, 160 edges) whose 4
+    # primaries lie in 4 regions and whose veto set loses: past the
+    # enumeration cap, the Steiner oracle answers where exit 3 answered before.
+    code, out, err = run(capsys, [argv[0], str(DATA / "steiner48_domain.json"),
+                                  *argv[1:], "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("argv", [
+    ["core", "{graph}"],
+    ["indices", "{path4}"],
+    ["ecm", "{path4}", "{half}", "--epsilon", "0.5"],
+    ["ecm", "{graph}", "{pay}", "--epsilon", "0.5"],
+    ["generate", "setcover", "{setcover}", "--out", "{out}"],
+], ids=["core", "indices-closed-form", "ecm-closed-form", "ecm-steiner", "generate"])
+def test_queries_without_a_table_do_not_load_numpy(files, argv):
+    paths = dict(files, graph=str(DATA / "ecm17_domain.json"),
+                 pay=write_json(files["tmp"] / "pay.json", {"imputation": ["1/17"] * 17}),
+                 out=str(files["tmp"] / "out.json"))
+    script = ("import sys\n"
+              "from conngames.cli import main\n"
+              f"assert main({[arg.format(**paths) for arg in argv]!r}) == 0\n"
+              "print('numpy' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert "method: exact-enumeration" not in out
+    assert out.splitlines()[-1] == "False"
 
 
 def test_leastcore_run_does_not_load_scipy():

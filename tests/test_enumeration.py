@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from fractions import Fraction
 from math import comb
 
 import numpy as np
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 import oracles
 import strategies
 from conngames import (
+    CapExceededError,
     ConnectivityDomain,
+    VertexCoverInstance,
     banzhaf_exact,
     classify,
     coalition_value,
@@ -18,6 +21,8 @@ from conngames import (
     is_critical,
     max_excess,
     shapley_exact,
+    stability,
+    vertexcover_to_ecm,
     veto_players,
 )
 from conngames.enumeration import (
@@ -281,3 +286,98 @@ def test_relabelling_agents_permutes_every_answer(domain, data):
         assert max_excess(relabelled, [payoffs[k] for k in perm],
                           allow_negative=True).max_excess == \
             max_excess(domain, payoffs, allow_negative=True).max_excess
+
+
+# ---------------------------------------------------------------- Steiner oracle
+
+@st.composite
+def _backbone_joined_domains(draw, max_agents: int = 14) -> ConnectivityDomain:
+    """A random domain whose first two primaries are also joined by a new
+    chain of backbones, so the oracle counts them as one terminal."""
+    domain = draw(strategies.domains(max_agents=max_agents, wide=False))
+    if len(domain.primary) < 2:
+        return domain
+    size = domain.vertex_count
+    chain = tuple(range(size, size + draw(st.integers(1, 2))))
+    path = (domain.primary[0], *chain, domain.primary[1])
+    return ConnectivityDomain(size + len(chain), domain.edges + tuple(zip(path, path[1:])),
+                              domain.primary, domain.backbone + chain, domain.standard)
+
+
+@st.composite
+def _vertexcover_domains(draw) -> ConnectivityDomain:
+    """The covering game of a graph of 2-6 edges: one primary per edge."""
+    n = draw(st.integers(3, 8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), min_size=2, max_size=6, unique=True))
+    return vertexcover_to_ecm(VertexCoverInstance(n, tuple(edges), 1))[0]
+
+
+@settings(max_examples=250, deadline=None)
+@given(domain=st.one_of(strategies.domains(max_agents=16, wide=False),
+                        strategies.sparse_domains(max_agents=16),
+                        strategies.symmetric_domains(max_agents=16),
+                        strategies.unanimity_domains(),
+                        _backbone_joined_domains(), _vertexcover_domains()),
+       data=st.data())
+def test_steiner_least_paid_winning_matches_the_minimal_winning_scan(domain, data):
+    # The least (payment, size, mask) winning coalition, with its payment, as
+    # scored over the table's minimal winning coalitions, or None where no
+    # coalition wins. Payoffs are the magnitudes of mixed draws: zeros, ties,
+    # float-derived and huge denominators.
+    n = domain.n_agents
+    payoffs = [abs(x) for x in data.draw(strategies.payoffs(n))]
+    minimal = minimal_winning_masks(win_table(domain), n).tolist()
+    expected = enumeration._least_paid(minimal, payoffs)
+    assert enumeration._Steiner(domain).least_paid_winning(payoffs) == expected
+    game = enumeration._exact_game(domain, 16, separations=1)
+    assert game.least_paid_winning(payoffs) == expected
+
+
+@pytest.mark.parametrize("domain", [
+    oracles.adjacent_primaries_domain(),
+    oracles.single_primary_domain(),
+    ConnectivityDomain(3, ((0, 2),), primary=(), backbone=(1,), standard=(0, 2)),
+    oracles.all_lose_domain(),
+], ids=["all-win", "one-primary", "no-primary", "all-lose"])
+def test_steiner_oracle_on_degenerate_domains(domain):
+    # Every coalition wins (the empty one is least paid) or none does.
+    payoffs = [Fraction(1, max(1, domain.n_agents))] * domain.n_agents
+    expected = None if classify(domain).degenerate_all_lose else (0, Fraction(0))
+    assert enumeration._Steiner(domain).least_paid_winning(payoffs) == expected
+
+
+def _bench_graph(seed: int, n: int) -> ConnectivityDomain:
+    """A non-degenerate graph of 4 primaries and 1 backbone whose veto set
+    loses, with edge density about 1/4, as the benchmark draws them."""
+    rng = random.Random(seed)
+    while True:
+        domain = oracles.connected_graph_domain(rng, n, (n + 4) + (n + 5) * (n + 4) // 8)
+        if not (classify(domain).degenerate or classify(domain).veto_wins):
+            return domain
+
+
+@pytest.mark.parametrize("domain, cap, separations, form", [
+    (_bench_graph(14, 14), 24, 1, "_Steiner"),
+    (_bench_graph(14, 14), 24, 0, "_Table"),
+    (_bench_graph(16, 16), 24, stability.LEAST_CORE_SEPARATIONS, "_Table"),
+    (_bench_graph(22, 22), 24, stability.LEAST_CORE_SEPARATIONS, "_Steiner"),
+    (vertexcover_to_ecm(VertexCoverInstance(
+        12, tuple((u, v) for u in range(12) for v in range(u + 1, 12) if (u + v) % 3 == 0),
+        6))[0], 24, 1, "_Table"),
+    (oracles.connected_graph_domain(random.Random(30), 30, n_edges=70), 24, 1, "_Steiner"),
+    (oracles.connected_graph_domain(random.Random(30), 30, n_edges=70), 24, 0, None),
+    (oracles.many_primaries_domain(), 24, 1, None),
+    (oracles.many_primaries_domain(), 30, 1, "_Table"),
+    (oracles.lollipop(3), 0, 1, "_Unanimity"),
+], ids=["ecm-14", "indices-14", "leastcore-16", "leastcore-22", "ecm-vertexcover",
+        "ecm-past-cap", "indices-past-cap", "ecm-past-budget", "ecm-past-budget-under-cap",
+        "unanimity"])
+def test_exact_game_picks_the_form_by_its_cost_estimate(domain, cap, separations, form):
+    # Under the cap the oracle answers where separations x 3^k (V + E) is
+    # below 2^n; past it, where 3^k (V + E) fits the budget, else exit 3.
+    if form is None:
+        with pytest.raises(CapExceededError):
+            enumeration._exact_game(domain, cap, separations)
+    else:
+        assert type(enumeration._exact_game(domain, cap, separations)).__name__ == form

@@ -1,4 +1,5 @@
 import random
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -389,8 +390,107 @@ def test_max_excess_on_all_win_domain_empty_coalition():
 
 
 def test_max_excess_cap():
+    # Past the cap and the Steiner budget, refused before the payoffs are checked.
     with pytest.raises(CapExceededError):
-        max_excess(oracles.cycle4(), [HALF, HALF], cap=1)
+        max_excess(oracles.many_primaries_domain(), [HALF, HALF], cap=1)
+
+
+def test_max_excess_past_the_cap_within_the_steiner_budget():
+    # The cap bounds the table only: the oracle answers the 4-cycle at cap 1,
+    # and a negative payoff, which needs the table, is refused there before
+    # it is checked, whether negative payoffs are allowed or not.
+    report = max_excess(oracles.cycle4(), [HALF, HALF], cap=1)
+    assert (report.max_excess, report.witness.mask, report.method) == \
+        (HALF, 1, "exact-steiner")
+    for allow_negative in (True, False):
+        with pytest.raises(CapExceededError):
+            max_excess(oracles.cycle4(), [Fraction(3, 2), -HALF], cap=1,
+                       allow_negative=allow_negative)
+
+
+def test_max_excess_past_the_cap_counts_the_width_of_the_weights(monkeypatch):
+    # Two primaries joined by two agent paths: the oracle answers 200 agents,
+    # whose least-paid winning coalition is the path of smaller masks, and
+    # refuses 3000 before it searches or a table is built, as each of its
+    # node weights is a 47-word integer; 9 (V + E) alone fits the budget.
+    small = oracles.ladder_domain(100)
+    report = max_excess(small, [Fraction(1, 200)] * 200)
+    assert (report.max_excess, report.witness.members(), report.method) == \
+        (HALF, tuple(range(100)), "exact-steiner")
+    wide = oracles.ladder_domain(1500)
+    assert 9 * (wide.vertex_count + len(wide.edges)) <= enumeration.STEINER_BUDGET
+
+    def unbounded(*args):
+        raise AssertionError("a 2^3000 win table or a Steiner search was requested")
+
+    monkeypatch.setattr(enumeration, "win_table", unbounded)
+    monkeypatch.setattr(enumeration._Steiner, "_lightest_tree", unbounded)
+    with pytest.raises(CapExceededError) as exc:
+        max_excess(wide, [Fraction(1, 3000)] * 3000)
+    assert str(exc.value) == ("instance too large for exact solver: 3000 agents "
+                              "exceeds the enumeration cap of 24")
+
+
+def _forcing(form):
+    """An ``enumeration._exact_game`` that gives every caller asking for
+    least-paid winning coalitions ``form(domain)``, ``_Steiner`` or
+    ``_Table``, and any other caller the planner's form."""
+    planned = enumeration._exact_game
+
+    def game(domain, cap, separations=0):
+        return form(domain) if separations else planned(domain, cap)
+
+    return game
+
+
+def _imputation(domain, payoffs):
+    """Nonnegative payoffs summing to the grand coalition's value: |p_i|
+    over their sum (zeros and ties kept), or an equal split."""
+    n = domain.n_agents
+    if classify(domain).degenerate_all_lose:
+        return [Fraction(0)] * n
+    magnitudes = [abs(x) for x in payoffs]
+    total = sum(magnitudes, Fraction(0))
+    return [x / total for x in magnitudes] if total else [Fraction(1, n)] * n
+
+
+@settings(max_examples=150, deadline=None)
+@given(domain=st.one_of(strategies.domains(max_agents=16, wide=False),
+                        strategies.sparse_domains(max_agents=16),
+                        strategies.symmetric_domains(max_agents=16)),
+       data=st.data())
+@example(domain=oracles.adjacent_primaries_domain(), data=None)
+@example(domain=oracles.all_lose_domain(), data=None)
+def test_max_excess_through_the_steiner_oracle_matches_the_table(domain, data):
+    # Same excess, witness and verdict as the table, and, up to 10 agents, the
+    # brute-force maximum over all 2^n coalitions.
+    n = domain.n_agents
+    assume(n > 0 or classify(domain).degenerate_all_lose)
+    drawn = data.draw(strategies.payoffs(n)) if data else [Fraction(1)] * n
+    payoffs = _imputation(domain, drawn)
+    reports = {}
+    for form in (enumeration._Steiner, enumeration._Table):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enumeration, "_exact_game", _forcing(form))
+            reports[form] = max_excess(domain, payoffs, epsilon=0.5)
+    steiner, table = reports[enumeration._Steiner], reports[enumeration._Table]
+    assert (steiner.method, table.method) == ("exact-steiner", "exact-enumeration")
+    assert (steiner.max_excess, steiner.witness, steiner.epsilon_verdict) == \
+        (table.max_excess, table.witness, table.epsilon_verdict)
+    if n <= 10:
+        assert steiner.max_excess == oracles.max_excess_bruteforce(domain, payoffs)
+
+
+def test_imputation_refuses_a_huge_exponent_at_once():
+    # Fraction("1e999999999") would compute a billion-digit power of ten.
+    started = time.perf_counter()
+    with pytest.raises(ValueError, match="out of range"):
+        Imputation.of(["1e999999999", 0])
+    with pytest.raises(ValueError):
+        max_excess(oracles.cycle4(), ["1E-43_01", 1])
+    assert time.perf_counter() - started < 0.5
+    assert Imputation.of(["1e4300", "-2.5E-4300"]).payoffs == \
+        (Fraction(10 ** 4300), Fraction(-25, 10 ** 4301))
 
 
 def test_imputation_type_roundtrip():
@@ -454,7 +554,11 @@ def test_least_core_single_agent_all_win_domain():
 
 def test_least_core_cap():
     with pytest.raises(CapExceededError):
-        least_core_value(oracles.cycle4(), cap=1)
+        least_core_value(oracles.many_primaries_domain(), cap=1)
+
+
+def test_least_core_past_the_cap_within_the_steiner_budget():
+    assert least_core_value(oracles.cycle4(), cap=1) == least_core_value(oracles.cycle4())
 
 
 def test_least_core_witness_is_feasible_and_optimal(corpus):
@@ -515,16 +619,100 @@ def test_least_core_matches_table_scan(domain):
 
 
 def test_least_core_refuses_past_the_enumeration_cap_before_any_table(monkeypatch):
+    # Past the cap and the Steiner budget: refused before a 2^30 table is
+    # allocated or the oracle searches.
+    domain = oracles.many_primaries_domain()
+
+    def unbounded(*args):
+        raise AssertionError("a 2^30 win table or a Steiner search was requested")
+
+    monkeypatch.setattr(enumeration, "win_table", unbounded)
+    monkeypatch.setattr(enumeration._Steiner, "least_paid_winning", unbounded)
+    for cap in (24, 29):
+        with pytest.raises(CapExceededError) as exc:
+            least_core_value(domain, cap=cap)
+        assert exc.value.cap == cap
+
+
+def test_least_core_past_the_enumeration_cap_builds_no_table(monkeypatch):
+    # The 30-agent graph of 4 primaries that the cap refused before: the
+    # oracle separates, and the imputation's maximal excess is epsilon.
     domain = oracles.connected_graph_domain(random.Random(30), 30, n_edges=70)
 
     def unbounded(domain):
         raise AssertionError("a 2^30 win table was requested")
 
     monkeypatch.setattr(enumeration, "win_table", unbounded)
-    for cap in (24, 29):
-        with pytest.raises(CapExceededError) as exc:
-            least_core_value(domain, cap=cap)
-        assert exc.value.cap == cap
+    result = least_core_value(domain)
+    assert result.method == "exact-lp" and 0 < result.epsilon < 1
+    assert least_core_value(domain, cap=29) == result
+    assert max_excess(domain, result.imputation).max_excess == result.epsilon
+
+
+def _least_core_programs(domain, form):
+    """The least core through ``form``, with the active coalitions of every
+    restricted program it solved."""
+    programs = []
+    solve_active = stability._solve_active_exact
+
+    def recording(active, n, grand_value):
+        programs.append(tuple(active))
+        return solve_active(active, n, grand_value)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(stability, "_solve_active_exact", recording)
+        mp.setattr(enumeration, "_exact_game", _forcing(form))
+        result = least_core_value(domain)
+    return result.epsilon, result.imputation, result.method, programs
+
+
+def _sparse_graph_of_500_agents():
+    """500 agents, 2 primary regions and 6312 edges: a least core past the
+    cap that needs more than the 32 cuts its program may hold."""
+    return oracles.connected_graph_domain(random.Random(6), 500, n_edges=6312, n_primary=2)
+
+
+def test_least_core_past_the_cap_refuses_a_program_past_its_budget(monkeypatch):
+    # Each Steiner search fits its budget, but the rounds do not: the 33rd
+    # cut would put 33 * 501 coefficients in the program, past
+    # LEAST_CORE_BUDGET, so 32 programs are solved, and no table is built.
+    domain = _sparse_graph_of_500_agents()
+    assert not classify(domain).veto_wins
+    programs = []
+
+    def recording(active, n, grand_value):
+        programs.append(len(active))
+        return solve_active(active, n, grand_value)
+
+    def unbounded(domain):
+        raise AssertionError("a 2^500 win table was requested")
+
+    solve_active = stability._solve_active_exact
+    monkeypatch.setattr(stability, "_solve_active_exact", recording)
+    monkeypatch.setattr(enumeration, "win_table", unbounded)
+    with pytest.raises(CapExceededError) as exc:
+        least_core_value(domain)
+    assert exc.value.cap == 24
+    assert str(exc.value) == ("instance too large for exact solver: the least core of "
+                              "500 agents needs more than 32 cuts past the enumeration "
+                              "cap of 24")
+    assert programs == list(range(1, 33))
+    assert stability.LEAST_CORE_BUDGET // 501 == 32
+
+
+def test_least_core_through_either_form_solves_the_same_programs():
+    # Bench-style graphs (4 primaries, 1 backbone, edge density 1/4) of
+    # 12-20 agents: the same cuts, so the same eps and imputation.
+    for n in (12, 14, 16, 18, 20):
+        rng = random.Random(1900 + n)
+        checked = 0
+        while checked < 2:
+            domain = oracles.connected_graph_domain(rng, n, (n + 4) + (n + 5) * (n + 4) // 8)
+            if classify(domain).degenerate or classify(domain).veto_wins:
+                continue
+            steiner = _least_core_programs(domain, enumeration._Steiner)
+            assert steiner == _least_core_programs(domain, enumeration._Table), n
+            checked += 1
 
 
 def test_least_core_zero_iff_veto(corpus):
@@ -576,6 +764,22 @@ def test_least_core_with_two_primary_regions_is_one_minus_inverse_cut():
         assert result.epsilon == 1 - Fraction(1, kappa), (n, kappa)
         cuts[(n > 12) + (n > 16)].add(kappa)
     assert all(len(kappas) >= 3 for kappas in cuts.values())
+
+
+def test_least_core_past_the_cap_with_two_primary_regions_is_one_minus_inverse_cut():
+    # Menger, as above, at 25-96 agents: the Steiner oracle separates, and
+    # the max-flow oracle gives kappa.
+    rng = random.Random(2525)
+    kappas = set()
+    for n in (25, 25, 32, 48, 48, 64, 96):
+        domain = oracles.two_region_domain(rng, n)
+        kappa = oracles.min_agent_cut(domain)
+        result = least_core_value(domain)
+        assert result.epsilon == 1 - Fraction(1, kappa), (n, kappa)
+        unanimity = oracles.reference_value(domain, oracles.essential_by_removal(domain))
+        assert result.method == ("tree-closed-form" if unanimity else "exact-lp")
+        kappas.add(kappa)
+    assert len(kappas) >= 3
 
 
 def test_least_core_memory_at_16_agents():
