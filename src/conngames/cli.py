@@ -75,8 +75,6 @@ def _load_imputation(path: str) -> list[Fraction]:
     payoffs = []
     for i, entry in enumerate(data):
         try:
-            if isinstance(entry, bool):  # Fraction(True) reads a JSON boolean as a number
-                raise ValueError
             payoffs.append(stability._to_fraction(entry))
         except (TypeError, ValueError, ArithmeticError):
             raise ValueError(f"{path}: imputation entry {i} is not a number: "

@@ -13,7 +13,14 @@ least-paid winning coalitions (maximal excess, the least core's separation)
 may get ``_Steiner`` instead, a minimum node-weighted Steiner tree search
 over the primaries, where a deterministic estimate of its work beats the
 table's 2^n coalitions, and past the cap where the estimate fits the fixed
-``STEINER_BUDGET``. Every form answers ``least_paid_winning``.
+``STEINER_BUDGET``. Every form answers ``least_paid_winning`` for payoffs
+of any sign, the agents of N-, those paid below 0, taken as free: the
+least-paid winning coalition is m | N- for some minimal winning m, as every
+winning coalition holds such an m and joining N- only lowers its payment.
+No form lists losing coalitions, as maximal excess needs only one: any
+losing L pays p(L) >= p(N-), a tie only for N- plus zero-paid agents, so the
+losing candidate is N- if N- loses; if N- wins, the least-paid winning
+coalition's excess is at least 1 - p(N-), above that of every losing one.
 
 numpy is imported on first use, by the table and its reductions only.
 
@@ -54,13 +61,6 @@ _CHUNK_BITS = 18
 _WIN_CACHE_KEY = "_win_table_cache"
 _HISTOGRAM_CACHE_KEY = "_histogram_cache"
 _IN_BYTE = (0xAA, 0xCC, 0xF0)  # bits b of a byte whose bit i is set, for i < 3
-
-
-@functools.cache
-def _reversed_bytes() -> np.ndarray:
-    """Entry v: byte value v with its bit order reversed."""
-    import numpy as np
-    return np.array([int(f"{v:08b}"[::-1], 2) for v in range(256)], dtype=np.uint8)
 
 
 @functools.cache
@@ -136,19 +136,6 @@ def minimal_winning_masks(win: np.ndarray, n: int) -> np.ndarray:
     return at[rows] * 8 + bits
 
 
-def maximal_losing_masks(win: np.ndarray, n: int) -> np.ndarray:
-    """Descending masks of the losing coalitions that any outsider would turn
-    winning: the complements of the dual game's minimal winning coalitions
-    (C wins the dual game iff its complement loses).
-
-    Reversing the bytes and the bits of each byte puts mask 2^n - 1 - m at
-    bit m, past the 8 - 2^n padding bits of a table of n < 3; the shift
-    drops those and leaves the new padding clear.
-    """
-    dual = ~_reversed_bytes()[win[::-1]] >> max(0, 8 - (1 << n))
-    return ((1 << n) - 1) ^ minimal_winning_masks(dual, n)
-
-
 def criticality_size_counts(win: np.ndarray, n: int) -> np.ndarray:
     """int64 array of shape (n, n + 1): row i counts, by size |C|, the
     coalitions C in which agent i is critical (C wins, C minus i loses).
@@ -204,14 +191,25 @@ def _scaled_payment(mask: int, weights: Sequence[int]) -> int:
     return total
 
 
+def _scaled(payoffs: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """The lcm of the payoff denominators, and each payoff times it."""
+    scale = math.lcm(*(x.denominator for x in payoffs))
+    return scale, [x.numerator * (scale // x.denominator) for x in payoffs]
+
+
+def _negatively_paid(payoffs: Sequence[Fraction]) -> int:
+    """Mask of N-, the agents paid below 0. The sign of a ``Fraction`` is
+    its numerator's, an int compared many times faster than the Fraction."""
+    return sum(1 << i for i, x in enumerate(payoffs) if x.numerator < 0)
+
+
 def _least_paid(masks: list[int], payoffs: Sequence[Fraction]) -> tuple[int, Fraction] | None:
     """Mask of least (payment, size, mask) in the list ``masks``, with its
     payment, or None if the list is empty; payments are scored exactly, as
     integers scaled by the lcm of the payoff denominators."""
     if not masks:
         return None
-    scale = math.lcm(*(x.denominator for x in payoffs))
-    weights = [x.numerator * (scale // x.denominator) for x in payoffs]
+    scale, weights = _scaled(payoffs)
     total, _, mask = min((_scaled_payment(m, weights), m.bit_count(), m) for m in masks)
     return mask, Fraction(total, scale)
 
@@ -220,9 +218,12 @@ class _Listed:
     """A form that lists its minimal winning coalitions, ``minimal_winning``."""
 
     def least_paid_winning(self, payoffs: Sequence[Fraction]) -> tuple[int, Fraction] | None:
-        """The minimal winning coalition of least (payment, size, mask), with
-        its payment; None if no coalition wins."""
-        return _least_paid(self.minimal_winning, payoffs)
+        """The winning coalition of least (payment, size, mask), with its
+        payment; None if no coalition wins. It is m | N- for a minimal
+        winning m: every winning coalition holds some m, and joining N- to
+        it only lowers its payment."""
+        free = _negatively_paid(payoffs)
+        return _least_paid([m | free for m in self.minimal_winning], payoffs)
 
 
 class _Unanimity(_Listed):
@@ -246,10 +247,6 @@ class _Unanimity(_Listed):
     @property
     def minimal_winning(self) -> list[int]:
         return [sum(1 << i for i in self.veto)]
-
-    @property
-    def maximal_losing(self) -> list[int]:
-        return [((1 << self.n) - 1) ^ (1 << i) for i in self.veto]
 
     def least_core(self) -> tuple[Fraction, tuple[Fraction, ...]]:
         return Fraction(0), self.shapley()
@@ -281,10 +278,6 @@ class _Table(_Listed):
     def minimal_winning(self) -> list[int]:
         return minimal_winning_masks(win_table(self.domain), self.n).tolist()
 
-    @property
-    def maximal_losing(self) -> list[int]:
-        return maximal_losing_masks(win_table(self.domain), self.n).tolist()
-
 
 class _Steiner:
     """Least-paid winning coalitions as minimum node-weighted Steiner trees
@@ -299,12 +292,14 @@ class _Steiner:
     edges are built, on the first search, and before the payoffs, whose
     digits widen the weights further, are known.
 
-    For nonnegative payoffs agent i's node weighs
+    The agents of N-, paid below 0, are free: their nodes weigh 0, as do
+    the regions'. Any other agent i's node weighs
     w_i = P_i (n+1) 2^n + 2^n + 2^i, P_i its payoff scaled to an integer by
-    the lcm of the denominators. A coalition W then weighs
-    P(W) (n+1) 2^n + |W| 2^n + mask(W), so the lightest tree holds the
-    winning coalition of least (payment, size, mask), which is minimal, and
-    its mask is its weight mod 2^n.
+    the lcm of the denominators. A set W of such agents then weighs
+    P(W) (n+1) 2^n + |W| 2^n + mask(W), so the lightest tree's W gives the
+    winning coalition W | N- of least (payment, size, mask): N- is disjoint
+    from W and adds the same payment, size and mask to every candidate. The
+    mask of W is the weight mod 2^n.
     """
 
     method = EXACT_STEINER
@@ -343,18 +338,19 @@ class _Steiner:
         return [tuple(ns) for ns in nbrs]
 
     def least_paid_winning(self, payoffs: Sequence[Fraction]) -> tuple[int, Fraction] | None:
-        """The winning coalition of least (payment, size, mask) for
-        nonnegative ``payoffs``, with its payment; None if no coalition wins."""
+        """The winning coalition of least (payment, size, mask), with its
+        payment; None if no coalition wins."""
         n = self.n
-        scale = math.lcm(*(x.denominator for x in payoffs))
+        scale, scaled = _scaled(payoffs)
+        free = _negatively_paid(scaled)
         step = (n + 1) << n
-        weights = [x.numerator * (scale // x.denominator) * step + (1 << n) + (1 << i)
-                   for i, x in enumerate(payoffs)]
+        weights = [0 if x < 0 else x * step + (1 << n) + (1 << i) for i, x in enumerate(scaled)]
         weights += [0] * (self._nodes - n)
         total = self._lightest_tree(weights)
         if total is None:
             return None
-        return total & ((1 << n) - 1), Fraction((total >> n) // (n + 1), scale)
+        payment = (total >> n) // (n + 1) + _scaled_payment(free, scaled)
+        return (total & ((1 << n) - 1)) | free, Fraction(payment, scale)
 
     def _lightest_tree(self, weights: list[int]) -> int | None:
         """Weight of the lightest connected node set holding every terminal.
@@ -420,12 +416,11 @@ def _exact_game(domain: ConnectivityDomain, cap: int,
 
     Where the veto agents win on their own it is the unanimity game, at any
     size. ``separations`` is how many least-paid winning coalitions the
-    caller will ask for; 0 means it needs the table's histograms or its
-    minimal winning and maximal losing lists. A caller that separates gets
-    the Steiner oracle where ``separations`` times its work is under the 2^n
-    coalitions of the table, and past ``cap`` agents where its work fits
-    ``STEINER_BUDGET``. Otherwise it is the win table, refused past ``cap``
-    (``CapExceededError``) before anything is built.
+    caller will ask for; 0 means it needs the table's histograms. A caller
+    that separates gets the Steiner oracle where ``separations`` times its
+    work is under the 2^n coalitions of the table, and past ``cap`` agents
+    where its work fits ``STEINER_BUDGET``. Otherwise it is the win table,
+    refused past ``cap`` (``CapExceededError``) before anything is built.
     """
     classification = classify(domain)
     n = domain.n_agents

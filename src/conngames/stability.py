@@ -7,22 +7,22 @@ core iff it hands the whole unit of reward to veto agents. Agent i is veto iff
 the coalition of everyone else loses, which the structural pass
 ``domain.classify`` asks for every agent in its one kernel batch.
 
-Maximal excess is found from the least-paid winning coalition. For
-nonnegative payoffs it is a minimal winning one, and the losing side is just
-the empty coalition, with excess 0; the domain's exact game
-(``enumeration._exact_game``) gives that coalition by ``least_paid_winning``:
-the veto set where it wins, at any size; else the minimal winning coalition
-of least (payment, size, mask) read from the win table, behind the
+Maximal excess is found from two candidates, whatever the payoffs' signs.
+With N- the negatively paid agents, the winning one is the least-paid
+winning coalition, W | N- for some minimal winning W: every winning
+coalition contains such a W, and adding the rest of N- only lowers its
+payment. The domain's exact game (``enumeration._exact_game``) gives it by
+``least_paid_winning``: from the veto set where it wins, at any size; else
+from the minimal winning coalitions read from the win table, behind the
 enumeration cap; or, where a cost estimate favours it, and past the cap
-within its budget, a minimum node-weighted Steiner tree on the primaries,
-with no table. With N- the negatively paid agents, a least-paid winning
-coalition is W | N- for some minimal winning W: every winning coalition
-contains such a W, and adding the rest of N- only lowers its payment.
-Likewise a least-paid losing coalition is L & N- for some maximal losing L,
-the complement of a minimal winner of the dual game (C wins iff its
-complement loses). Any negative payoff takes these two lists, from the
-unanimity form or the win table. Each candidate list is scored exactly in
-Python integers.
+within its budget, by a minimum node-weighted Steiner tree on the
+primaries, with N- free and no table. The losing candidate is N- itself
+when N- loses, and there is none when it wins, in two steps: any losing L
+pays p(L) >= p(N-), a tie only for N- plus zero-paid agents, so no losing
+coalition has more excess than N-, nor as much with fewer members; and if
+N- wins, the least-paid winning coalition's excess is at least 1 - p(N-),
+above -p(N-). So N- is scored at -p(N-) without asking whether it loses: it
+is chosen only if it does. Payments are scored exactly in Python integers.
 
 The least core of a game whose veto set wins is eps = 0 with the equal split
 over the veto agents. Otherwise it solves  min eps  s.t.  p(C) >= v(C) - eps
@@ -71,12 +71,15 @@ _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
 
 
 def _to_fraction(value) -> Fraction:
-    """``value`` as an exact rational. A decimal string whose exponent
-    exceeds ``sys.int_info.default_max_str_digits``, the most digits ``int``
-    parses, is refused with ``ValueError``: ``Fraction("1e999999999")``
-    would build a billion-digit integer."""
+    """``value`` as an exact rational. A boolean, which ``Fraction`` reads
+    as 0 or 1, is refused with ``ValueError``, and so is a decimal string
+    whose exponent exceeds ``sys.int_info.default_max_str_digits``, the most
+    digits ``int`` parses: ``Fraction("1e999999999")`` would build a
+    billion-digit integer."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool):
+        raise ValueError(f"{value!r} is not a number")
     exponent = _EXPONENT.search(value) if isinstance(value, str) else None
     if exponent and abs(int(exponent[1])) > sys.int_info.default_max_str_digits:
         raise ValueError(f"exponent of {value!r} is out of range")
@@ -186,19 +189,19 @@ def max_excess(domain: ConnectivityDomain, payoffs, *,
                epsilon: float | None = None) -> ExcessReport:
     """Maximal excess v(C) - p(C) over all coalitions, with a witness.
 
-    For nonnegative payoffs the maximum is max(0, 1 - min winning payment),
-    and the exact game's ``least_paid_winning`` gives that coalition.
-    Payoffs below -IMPUTATION_TOL are rejected unless ``allow_negative`` is
-    set; any negative payoff, tolerated or not, takes the unanimity form or
-    the win table, whose maximal losing coalitions give the losing
-    candidates, as losing coalitions can then have positive excess too. Past
-    the enumeration ``cap`` a domain answered by neither the closed forms
-    nor the Steiner oracle is refused before the payoffs are checked.
+    The maximum is that of two candidates. The winning one is the exact
+    game's ``least_paid_winning``, which takes N-, the negatively paid
+    agents, as free. The losing one is N- itself, with excess -p(N-): every
+    losing coalition pays at least p(N-). If N- wins, the winning one's
+    excess is at least 1 - p(N-), so N- is the answer only if it loses. With
+    no negative payoff N- is the empty coalition, with excess 0. Payoffs
+    below -IMPUTATION_TOL are rejected unless ``allow_negative`` is set.
+    Past the enumeration ``cap`` a domain answered by neither the closed
+    forms nor the Steiner oracle is refused before the payoffs are checked.
     """
     n = domain.n_agents
     values = _fractions(payoffs)
-    negative = sum(1 << i for i, x in enumerate(values) if x < 0)
-    game = enumeration._exact_game(domain, cap, separations=0 if negative else 1)
+    game = enumeration._exact_game(domain, cap, separations=1)
     p = _as_payoffs(values, n)
     _check_total(domain, p)
     if not allow_negative:
@@ -206,19 +209,15 @@ def max_excess(domain: ConnectivityDomain, payoffs, *,
             if x < -IMPUTATION_TOL:
                 raise ValueError(f"agent {i} has negative payoff {x}; the "
                                  f"epsilon-core test takes nonnegative payoffs")
-    # Payoffs tolerated as nonnegative may still be slightly negative; a
-    # losing coalition of such agents then has a small positive excess.
-    if negative:
-        winning = enumeration._least_paid([m | negative for m in game.minimal_winning], p)
-        losing = enumeration._least_paid([negative & m for m in game.maximal_losing], p)
-    else:
-        winning = game.least_paid_winning(p)
-        losing = None if classify(domain).degenerate_all_win else (0, Fraction(0))
-    keys = []
-    for found, value in ((winning, 1), (losing, 0)):
-        if found:
-            mask, payment = found
-            keys.append((payment - value, mask.bit_count(), mask))
+    # N- is scored as losing whether it loses or not: if it wins, the
+    # winning candidate's excess is at least 1 - p(N-), so N- is not chosen.
+    negative = enumeration._negatively_paid(p)
+    paid = sum((x for i, x in enumerate(p) if negative >> i & 1), Fraction(0))
+    keys = [(paid, negative.bit_count(), negative)]
+    winning = game.least_paid_winning(p)
+    if winning:
+        mask, payment = winning
+        keys.append((payment - 1, mask.bit_count(), mask))
     # Largest excess, then the smallest coalition, then the smallest mask.
     deficit, _, best_mask = min(keys)
     best_excess = -deficit

@@ -140,15 +140,19 @@ def definitional_in_core(domain: ConnectivityDomain, payoffs, tol=1e-9) -> bool:
 
 
 def max_excess_bruteforce(domain: ConnectivityDomain, payoffs) -> Fraction:
+    return max_excess_witness_bruteforce(domain, payoffs)[0]
+
+
+def max_excess_witness_bruteforce(domain: ConnectivityDomain, payoffs) -> tuple[Fraction, int]:
+    """The maximal excess over all 2^n coalitions and its witness mask: the
+    largest excess, then the smallest coalition, then the smallest mask."""
     n = domain.n_agents
     p = [Fraction(v) for v in payoffs]
-    best = None
-    for mask in range(1 << n):
-        payment = sum((p[i] for i in range(n) if mask >> i & 1), Fraction(0))
-        excess = reference_mask_value(domain, mask) - payment
-        if best is None or excess > best:
-            best = excess
-    return best
+    deficit, _, witness = min(
+        (sum((p[i] for i in range(n) if mask >> i & 1), Fraction(0))
+         - reference_mask_value(domain, mask), mask.bit_count(), mask)
+        for mask in range(1 << n))
+    return -deficit, witness
 
 
 def least_core_by_table_scan(domain: ConnectivityDomain):

@@ -679,7 +679,7 @@ _OVER_CAP = ("error: instance too large for exact solver: 30 agents exceeds "
     (["indices", "{big}", "--method", "exact"], 3, _OVER_CAP),
     (["leastcore", "{big}"], 0, "exact-lp"),
     (["ecm", "{graph17}", "{pay17}", "--epsilon", "0.5"], 0, "exact-steiner"),
-    (["ecm", "{graph17}", "{negative17}", "--epsilon", "0.5"], 0, "exact-enumeration"),
+    (["ecm", "{graph17}", "{negative17}", "--epsilon", "0.5"], 0, "exact-steiner"),
     (["leastcore", "{forest}"], 0, "tree-closed-form"),
     (["indices", "{lollipop}"], 0, "tree-closed-form"),
     (["ecm", "{lollipop}", "{lollipop_pay}", "--epsilon", "0.5"], 0, "tree-closed-form"),
@@ -688,13 +688,13 @@ _OVER_CAP = ("error: instance too large for exact solver: 30 agents exceeds "
         "indices-auto-degenerate", "indices-exact-degenerate", "indices-exact-tree",
         "indices-mc-tree", "indices-auto-over-cap", "ecm-forest", "ecm-degenerate",
         "ecm-over-cap", "ecm-steiner-over-cap", "indices-exact-over-cap",
-        "leastcore-steiner-over-cap", "ecm-steiner-under-cap", "ecm-negative-payoff-table",
+        "leastcore-steiner-over-cap", "ecm-steiner-under-cap", "ecm-negative-payoff-steiner",
         "leastcore-forest", "indices-auto-lollipop", "ecm-lollipop", "leastcore-lollipop"])
 def test_planner_dispatch(files, capsys, argv, code, expected):
     # ``ecm`` reports the Steiner oracle's tag; the least core's report is
     # exact-lp whichever form separates. A payoff below 0, here ecm17's
-    # tolerated -1e-12, keeps the table, whose maximal losing coalitions the
-    # losing side needs.
+    # tolerated -1e-12, leaves the choice of form as it is: the oracle takes
+    # the negatively paid agents as free.
     tmp = files["tmp"]
     forest = ConnectivityDomain(6, [(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (1, 5)],
                                 primary=(0, 4), backbone=(1, 2), standard=(3, 5))
@@ -953,8 +953,8 @@ def test_leastcore_20_agent_output_is_pinned(capsys):
 def test_ecm_17_agent_output_is_pinned(capsys):
     # A 17-agent non-tree graph. Six winning coalitions of three agents share
     # the least payment, so the witness is the smallest mask among them; agent
-    # 0's tolerated -1e-12 puts it in every candidate and adds the losing side,
-    # so the table answers, not the Steiner oracle.
+    # 0's tolerated -1e-12 makes it free, so it joins every candidate, and the
+    # Steiner oracle answers as it does for nonnegative payoffs.
     code, out, err = run(capsys, ["ecm", str(DATA / "ecm17_domain.json"),
                                   str(DATA / "ecm17_imputation.json"), "--epsilon", "0.75",
                                   "--format", "json"])
@@ -1010,12 +1010,17 @@ def test_core_48_agent_output_is_pinned(capsys):
 
 @pytest.mark.parametrize("argv, golden", [
     (["ecm", str(DATA / "steiner48_imputation.json"), "--epsilon", "0.75"], "ecm48.json"),
+    (["ecm", str(DATA / "steiner48_negative_imputation.json"), "--epsilon", "0.75"],
+     "ecm48_negative.json"),
     (["leastcore"], "leastcore48.json"),
-], ids=["ecm", "leastcore"])
+], ids=["ecm", "ecm-negative", "leastcore"])
 def test_steiner_48_agent_output_is_pinned(capsys, argv, golden):
     # A 48-agent graph (a spanning tree plus chords, 160 edges) whose 4
     # primaries lie in 4 regions and whose veto set loses: past the
     # enumeration cap, the Steiner oracle answers where exit 3 answered before.
+    # In the second imputation agent 0 is paid a tolerated -1e-12 (its share
+    # moved to agent 1): the oracle takes it as free and adds it to the
+    # witness, and the losing side needs no table.
     code, out, err = run(capsys, [argv[0], str(DATA / "steiner48_domain.json"),
                                   *argv[1:], "--format", "json"])
     assert (code, err) == (0, "")

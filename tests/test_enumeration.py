@@ -28,7 +28,6 @@ from conngames import (
 from conngames.enumeration import (
     criticality_histograms,
     criticality_size_counts,
-    maximal_losing_masks,
     minimal_winning_masks,
     win_table,
 )
@@ -237,28 +236,16 @@ def test_minimal_winning_masks_against_definition():
             expected = [mask for mask in range(1 << n) if game[mask] and all(
                 not game[mask ^ (1 << i)] for i in range(n) if mask >> i & 1)]
             assert minimal_winning_masks(_pack(game), n).tolist() == expected
-        maximal_losing = [mask for mask in range(1 << n) if not table[mask] and all(
-            table[mask | 1 << i] for i in range(n) if not mask >> i & 1)]
-        full = (1 << n) - 1
-        assert sorted(full ^ m for m in minimal_winning_masks(_pack(dual), n).tolist()) == \
-            maximal_losing
-        assert maximal_losing_masks(win_table(domain), n).tolist() == maximal_losing[::-1]
 
 
 @settings(max_examples=80, deadline=None)
 @given(**_ANY_TABLE)
-def test_minimal_and_maximal_masks_match_definition_on_any_table(n, seed, density,
-                                                                   monotone):
-    # Arbitrary tables, not only games: for n < 3 the dual table is shifted
-    # down past the padding of a partly used byte.
+def test_minimal_masks_match_definition_on_any_table(n, seed, density, monotone):
+    # Arbitrary tables, not only games, down to the partly used byte of n < 3.
     table = _drawn_table(n, seed, density, monotone).tolist()
-    win = _pack(table)
     minimal = [mask for mask in range(1 << n) if table[mask] and all(
         not table[mask ^ 1 << i] for i in range(n) if mask >> i & 1)]
-    maximal = [mask for mask in range(1 << n) if not table[mask] and all(
-        table[mask | 1 << i] for i in range(n) if not mask >> i & 1)]
-    assert minimal_winning_masks(win, n).tolist() == minimal
-    assert maximal_losing_masks(win, n).tolist() == maximal[::-1]
+    assert minimal_winning_masks(_pack(table), n).tolist() == minimal
 
 
 @settings(max_examples=60, deadline=None)
@@ -322,13 +309,17 @@ def _vertexcover_domains(draw) -> ConnectivityDomain:
        data=st.data())
 def test_steiner_least_paid_winning_matches_the_minimal_winning_scan(domain, data):
     # The least (payment, size, mask) winning coalition, with its payment, as
-    # scored over the table's minimal winning coalitions, or None where no
-    # coalition wins. Payoffs are the magnitudes of mixed draws: zeros, ties,
-    # float-derived and huge denominators.
+    # scored over the table's minimal winning coalitions joined with the
+    # negatively paid agents, or None where no coalition wins. Payoffs are
+    # mixed draws, or their magnitudes: zeros, ties, float-derived and huge
+    # denominators.
     n = domain.n_agents
-    payoffs = [abs(x) for x in data.draw(strategies.payoffs(n))]
+    payoffs = data.draw(strategies.payoffs(n))
+    if data.draw(st.booleans()):
+        payoffs = [abs(x) for x in payoffs]
+    free = sum(1 << i for i, x in enumerate(payoffs) if x < 0)
     minimal = minimal_winning_masks(win_table(domain), n).tolist()
-    expected = enumeration._least_paid(minimal, payoffs)
+    expected = enumeration._least_paid([m | free for m in minimal], payoffs)
     assert enumeration._Steiner(domain).least_paid_winning(payoffs) == expected
     game = enumeration._exact_game(domain, 16, separations=1)
     assert game.least_paid_winning(payoffs) == expected

@@ -344,10 +344,9 @@ def test_max_excess_full_scan_matches_bruteforce_with_ties(data):
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
 def test_winning_veto_set_is_solved_without_a_win_table(data):
-    # When the veto set wins it is the only minimal winning coalition, and
-    # N - {i} for each veto agent i are the maximal losing ones: the scans
-    # match the oracles, negative payoffs included, and build no table even
-    # under a cap of 0.
+    # When the veto set wins it is the only minimal winning coalition: the
+    # scans match the oracles, negative payoffs included, and build no table
+    # even under a cap of 0.
     domain = data.draw(strategies.unanimity_domains())
     assume(not classify(domain).degenerate)
     assert classify(domain).veto_wins
@@ -372,7 +371,7 @@ def test_max_excess_memory_at_18_agents():
     domain = oracles.connected_graph_domain(random.Random(26), 18, n_edges=85)
     assert not classify(domain).degenerate
     win_table(domain)
-    negative = [Fraction(-1, 18)] * 9 + [Fraction(3, 18)] * 9  # adds the losing side
+    negative = [Fraction(-1, 18)] * 9 + [Fraction(3, 18)] * 9  # nine agents in N-
     for payoffs in ([Fraction(1, 18)] * 18, negative):
         tracemalloc.start()
         try:
@@ -397,15 +396,16 @@ def test_max_excess_cap():
 
 def test_max_excess_past_the_cap_within_the_steiner_budget():
     # The cap bounds the table only: the oracle answers the 4-cycle at cap 1,
-    # and a negative payoff, which needs the table, is refused there before
-    # it is checked, whether negative payoffs are allowed or not.
+    # for negative payoffs too. Agent 1, paid -1/2, wins on its own, so it is
+    # the witness; a negative payoff not allowed is refused as an input error.
     report = max_excess(oracles.cycle4(), [HALF, HALF], cap=1)
     assert (report.max_excess, report.witness.mask, report.method) == \
         (HALF, 1, "exact-steiner")
-    for allow_negative in (True, False):
-        with pytest.raises(CapExceededError):
-            max_excess(oracles.cycle4(), [Fraction(3, 2), -HALF], cap=1,
-                       allow_negative=allow_negative)
+    report = max_excess(oracles.cycle4(), [Fraction(3, 2), -HALF], cap=1, allow_negative=True)
+    assert (report.max_excess, report.witness.mask, report.method) == \
+        (Fraction(3, 2), 2, "exact-steiner")
+    with pytest.raises(ValueError, match="^agent 1 has negative payoff -1/2;"):
+        max_excess(oracles.cycle4(), [Fraction(3, 2), -HALF], cap=1)
 
 
 def test_max_excess_past_the_cap_counts_the_width_of_the_weights(monkeypatch):
@@ -479,6 +479,68 @@ def test_max_excess_through_the_steiner_oracle_matches_the_table(domain, data):
         (table.max_excess, table.witness, table.epsilon_verdict)
     if n <= 10:
         assert steiner.max_excess == oracles.max_excess_bruteforce(domain, payoffs)
+
+
+def _forms(domain):
+    """The exact forms that can answer ``domain``'s least-paid winning
+    coalitions: the unanimity form where the veto set wins, the table and
+    the Steiner oracle everywhere."""
+    forms = [enumeration._Table, enumeration._Steiner]
+    classification = classify(domain)
+    if classification.veto_wins:
+        forms.append(lambda d: enumeration._Unanimity(d.n_agents, classification.veto_agents))
+    return forms
+
+
+# All coalitions win; all lose; agent 0 alone joins the primaries, so N- wins.
+_ALL_WIN = ConnectivityDomain(4, ((0, 1),), (0, 1), (), (2, 3))
+_N_MINUS_WINS = ConnectivityDomain(5, ((0, 2), (2, 1), (0, 3), (3, 4), (4, 1)), (0, 1), (),
+                                   (2, 3, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(domain=st.one_of(strategies.domains(max_agents=8, wide=False),
+                        strategies.unanimity_domains(max_agents=8),
+                        strategies.symmetric_domains(max_agents=8)),
+       data=st.data())
+@example(domain=_ALL_WIN, data=None)
+@example(domain=oracles.all_lose_domain(), data=None)
+@example(domain=_N_MINUS_WINS, data=None)
+def test_max_excess_of_any_sign_matches_the_brute_force_witness(domain, data):
+    # Allowed payoffs of any sign, or nonnegative ones shifted by a tolerated
+    # 1e-12 from one agent to another: every exact form gives the brute-force
+    # excess, witness and verdict. Without drawn data, agent 0 is paid -1/2.
+    n = domain.n_agents
+    grand = coalition_value(domain, (1 << n) - 1)
+    assume(n > 0 or grand == 0)
+    if data is None:
+        payoffs, allow_negative = [-HALF, *[Fraction(0)] * (n - 2), grand + HALF], True
+    elif n and data.draw(st.booleans(), label="tolerated"):
+        payoffs, allow_negative = _imputation(domain, data.draw(strategies.payoffs(n))), False
+        i, j = data.draw(st.integers(0, n - 1)), data.draw(st.integers(0, n - 1))
+        payoffs[i] -= Fraction(1, 10 ** 12)
+        payoffs[j] += Fraction(1, 10 ** 12)
+    else:
+        payoffs, allow_negative = data.draw(strategies.payoffs(n, total=grand)), True
+    epsilon = data.draw(st.sampled_from([0, 0.5])) if data else 0.5
+    excess, witness = oracles.max_excess_witness_bruteforce(domain, payoffs)
+    expected = (excess, witness, excess <= Fraction(epsilon) + stability.IMPUTATION_TOL)
+    for form in _forms(domain):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(enumeration, "_exact_game", _forcing(form))
+            report = max_excess(domain, payoffs, allow_negative=allow_negative,
+                                epsilon=epsilon)
+        assert (report.max_excess, report.witness.mask, report.epsilon_verdict) == expected
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_imputation_refuses_booleans(value):
+    # Fraction(True) is 1: a boolean payoff is refused as the CLI refuses
+    # a JSON boolean, not read as a number.
+    with pytest.raises(ValueError, match="is not a number"):
+        Imputation.of([value, 1])
+    with pytest.raises(ValueError, match="is not a number"):
+        max_excess(oracles.cycle4(), [value, not value])
 
 
 def test_imputation_refuses_a_huge_exponent_at_once():

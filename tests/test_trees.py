@@ -281,8 +281,8 @@ def test_tree_ecm_monotone_in_epsilon():
 @given(domain=st.one_of(strategies.unanimity_domains(max_agents=9),
                         strategies.domains(max_agents=12, wide=False)))
 def test_unanimity_form_matches_the_table(domain):
-    # Wherever the veto set wins, the unanimity form's values and extremal
-    # masks are the win table's reductions, though it builds no table.
+    # Wherever the veto set wins, the unanimity form's values and minimal
+    # winning masks are the win table's reductions, though it builds no table.
     assume(classify(domain).veto_wins)
     n = domain.n_agents
     game = enumeration._exact_game(domain, 0)
@@ -290,7 +290,6 @@ def test_unanimity_form_matches_the_table(domain):
     win = enumeration.win_table(domain)
     assert (game.banzhaf(), game.shapley()) == oracles.table_indices(domain)
     assert game.minimal_winning == enumeration.minimal_winning_masks(win, n).tolist()
-    assert game.maximal_losing == enumeration.maximal_losing_masks(win, n).tolist()
 
 
 def _excess_read_as_the_table(domain, payoffs):
