@@ -121,21 +121,54 @@ def _json_text(value, indent: str = "") -> str:
     """``json.dumps(value, indent=2, sort_keys=True)`` for string-keyed data,
     without the pure-Python encoder that ``indent`` selects: its nested
     closures leave a reference cycle behind on every call."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        return int.__repr__(value)
-    if isinstance(value, float) and math.isfinite(value):
-        return float.__repr__(value)
-    inner = indent + "  "
+    pieces: list[str] = []
+    _json_pieces(value, indent, pieces)
+    return "".join(pieces)
+
+
+def _json_pieces(value, indent: str, out: list[str]) -> None:
+    """Append the pieces of ``_json_text(value, indent)`` to ``out``. A
+    container writes its str, int and finite float items inline, found by
+    exact type, so it costs one call, not one per leaf."""
     if isinstance(value, dict) and value:
-        items = [f"{inner}{encode_basestring_ascii(key)}: {_json_text(item, inner)}"
-                 for key, item in sorted(value.items())]
-        return "{\n" + ",\n".join(items) + "\n" + indent + "}"
-    if isinstance(value, (list, tuple)) and value:
-        items = [inner + _json_text(item, inner) for item in value]
-        return "[\n" + ",\n".join(items) + "\n" + indent + "]"
-    return json.dumps(value)
+        inner = indent + "  "
+        sep, comma = "{\n" + inner, ",\n" + inner
+        for key in sorted(value):
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            sep, item = comma, value[key]
+            kind = type(item)
+            if kind is str:
+                out.append(encode_basestring_ascii(item))
+            elif kind is int:
+                out.append(int.__repr__(item))
+            elif kind is float and math.isfinite(item):
+                out.append(float.__repr__(item))
+            else:
+                _json_pieces(item, inner, out)
+        out.append("\n" + indent + "}")
+    elif isinstance(value, (list, tuple)) and value:
+        inner = indent + "  "
+        sep, comma = "[\n" + inner, ",\n" + inner
+        for item in value:
+            out.append(sep)
+            sep, kind = comma, type(item)
+            if kind is str:
+                out.append(encode_basestring_ascii(item))
+            elif kind is int:
+                out.append(int.__repr__(item))
+            elif kind is float and math.isfinite(item):
+                out.append(float.__repr__(item))
+            else:
+                _json_pieces(item, inner, out)
+        out.append("\n" + indent + "]")
+    elif isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, int) and not isinstance(value, bool):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float) and math.isfinite(value):
+        out.append(float.__repr__(value))
+    else:
+        out.append(json.dumps(value))
 
 
 def _emit_json(report: dict) -> None:
@@ -172,16 +205,13 @@ def _value_cell(value: Fraction) -> str:
 # ---------------------------------------------------------------- indices
 
 def _index_payload(domain, vector: powerindex.IndexVector) -> dict:
-    values = []
-    for agent, value in enumerate(vector.values):
-        values.append({
-            "agent": agent,
-            "vertex": domain.vertex_of(agent),
-            "value_rational": _rational(value),
-            "value_float": float(value),
-        })
-    ranking = sorted(range(domain.n_agents),
-                     key=lambda i: (-float(vector.values[i]), i))
+    floats = [float(value) for value in vector.values]
+    values = [{"agent": agent, "vertex": vertex, "value_rational": _rational(value),
+               "value_float": value_float}
+              for agent, (vertex, value, value_float)
+              in enumerate(zip(domain.standard, vector.values, floats))]
+    # Descending value, ties by agent: the sort is stable over ascending agents.
+    ranking = sorted(range(domain.n_agents), key=[-f for f in floats].__getitem__)
     return {
         "index_kind": vector.kind,
         "method": vector.method,

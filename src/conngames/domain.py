@@ -122,17 +122,28 @@ class ConnectivityDomain:
     standard: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "edges", tuple((int(u), int(v)) for u, v in self.edges))
+        edges, edge_violations = _edge_pass(self.edges, self.vertex_count, strict=False)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "_edge_violations", edge_violations)
         object.__setattr__(self, "primary", tuple(int(v) for v in self.primary))
         object.__setattr__(self, "backbone", tuple(int(v) for v in self.backbone))
         object.__setattr__(self, "standard", tuple(int(v) for v in self.standard))
 
+    @classmethod
+    def _built(cls, vertex_count: int, edges: tuple[tuple[int, int], ...],
+               edge_violations: tuple[str, ...], primary: tuple[int, ...],
+               backbone: tuple[int, ...], standard: tuple[int, ...]) -> "ConnectivityDomain":
+        """A domain from fields already as ``__post_init__`` leaves them, with
+        the edge violations ``_edge_pass`` found; the fields are not walked again."""
+        domain = cls.__new__(cls)
+        domain.__dict__.update(vertex_count=vertex_count, edges=edges, primary=primary,
+                               backbone=backbone, standard=standard,
+                               _edge_violations=edge_violations)
+        return domain
+
     @property
     def n_agents(self) -> int:
         return len(self.standard)
-
-    def vertex_of(self, agent: int) -> int:
-        return self.standard[agent]
 
     @cached_property
     def _validation(self) -> ValidationReport:
@@ -213,7 +224,8 @@ class DomainClassification:
 
 
 def validate(domain: ConnectivityDomain) -> ValidationReport:
-    """Check the partition, edge list, and agent map; violations are data."""
+    """Check the partition, edge list, and agent map; violations are data.
+    The edge list's were found in the one walk that built the domain."""
     violations: list[str] = []
     n_vertices = domain.vertex_count
     if n_vertices < 0:
@@ -247,20 +259,42 @@ def validate(domain: ConnectivityDomain) -> ValidationReport:
     if len(set(domain.standard)) != len(domain.standard):
         violations.append("agent map is not a bijection: repeated standard vertex")
 
+    violations += domain._edge_violations
+    return ValidationReport(tuple(violations))
+
+
+def _edge_pass(entries, n_vertices: int, strict: bool
+               ) -> tuple[tuple[tuple[int, int], ...], tuple[str, ...]]:
+    """The edge list as pairs of ints and its violations, in one walk.
+
+    Each entry must unpack to a pair. An end that is not an int is refused
+    by ``_strict_int`` if ``strict``, else converted by ``int``. Self-loops,
+    unknown vertices and repeated edges are the violations, in edge order.
+    """
+    edges: list[tuple[int, int]] = []
+    violations: list[str] = []
     seen: set[tuple[int, int]] = set()
-    for u, v in domain.edges:
+    for entry in entries:
+        try:
+            u, v = entry
+        except (TypeError, ValueError):
+            raise ValueError(f"edges: expected a pair of integers, got {entry!r}") from None
+        if type(u) is not int:
+            u = _strict_int(u, "edges") if strict else int(u)
+        if type(v) is not int:
+            v = _strict_int(v, "edges") if strict else int(v)
+        edge = (u, v)
+        edges.append(edge)
         if u == v:
             violations.append(f"edge ({u}, {v}) is a self-loop")
-            continue
-        if not (0 <= u < n_vertices and 0 <= v < n_vertices):
+        elif not (0 <= u < n_vertices and 0 <= v < n_vertices):
             violations.append(f"edge ({u}, {v}) references an unknown vertex")
-            continue
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            violations.append(f"duplicate edge ({key[0]}, {key[1]})")
-        seen.add(key)
-
-    return ValidationReport(tuple(violations))
+        else:
+            key = edge if u < v else (v, u)
+            if key in seen:
+                violations.append(f"duplicate edge ({key[0]}, {key[1]})")
+            seen.add(key)
+    return tuple(edges), tuple(violations)
 
 
 def _as_mask(coalition, n_agents: int) -> int:
@@ -346,6 +380,10 @@ def _strict_int(value, field: str) -> int:
     raise ValueError(f"{field}: expected an integer, got {value!r}")
 
 
+def _strict_ints(values, field: str) -> tuple[int, ...]:
+    return tuple([v if type(v) is int else _strict_int(v, field) for v in values])
+
+
 def domain_from_dict(data: dict) -> ConnectivityDomain:
     """Build a domain from the JSON schema; unknown top-level keys are ignored.
 
@@ -356,11 +394,11 @@ def domain_from_dict(data: dict) -> ConnectivityDomain:
         raise ValueError("domain document must be a JSON object")
     try:
         vertices = _strict_int(data["vertices"], "vertices")
-        edges = tuple((_strict_int(u, "edges"), _strict_int(v, "edges"))
-                      for u, v in data["edges"])
-        primary = tuple(_strict_int(v, "primary") for v in data["primary"])
-        backbone = tuple(_strict_int(v, "backbone") for v in data["backbone"])
-        standard = tuple(_strict_int(v, "standard") for v in data["standard"])
+        edges, edge_violations = _edge_pass(data["edges"], vertices, strict=True)
+        primary = _strict_ints(data["primary"], "primary")
+        backbone = _strict_ints(data["backbone"], "backbone")
+        standard = _strict_ints(data["standard"], "standard")
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed domain document: {exc}") from exc
-    return ConnectivityDomain(vertices, edges, primary, backbone, standard)
+    return ConnectivityDomain._built(vertices, edges, edge_violations, primary, backbone,
+                                     standard)

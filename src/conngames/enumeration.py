@@ -14,9 +14,10 @@ may get ``_Steiner`` instead, a minimum node-weighted Steiner tree search
 over the primaries, where a deterministic estimate of its work beats the
 table's 2^n coalitions, and past the cap where the estimate fits the fixed
 ``STEINER_BUDGET``. Every form answers ``least_paid_winning`` for payoffs
-of any sign, the agents of N-, those paid below 0, taken as free: the
-least-paid winning coalition is m | N- for some minimal winning m, as every
-winning coalition holds such an m and joining N- only lowers its payment.
+of any sign, scaled to ints over one denominator (``_scaled``), the agents
+of N-, those paid below 0, taken as free: the least-paid winning coalition
+is m | N- for some minimal winning m, as every winning coalition holds such
+an m and joining N- only lowers its payment.
 No form lists losing coalitions, as maximal excess needs only one: any
 losing L pays p(L) >= p(N-), a tie only for N- plus zero-paid agents, so the
 losing candidate is N- if N- loses; if N- wins, the least-paid winning
@@ -192,38 +193,36 @@ def _scaled_payment(mask: int, weights: Sequence[int]) -> int:
 
 
 def _scaled(payoffs: Sequence[Fraction]) -> tuple[int, list[int]]:
-    """The lcm of the payoff denominators, and each payoff times it."""
+    """The payoffs over one denominator: the lcm of theirs, and each payoff
+    times it, an int."""
     scale = math.lcm(*(x.denominator for x in payoffs))
     return scale, [x.numerator * (scale // x.denominator) for x in payoffs]
 
 
-def _negatively_paid(payoffs: Sequence[Fraction]) -> int:
-    """Mask of N-, the agents paid below 0. The sign of a ``Fraction`` is
-    its numerator's, an int compared many times faster than the Fraction."""
-    return sum(1 << i for i, x in enumerate(payoffs) if x.numerator < 0)
+def _negatively_paid(scaled: Sequence[int]) -> int:
+    """Mask of N-, the agents paid below 0."""
+    return sum(1 << i for i, x in enumerate(scaled) if x < 0)
 
 
-def _least_paid(masks: list[int], payoffs: Sequence[Fraction]) -> tuple[int, Fraction] | None:
+def _least_paid(masks: list[int], scaled: Sequence[int]) -> tuple[int, int] | None:
     """Mask of least (payment, size, mask) in the list ``masks``, with its
-    payment, or None if the list is empty; payments are scored exactly, as
-    integers scaled by the lcm of the payoff denominators."""
+    payment, or None if the list is empty."""
     if not masks:
         return None
-    scale, weights = _scaled(payoffs)
-    total, _, mask = min((_scaled_payment(m, weights), m.bit_count(), m) for m in masks)
-    return mask, Fraction(total, scale)
+    total, _, mask = min((_scaled_payment(m, scaled), m.bit_count(), m) for m in masks)
+    return mask, total
 
 
 class _Listed:
     """A form that lists its minimal winning coalitions, ``minimal_winning``."""
 
-    def least_paid_winning(self, payoffs: Sequence[Fraction]) -> tuple[int, Fraction] | None:
+    def least_paid_winning(self, scaled: Sequence[int]) -> tuple[int, int] | None:
         """The winning coalition of least (payment, size, mask), with its
-        payment; None if no coalition wins. It is m | N- for a minimal
-        winning m: every winning coalition holds some m, and joining N- to
-        it only lowers its payment."""
-        free = _negatively_paid(payoffs)
-        return _least_paid([m | free for m in self.minimal_winning], payoffs)
+        payment, for payoffs scaled to ints (``_scaled``); None if no
+        coalition wins. It is m | N- for a minimal winning m: every winning
+        coalition holds some m, and joining N- to it only lowers its payment."""
+        free = _negatively_paid(scaled)
+        return _least_paid([m | free for m in self.minimal_winning], scaled)
 
 
 class _Unanimity(_Listed):
@@ -235,8 +234,8 @@ class _Unanimity(_Listed):
         self.n, self.veto = n, veto
 
     def _split(self, share: Fraction) -> tuple[Fraction, ...]:
-        members = set(self.veto)
-        return tuple(share if i in members else Fraction(0) for i in range(self.n))
+        members, zero = set(self.veto), Fraction(0)
+        return tuple(share if i in members else zero for i in range(self.n))
 
     def banzhaf(self) -> tuple[Fraction, ...]:
         return self._split(Fraction(1, 1 << (len(self.veto) - 1)))
@@ -294,8 +293,8 @@ class _Steiner:
 
     The agents of N-, paid below 0, are free: their nodes weigh 0, as do
     the regions'. Any other agent i's node weighs
-    w_i = P_i (n+1) 2^n + 2^n + 2^i, P_i its payoff scaled to an integer by
-    the lcm of the denominators. A set W of such agents then weighs
+    w_i = P_i (n+1) 2^n + 2^n + 2^i, P_i its payoff scaled to an integer.
+    A set W of such agents then weighs
     P(W) (n+1) 2^n + |W| 2^n + mask(W), so the lightest tree's W gives the
     winning coalition W | N- of least (payment, size, mask): N- is disjoint
     from W and adds the same payment, size and mask to every candidate. The
@@ -337,11 +336,11 @@ class _Steiner:
                 nbrs[node[v]].add(node[u])
         return [tuple(ns) for ns in nbrs]
 
-    def least_paid_winning(self, payoffs: Sequence[Fraction]) -> tuple[int, Fraction] | None:
+    def least_paid_winning(self, scaled: Sequence[int]) -> tuple[int, int] | None:
         """The winning coalition of least (payment, size, mask), with its
-        payment; None if no coalition wins."""
+        payment, for payoffs scaled to ints (``_scaled``); None if no
+        coalition wins."""
         n = self.n
-        scale, scaled = _scaled(payoffs)
         free = _negatively_paid(scaled)
         step = (n + 1) << n
         weights = [0 if x < 0 else x * step + (1 << n) + (1 << i) for i, x in enumerate(scaled)]
@@ -350,7 +349,7 @@ class _Steiner:
         if total is None:
             return None
         payment = (total >> n) // (n + 1) + _scaled_payment(free, scaled)
-        return (total & ((1 << n) - 1)) | free, Fraction(payment, scale)
+        return (total & ((1 << n) - 1)) | free, payment
 
     def _lightest_tree(self, weights: list[int]) -> int | None:
         """Weight of the lightest connected node set holding every terminal.

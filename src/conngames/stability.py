@@ -53,7 +53,10 @@ from .errors import CapExceededError, DegenerateDomainError
 
 EXACT_LP = "exact-lp"
 
-IMPUTATION_TOL = Fraction(1, 10 ** 9)
+# 1 / IMPUTATION_TOL: for payoffs scaled to ints over ``scale``, a sum x is
+# within the tolerance of y iff |x - y scale| * _TOL_INVERSE <= scale.
+_TOL_INVERSE = 10 ** 9
+IMPUTATION_TOL = Fraction(1, _TOL_INVERSE)
 
 # The least core's separations as ``enumeration._exact_game`` weighs them
 # against the 2^n table below the cap (the oracle runs once per round): with
@@ -80,6 +83,11 @@ def _to_fraction(value) -> Fraction:
         return value
     if isinstance(value, bool):
         raise ValueError(f"{value!r} is not a number")
+    if type(value) is str:
+        # "p/q" in decimal digits, as Fraction would read it, without its regex.
+        numerator, slash, denominator = value.partition("/")
+        if slash and numerator.isdecimal() and denominator.isdecimal():
+            return Fraction(int(numerator), int(denominator))
     exponent = _EXPONENT.search(value) if isinstance(value, str) else None
     if exponent and abs(int(exponent[1])) > sys.int_info.default_max_str_digits:
         raise ValueError(f"exponent of {value!r} is out of range")
@@ -138,19 +146,21 @@ def _fractions(payoffs) -> tuple[Fraction, ...]:
     return tuple(_to_fraction(v) for v in payoffs)
 
 
-def _as_payoffs(payoffs, n: int) -> tuple[Fraction, ...]:
-    values = _fractions(payoffs)
+def _scaled_imputation(domain: ConnectivityDomain,
+                       values: Sequence[Fraction]) -> tuple[int, list[int]]:
+    """``values`` over one denominator, as ``enumeration._scaled`` gives
+    them, once there is one per agent and they sum to v(N) within
+    ``IMPUTATION_TOL``."""
+    n = domain.n_agents
     if len(values) != n:
         raise ValueError(f"imputation has {len(values)} entries for {n} agents")
-    return values
-
-
-def _check_total(domain: ConnectivityDomain, payoffs: Sequence[Fraction]) -> None:
+    scale, scaled = enumeration._scaled(values)
     grand_value = 0 if classify(domain).degenerate_all_lose else 1
-    total = sum(payoffs, Fraction(0))
-    if abs(total - grand_value) > IMPUTATION_TOL:
-        raise ValueError(
-            f"not an imputation: payoffs sum to {float(total)}, expected {grand_value}")
+    total = sum(scaled)
+    if abs(total - grand_value * scale) * _TOL_INVERSE > scale:
+        raise ValueError(f"not an imputation: payoffs sum to "
+                         f"{float(Fraction(total, scale))}, expected {grand_value}")
+    return scale, scaled
 
 
 def veto_players(domain: ConnectivityDomain) -> CoreDescription:
@@ -175,12 +185,11 @@ def is_in_core(domain: ConnectivityDomain, payoffs) -> bool:
     the full unit on veto agents. Refuses degenerate domains."""
     domain.ensure_valid()
     _refuse_degenerate(domain, "core")
-    p = _as_payoffs(payoffs, domain.n_agents)
-    _check_total(domain, p)
-    if any(x < -IMPUTATION_TOL for x in p):
+    scale, scaled = _scaled_imputation(domain, _fractions(payoffs))
+    if any(x * _TOL_INVERSE < -scale for x in scaled):
         return False
-    veto_total = sum((p[i] for i in classify(domain).veto_agents), Fraction(0))
-    return abs(veto_total - 1) <= IMPUTATION_TOL
+    veto_total = sum(scaled[i] for i in classify(domain).veto_agents)
+    return abs(veto_total - scale) * _TOL_INVERSE <= scale
 
 
 def max_excess(domain: ConnectivityDomain, payoffs, *,
@@ -198,34 +207,32 @@ def max_excess(domain: ConnectivityDomain, payoffs, *,
     below -IMPUTATION_TOL are rejected unless ``allow_negative`` is set.
     Past the enumeration ``cap`` a domain answered by neither the closed
     forms nor the Steiner oracle is refused before the payoffs are checked.
+    Payments are scored in ints, the payoffs scaled to one denominator.
     """
-    n = domain.n_agents
     values = _fractions(payoffs)
     game = enumeration._exact_game(domain, cap, separations=1)
-    p = _as_payoffs(values, n)
-    _check_total(domain, p)
+    scale, scaled = _scaled_imputation(domain, values)
     if not allow_negative:
-        for i, x in enumerate(p):
-            if x < -IMPUTATION_TOL:
-                raise ValueError(f"agent {i} has negative payoff {x}; the "
+        for i, x in enumerate(scaled):
+            if x * _TOL_INVERSE < -scale:
+                raise ValueError(f"agent {i} has negative payoff {values[i]}; the "
                                  f"epsilon-core test takes nonnegative payoffs")
     # N- is scored as losing whether it loses or not: if it wins, the
     # winning candidate's excess is at least 1 - p(N-), so N- is not chosen.
-    negative = enumeration._negatively_paid(p)
-    paid = sum((x for i, x in enumerate(p) if negative >> i & 1), Fraction(0))
-    keys = [(paid, negative.bit_count(), negative)]
-    winning = game.least_paid_winning(p)
+    negative = enumeration._negatively_paid(scaled)
+    keys = [(enumeration._scaled_payment(negative, scaled), negative.bit_count(), negative)]
+    winning = game.least_paid_winning(scaled)
     if winning:
         mask, payment = winning
-        keys.append((payment - 1, mask.bit_count(), mask))
+        keys.append((payment - scale, mask.bit_count(), mask))
     # Largest excess, then the smallest coalition, then the smallest mask.
     deficit, _, best_mask = min(keys)
-    best_excess = -deficit
+    best_excess = Fraction(-deficit, scale)
     verdict = None
     if epsilon is not None:
         verdict = best_excess <= _to_fraction(epsilon) + IMPUTATION_TOL
     return ExcessReport(max_excess=best_excess,
-                        witness=Coalition(best_mask, n),
+                        witness=Coalition(best_mask, domain.n_agents),
                         epsilon_verdict=verdict,
                         method=game.method)
 
@@ -277,8 +284,9 @@ def least_core_value(domain: ConnectivityDomain, *,
                 f"needs more than {cuts} cuts past the enumeration cap of {cap}", cap)
         solution = _solve_active_exact(active, n, 1)  # the grand coalition wins
         p_star, eps_star = solution.x[:n], solution.x[n]
-        mask, payment = game.least_paid_winning(p_star)
-        if 1 - payment <= eps_star:
+        scale, scaled = enumeration._scaled(p_star)
+        mask, payment = game.least_paid_winning(scaled)
+        if scale - payment <= eps_star * scale:
             break
         if mask in active:  # a cut the program already holds: no progress
             raise RuntimeError("least-core constraint generation failed to converge")

@@ -244,6 +244,19 @@ def test_non_integer_domain_entry_exit2(files, capsys, field, value):
     assert err.startswith(f"error: malformed domain document: {field}: expected an integer")
 
 
+@pytest.mark.parametrize("entry", [[0, 2, 1], [0], 5, None])
+def test_edge_entry_that_is_not_a_pair_exit2(files, capsys, entry):
+    # Python's bare unpack message ("too many values to unpack") named no
+    # field; the report names the field and shows the entry as it was read.
+    data = {"vertices": 3, "edges": [[0, 2], entry], "primary": [0, 1],
+            "backbone": [], "standard": [2]}
+    path = write_json(files["tmp"] / "pairs.json", data)
+    code, out, err = run(capsys, ["indices", path])
+    assert (code, out) == (2, "")
+    assert err == (f"error: malformed domain document: edges: expected a pair of "
+                   f"integers, got {entry!r}\n")
+
+
 def test_core_tree(files, capsys):
     code, out, _ = run(capsys, ["core", files["path4"], "--imputation",
                                 files["half"]])
@@ -1023,6 +1036,30 @@ def test_steiner_48_agent_output_is_pinned(capsys, argv, golden):
     # witness, and the losing side needs no table.
     code, out, err = run(capsys, [argv[0], str(DATA / "steiner48_domain.json"),
                                   *argv[1:], "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / golden).read_bytes()
+
+
+@pytest.mark.parametrize("argv, golden", [
+    (["indices", "indices20_domain.json", "--index", "both", "--method", "exact",
+      "--format", "text"], "indices20.txt"),
+    (["indices", "indices20_domain.json", "--index", "both", "--method", "exact",
+      "--format", "csv"], "indices20.csv"),
+    (["indices", "unanimity30_domain.json", "--index", "both", "--format", "text"],
+     "unanimity30_indices.txt"),
+    (["indices", "unanimity30_domain.json", "--index", "both", "--format", "csv"],
+     "unanimity30_indices.csv"),
+    (["ecm", "ecm17_domain.json", "ecm17_imputation.json", "--epsilon", "0.75",
+      "--format", "text"], "ecm17.txt"),
+    (["core", "core48_domain.json", "--format", "text"], "core48.txt"),
+], ids=["indices20-text", "indices20-csv", "unanimity30-text", "unanimity30-csv",
+        "ecm17-text", "core48-text"])
+def test_text_and_csv_renderings_are_pinned(capsys, argv, golden):
+    # The text and csv reports of inputs whose JSON reports are pinned above:
+    # ranked rows with rational and float cells, a rational max excess with
+    # its float, and the veto agents.
+    argv = [str(DATA / arg) if arg.endswith(".json") else arg for arg in argv]
+    code, out, err = run(capsys, argv)
     assert (code, err) == (0, "")
     assert out.encode() == (DATA / golden).read_bytes()
 

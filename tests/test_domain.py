@@ -244,3 +244,40 @@ def test_domain_json_rejects_non_integers(field, value):
     data[field] = value
     with pytest.raises(ValueError, match=f"{field}: expected an integer"):
         domain_from_dict(data)
+
+
+def test_validate_lists_every_violation_in_document_order():
+    # The edge list is checked in the one walk that builds the domain, from a
+    # document or by the constructor; its violations follow the labels' in
+    # edge order.
+    data = {"vertices": 4, "edges": [[0, 1], [2, 2], [1, 0], [0, 9], [3, 1], [1, 3]],
+            "primary": [0, 7], "backbone": [], "standard": [1, 1, 3]}
+    expected = (
+        "primary label references unknown vertex 7",
+        "vertex 1 labeled more than once (non-partition labels)",
+        "vertex 2 has no kind label (non-partition labels)",
+        "agent map is not a bijection: repeated standard vertex",
+        "edge (2, 2) is a self-loop",
+        "duplicate edge (0, 1)",
+        "edge (0, 9) references an unknown vertex",
+        "duplicate edge (1, 3)",
+    )
+    built = ConnectivityDomain(data["vertices"], data["edges"], data["primary"],
+                               data["backbone"], data["standard"])
+    for domain in (domain_from_dict(data), built):
+        assert validate(domain).violations == expected
+        assert domain.edges == ((0, 1), (2, 2), (1, 0), (0, 9), (3, 1), (1, 3))
+    assert domain_from_dict(data) == built
+
+
+@pytest.mark.parametrize("entry", [[0, 2, 1], [0], 5, None])
+def test_edge_entry_that_is_not_a_pair_names_the_field(entry):
+    data = domain_to_dict(oracles.path3())
+    data["edges"] = [[0, 1], entry]
+    message = f"edges: expected a pair of integers, got {entry!r}"
+    with pytest.raises(ValueError) as exc:
+        domain_from_dict(data)
+    assert str(exc.value) == f"malformed domain document: {message}"
+    with pytest.raises(ValueError) as exc:
+        ConnectivityDomain(3, [(0, 1), entry], (0, 2), (), (1,))
+    assert str(exc.value) == message

@@ -309,20 +309,27 @@ def _vertexcover_domains(draw) -> ConnectivityDomain:
        data=st.data())
 def test_steiner_least_paid_winning_matches_the_minimal_winning_scan(domain, data):
     # The least (payment, size, mask) winning coalition, with its payment, as
-    # scored over the table's minimal winning coalitions joined with the
-    # negatively paid agents, or None where no coalition wins. Payoffs are
-    # mixed draws, or their magnitudes: zeros, ties, float-derived and huge
-    # denominators.
+    # scored in Fractions over the table's minimal winning coalitions joined
+    # with the negatively paid agents, or None where no coalition wins. The
+    # forms take the payoffs scaled to ints and give the payment scaled the
+    # same way. Payoffs are mixed draws, or their magnitudes: zeros, ties,
+    # float-derived and huge denominators.
     n = domain.n_agents
     payoffs = data.draw(strategies.payoffs(n))
     if data.draw(st.booleans()):
         payoffs = [abs(x) for x in payoffs]
     free = sum(1 << i for i, x in enumerate(payoffs) if x < 0)
     minimal = minimal_winning_masks(win_table(domain), n).tolist()
-    expected = enumeration._least_paid([m | free for m in minimal], payoffs)
-    assert enumeration._Steiner(domain).least_paid_winning(payoffs) == expected
+    scored = [(sum((x for i, x in enumerate(payoffs) if m >> i & 1), Fraction(0)),
+               m.bit_count(), m) for m in (m | free for m in minimal)]
+    scale, scaled = enumeration._scaled(payoffs)
+    expected = None
+    if scored:
+        payment, _, mask = min(scored)
+        expected = (mask, payment * scale)
+    assert enumeration._Steiner(domain).least_paid_winning(scaled) == expected
     game = enumeration._exact_game(domain, 16, separations=1)
-    assert game.least_paid_winning(payoffs) == expected
+    assert game.least_paid_winning(scaled) == expected
 
 
 @pytest.mark.parametrize("domain", [
@@ -334,8 +341,9 @@ def test_steiner_least_paid_winning_matches_the_minimal_winning_scan(domain, dat
 def test_steiner_oracle_on_degenerate_domains(domain):
     # Every coalition wins (the empty one is least paid) or none does.
     payoffs = [Fraction(1, max(1, domain.n_agents))] * domain.n_agents
-    expected = None if classify(domain).degenerate_all_lose else (0, Fraction(0))
-    assert enumeration._Steiner(domain).least_paid_winning(payoffs) == expected
+    expected = None if classify(domain).degenerate_all_lose else (0, 0)
+    _, scaled = enumeration._scaled(payoffs)
+    assert enumeration._Steiner(domain).least_paid_winning(scaled) == expected
 
 
 def _bench_graph(seed: int, n: int) -> ConnectivityDomain:

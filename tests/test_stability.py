@@ -382,6 +382,64 @@ def test_max_excess_memory_at_18_agents():
         assert peak < 2 ** 18  # a bool copy of the 2^18-entry table alone fills it
 
 
+TOL, BELOW = Fraction(1, 10 ** 9), Fraction(1, 10 ** 18)
+SUM_ABOVE = "not an imputation: payoffs sum to 1.000000001, expected 1"
+SUM_BELOW = "not an imputation: payoffs sum to 0.999999999, expected 1"
+NEGATIVE = ("agent 0 has negative payoff -1000000001/1000000000000000000; the "
+            "epsilon-core test takes nonnegative payoffs")
+
+
+@pytest.mark.parametrize("domain, cap, method", [
+    (oracles.path4(), 24, "tree-closed-form"),
+    (oracles.cycle4(), 24, "exact-enumeration"),
+    (oracles.cycle4(), 1, "exact-steiner"),
+], ids=["unanimity", "table", "steiner"])
+@pytest.mark.parametrize("payoffs, error", [
+    ([HALF + TOL, HALF], None),
+    ([HALF - TOL, HALF], None),
+    ([HALF + TOL + BELOW, HALF], SUM_ABOVE),
+    ([HALF - TOL - BELOW, HALF], SUM_BELOW),
+    ([-TOL, 1 + TOL], None),
+    ([-TOL - BELOW, 1 + TOL + BELOW], NEGATIVE),
+], ids=["sum-tol-above", "sum-tol-below", "sum-past-above", "sum-past-below",
+        "negative-tol", "negative-past"])
+def test_max_excess_tolerance_edges(domain, cap, method, payoffs, error):
+    # The sum and sign checks run on the payoffs scaled to one denominator:
+    # a sum off by exactly 10^-9 and a payoff of exactly -10^-9 are accepted,
+    # and 10^-18 more is refused, with the messages the Fraction checks gave.
+    if error is not None:
+        with pytest.raises(ValueError) as exc:
+            max_excess(domain, payoffs, cap=cap)
+        assert str(exc.value) == error
+        return
+    report = max_excess(domain, payoffs, cap=cap)
+    assert report.method == method
+    assert (report.max_excess, report.witness.mask) == \
+        oracles.max_excess_witness_bruteforce(domain, payoffs)
+
+
+@pytest.mark.parametrize("payoffs, expected", [
+    ([HALF + TOL, HALF, 0], True),
+    ([HALF + TOL + BELOW, HALF, 0], SUM_ABOVE),
+    ([HALF - TOL - BELOW, HALF, 0], SUM_BELOW),
+    ([-TOL, 1, TOL], True),
+    ([-TOL - BELOW, 1, TOL + BELOW], False),
+    ([HALF, HALF - TOL, TOL], True),
+    ([HALF, HALF - TOL - BELOW, TOL + BELOW], False),
+], ids=["sum-tol", "sum-past-above", "sum-past-below", "negative-tol", "negative-past",
+        "veto-share-tol", "veto-share-past"])
+def test_in_core_tolerance_edges(payoffs, expected):
+    # Agents 0 and 1 are veto, agent 2 a dummy: the sum, a negative payoff and
+    # the veto agents' share are each tolerated 10^-9 off, and no more.
+    domain = add_dummy(oracles.path4())
+    if isinstance(expected, str):
+        with pytest.raises(ValueError) as exc:
+            is_in_core(domain, payoffs)
+        assert str(exc.value) == expected
+    else:
+        assert is_in_core(domain, payoffs) is expected
+
+
 def test_max_excess_on_all_win_domain_empty_coalition():
     report = max_excess(oracles.adjacent_primaries_domain(), [1])
     assert report.max_excess == 1
