@@ -26,16 +26,18 @@ is chosen only if it does. Payments are scored exactly in Python integers.
 
 The least core of a game whose veto set wins is eps = 0 with the equal split
 over the veto agents. Otherwise it solves  min eps  s.t.  p(C) >= v(C) - eps
-over nonempty coalitions, exactly, with constraints generated lazily. Its
-payoffs are nonnegative, so each round's separation asks the exact game for
-the least-paid winning coalition, which is minimal (Maschler, Peleg &
-Shapley 1979): the table lists the minimal winning coalitions once and
-scores them exactly in Python integers, or the Steiner oracle searches. No
-cut is added twice, so the rounds are bounded by the number of minimal
-winning coalitions. Behind the enumeration cap that number bounds them;
-past it, where each search fits the oracle's budget, ``LEAST_CORE_BUDGET``
-bounds the restricted program's size, and so the rounds: a least core that
-needs more cuts is refused.
+over nonempty coalitions, exactly, as the covering program  tau = min sum(x)
+s.t.  x(W) >= 1  over winning W, x >= 0: with x = p / (1 - eps), eps =
+1 - 1/tau and p = x / tau (tau - 1 is the cost of stability, Bachrach et al.
+2009). Its cuts are generated lazily. Each round's separation asks the exact
+game for the least-paid winning coalition under x, which is minimal
+(Maschler, Peleg & Shapley 1979): the table lists the minimal winning
+coalitions once and scores them exactly in Python integers, or the Steiner
+oracle searches. No cut is added twice, so the rounds are bounded by the
+number of minimal winning coalitions. Behind the enumeration cap that number
+bounds them; past it, where each search fits the oracle's budget,
+``LEAST_CORE_BUDGET`` bounds the restricted program's size, and so the
+rounds: a least core that needs more cuts is refused.
 """
 
 from __future__ import annotations
@@ -66,7 +68,9 @@ LEAST_CORE_SEPARATIONS = 128
 
 # Past the enumeration cap, the most coefficients, cuts times (n + 1), that
 # the least core's restricted program may hold; a program that needs more
-# is refused. It allows 334 cuts at 48 agents, 168 at 96 and 32 at 500.
+# is refused. It allows 334 cuts at 48 agents, 168 at 96 and 32 at 500. The
+# covering program holds n coefficients a cut; (n + 1), a cut of the eps
+# program it replaced, keeps every refusal where it was.
 LEAST_CORE_BUDGET = 1 << 14
 
 
@@ -245,13 +249,6 @@ def ecm(domain: ConnectivityDomain, payoffs, epsilon, *,
     return bool(report.epsilon_verdict)
 
 
-def _solve_active_exact(active: list[int], n: int, grand_value: int) -> lp.LPSolution:
-    # Variables: p_0..p_{n-1}, eps; constraint p(C) + eps >= 1 per active mask.
-    a_ub = [[-(mask >> i & 1) for i in range(n)] + [-1] for mask in active]
-    return lp.solve_exact([0] * n + [1], a_ub, [-1] * len(active),
-                          [[1] * n + [0]], [grand_value])
-
-
 def least_core_value(domain: ConnectivityDomain, *,
                      cap: int = DEFAULT_ENUMERATION_CAP) -> LeastCoreResult:
     """Smallest eps whose eps-core is non-empty, with an optimal imputation.
@@ -264,11 +261,13 @@ def least_core_value(domain: ConnectivityDomain, *,
     (``CapExceededError``) otherwise, before any table is built; there a
     least core that needs more than ``LEAST_CORE_BUDGET // (n + 1)`` cuts
     is refused too, before the program that would hold them is solved.
-    Constraints are generated lazily: each round adds the least-paid winning
-    coalition, which the exact game's ``least_paid_winning`` finds from the
-    table's minimal winning coalitions, listed once, or by the Steiner
-    oracle, and the integer simplex of ``lp`` solves each restricted
-    program. Refuses degenerate domains.
+    Cuts are generated lazily: each round adds the least-paid winning
+    coalition under x, which the exact game's ``least_paid_winning`` finds
+    from the table's minimal winning coalitions, listed once, or by the
+    Steiner oracle, and ``lp.solve_exact`` solves each restricted covering
+    program  min sum(x)  s.t.  x(W) >= 1, x >= 0, until every winning
+    coalition is paid at least 1; then eps = 1 - 1/tau and the imputation is
+    x / tau, for tau = sum(x). Refuses degenerate domains.
     """
     _refuse_degenerate(domain, "least-core")
     n = domain.n_agents
@@ -282,15 +281,16 @@ def least_core_value(domain: ConnectivityDomain, *,
             raise CapExceededError(
                 f"instance too large for exact solver: the least core of {n} agents "
                 f"needs more than {cuts} cuts past the enumeration cap of {cap}", cap)
-        solution = _solve_active_exact(active, n, 1)  # the grand coalition wins
-        p_star, eps_star = solution.x[:n], solution.x[n]
-        scale, scaled = enumeration._scaled(p_star)
+        solution = lp.solve_exact(n, active)
+        scale, scaled = enumeration._scaled(solution.x)
         mask, payment = game.least_paid_winning(scaled)
-        if scale - payment <= eps_star * scale:
+        if payment >= scale:
             break
         if mask in active:  # a cut the program already holds: no progress
             raise RuntimeError("least-core constraint generation failed to converge")
         active.append(mask)
+    tau = solution.objective
+    eps_star = 1 - 1 / tau
     if (eps_star == 0) == (not classify(domain).veto_agents):
         raise RuntimeError("least-core solution inconsistent with the veto-player analysis")
-    return LeastCoreResult(eps_star, p_star, EXACT_LP)
+    return LeastCoreResult(eps_star, tuple(v / tau for v in solution.x), EXACT_LP)

@@ -3,8 +3,8 @@
 The oracles deliberately use a different route than the code they check:
 set-based BFS instead of bitmask kernels, literal permutation / subset sums
 instead of the vectorized counting, full-enumeration definitions for veto
-players and core membership, and a ``Fraction`` tableau for the integer
-simplex.
+players and core membership, and a two-phase ``Fraction`` tableau on the
+least core's program in standard form for the integer dual simplex.
 """
 
 from __future__ import annotations
@@ -23,9 +23,16 @@ from conngames import (
     classify,
     derive_seed,
     enumeration,
-    stability,
 )
-from conngames.lp import LPInfeasible, LPSolution, LPUnbounded
+from conngames.lp import LPSolution
+
+
+class LPInfeasible(Exception):
+    pass
+
+
+class LPUnbounded(Exception):
+    pass
 
 
 # ----------------------------------------------------------- value oracle
@@ -155,21 +162,21 @@ def max_excess_witness_bruteforce(domain: ConnectivityDomain, payoffs) -> tuple[
     return -deficit, witness
 
 
-def least_core_by_table_scan(domain: ConnectivityDomain):
+def least_core_by_table_scan(domain: ConnectivityDomain) -> Fraction:
     """The least core of a non-degenerate domain by constraint generation over
-    the whole win table: each round adds the winning coalition of least
-    (payment, size, mask) among all 2^n masks, its payments summed as
-    ``Fraction``s mask by mask. Returns eps, the imputation, and the active
-    coalitions of every restricted program solved, in order."""
+    the whole win table: each round solves  min eps  s.t.  p(C) + eps >= 1
+    over the active coalitions C, p(N) = v(N), by ``fraction_simplex``, and
+    adds the winning coalition of least (payment, size, mask) among all 2^n
+    masks, its payments summed as ``Fraction``s mask by mask. Returns eps."""
     n = domain.n_agents
     grand = (1 << n) - 1
     win = reference_table(domain)
     grand_value = win[grand]
     active = [grand]
-    programs = []
     for _ in range(sum(win) + 2):
-        programs.append(tuple(active))
-        solution = stability._solve_active_exact(active, n, grand_value)
+        a_ub = [[-(mask >> i & 1) for i in range(n)] + [-1] for mask in active]
+        solution = fraction_simplex([0] * n + [1], a_ub, [-1] * len(active),
+                                    [[1] * n + [0]], [grand_value])
         payoffs, eps = solution.x[:n], solution.x[n]
         paid = [Fraction(0)]
         for mask in range(1, 1 << n):
@@ -177,7 +184,7 @@ def least_core_by_table_scan(domain: ConnectivityDomain):
             paid.append(paid[mask ^ low] + payoffs[low.bit_length() - 1])
         payment, _, worst = min((paid[m], m.bit_count(), m) for m in range(1 << n) if win[m])
         if 1 - payment <= eps:
-            return eps, payoffs, programs
+            return eps
         active.append(worst)
     raise RuntimeError("table-scan constraint generation failed to converge")
 
@@ -327,9 +334,11 @@ def _fraction_optimize(tableau, basis, costs, banned):
 
 
 def fraction_simplex(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPSolution:
-    """Reference for ``lp.solve_exact``: the same two-phase Bland's-rule
-    simplex on a tableau of ``Fraction`` rows, with every reduced cost
-    recomputed from the basis on each iteration."""
+    """Reference for ``lp.solve_exact``: min c.x  s.t.  A_ub x <= b_ub,
+    A_eq x = b_eq, x >= 0, by a two-phase Bland's-rule primal simplex on a
+    tableau of ``Fraction`` rows, with every reduced cost recomputed from the
+    basis on each iteration. The covering program of ``lp.solve_exact(n,
+    cuts)`` is c = 1, A_ub = -A and b_ub = -1, for A the cuts' rows."""
     c = [Fraction(v) for v in c]
     nv = len(c)
     rows = []
@@ -385,6 +394,13 @@ def fraction_simplex(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPSolution:
             x[b] = tableau[r][-1]
     objective = sum((ci * xi for ci, xi in zip(c, x)), start=zero)
     return LPSolution(tuple(x), objective)
+
+
+def covering_by_fraction_simplex(n: int, cuts) -> LPSolution:
+    """The program of ``lp.solve_exact(n, cuts)`` in standard form, min sum(x)
+    s.t. -x(C) <= -1 for every cut C, x >= 0, by ``fraction_simplex``."""
+    a_ub = [[-(cut >> i & 1) for i in range(n)] for cut in cuts]
+    return fraction_simplex([1] * n, a_ub, [-1] * len(cuts))
 
 
 # ----------------------------------------------------------- Monte Carlo

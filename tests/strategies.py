@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import mul
 
 from hypothesis import strategies as st
 
@@ -139,82 +138,14 @@ def payoffs(draw, n: int, total: int = 1) -> list[Fraction]:
     return values + [total - sum(values, Fraction(0))]
 
 
-_COEFFICIENTS = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 2, 3]))
-_RHS = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 2, 5]))
-
-
 @st.composite
-def linear_programs(draw, max_vars: int = 6, max_rows: int = 8):
-    """``(c, a_ub, b_ub, a_eq, b_eq)`` with rational coefficients, right-hand
-    sides of either sign, mixed ``<=`` and ``=`` rows, sometimes a redundant
-    equality (a combination of two others) and sometimes a row bounding the
-    sum of the variables, so that optima are common as well as infeasible
-    and unbounded programs. Half the draws take their right-hand sides from
-    a point x0 >= 0, which makes infeasible programs rarer."""
-    nv = draw(st.integers(1, max_vars))
-    row = st.lists(_COEFFICIENTS, min_size=nv, max_size=nv)
-    n_ub = draw(st.integers(0, max_rows))
-    n_eq = draw(st.integers(0, max_rows - n_ub))
-    a_ub = draw(st.lists(row, min_size=n_ub, max_size=n_ub))
-    a_eq = draw(st.lists(row, min_size=n_eq, max_size=n_eq))
-    if draw(st.booleans()):
-        x0 = draw(st.lists(st.builds(Fraction, st.integers(0, 3), st.sampled_from([1, 2])),
-                           min_size=nv, max_size=nv))
-        b_ub = [sum(map(mul, a, x0), Fraction(0)) + draw(st.integers(0, 2)) for a in a_ub]
-        b_eq = [sum(map(mul, a, x0), Fraction(0)) for a in a_eq]
-    else:
-        b_ub = draw(st.lists(_RHS, min_size=n_ub, max_size=n_ub))
-        b_eq = draw(st.lists(_RHS, min_size=n_eq, max_size=n_eq))
-    if n_eq and n_ub + n_eq < max_rows and draw(st.booleans()):
-        i, j = draw(st.integers(0, n_eq - 1)), draw(st.integers(0, n_eq - 1))
-        f, g = draw(_COEFFICIENTS), draw(_COEFFICIENTS)
-        a_eq.append([f * u + g * v for u, v in zip(a_eq[i], a_eq[j])])
-        b_eq.append(f * b_eq[i] + g * b_eq[j])
-    if len(a_ub) + len(a_eq) < max_rows and draw(st.booleans()):
-        a_ub.append([Fraction(1)] * nv)
-        b_ub.append(Fraction(draw(st.integers(0, 5))))
-    c = draw(row)
-    return c, a_ub, b_ub, a_eq, b_eq
-
-
-@st.composite
-def twin_column_programs(draw, max_vars: int = 4, max_rows: int = 6):
-    """A ``linear_programs`` draw with its columns copied: nv + 1 to
-    2 nv + 2 columns, each a copy of a drawn column with its cost (some
-    costs set to 0), so some columns are certain to be twins. Integral
-    entries come as ``int`` or ``Fraction``; some draws append a multiple of
-    an equality (a redundant row) and some have no rows at all."""
-    c, a_ub, b_ub, a_eq, b_eq = draw(linear_programs(max_vars, max_rows))
-    nv = len(c)
-    order = draw(st.lists(st.integers(0, nv - 1), min_size=nv + 1, max_size=2 * nv + 2))
-    zero_cost = draw(st.lists(st.booleans(), min_size=nv, max_size=nv))
-    c = [0 if zero else v for v, zero in zip(c, zero_cost)]
-    if a_eq and draw(st.booleans()):
-        k = draw(st.integers(0, len(a_eq) - 1))
-        f = draw(st.sampled_from([1, 2, Fraction(1, 3)]))
-        a_eq.append([f * v for v in a_eq[k]])
-        b_eq.append(f * b_eq[k])
-    if draw(st.integers(0, 5)) == 0:
-        a_ub, b_ub, a_eq, b_eq = [], [], [], []
-
-    def mixed(v):
-        return int(v) if v.denominator == 1 and draw(st.booleans()) else Fraction(v)
-
-    return ([mixed(Fraction(c[j])) for j in order],
-            [[mixed(row[j]) for j in order] for row in a_ub], [mixed(b) for b in b_ub],
-            [[mixed(row[j]) for j in order] for row in a_eq], [mixed(b) for b in b_eq])
-
-
-@st.composite
-def least_core_programs(draw, max_agents: int = 5, max_rows: int = 7):
-    """The least-core LP over drawn coalitions C: min eps (or 0) s.t.
-    p(C) + eps >= 1 and p(N) = 1. Its rows tie in the ratio test, so the
+def least_core_programs(draw, max_agents: int = 6, max_cuts: int = 8):
+    """``(n, cuts)``: the least core's covering program over 1..max_cuts
+    drawn nonempty coalitions of n agents, as bitmasks, repeats allowed.
+    Small masks over few agents make ties in the ratio test common, so the
     tie-breaks decide which optimal vertex is returned."""
-    n = draw(st.integers(2, max_agents))
-    masks = draw(st.lists(st.integers(1, (1 << n) - 1), max_size=max_rows))
-    a_ub = [[-(mask >> i & 1) for i in range(n)] + [-1] for mask in masks]
-    c = [0] * n + [draw(st.integers(0, 1))]
-    return c, a_ub, [-1] * len(masks), [[1] * n + [0]], [1]
+    n = draw(st.integers(1, max_agents))
+    return n, draw(st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=max_cuts))
 
 
 @st.composite

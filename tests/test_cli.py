@@ -954,6 +954,16 @@ def test_leastcore_16_agent_text_report_is_pinned(capsys):
     assert out.encode() == (DATA / "leastcore16.txt").read_bytes()
 
 
+def test_leastcore_16_agent_optimal_vertex_is_pinned(capsys):
+    # A 16-agent graph whose least core (eps = 5/6) has more than one optimal
+    # imputation, from a bench leastcore cycle: the dual simplex's leaving
+    # and entering rules decide which one is reported.
+    code, out, err = run(capsys, ["leastcore", str(DATA / "leastcore16_tie_domain.json"),
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "leastcore16_tie.json").read_bytes()
+
+
 def test_leastcore_20_agent_output_is_pinned(capsys):
     # A 20-agent non-tree graph past the old least-core LP cap of 16; its 24
     # minimal winning coalitions bound the rounds, the enumeration cap the table.

@@ -28,7 +28,7 @@ from conngames import (
 )
 from conngames import enumeration
 from conngames.enumeration import minimal_winning_masks, win_table
-from conngames.lp import LPInfeasible, LPUnbounded, solve_exact
+from conngames.lp import solve_exact
 
 HALF = Fraction(1, 2)
 
@@ -36,7 +36,7 @@ HALF = Fraction(1, 2)
 def _assert_closed_form_least_core(domain, result):
     # eps is the table scan's; the imputation is the equal split over the
     # veto agents found by the removal test, and its maximal excess is eps.
-    eps = oracles.least_core_by_table_scan(domain)[0]
+    eps = oracles.least_core_by_table_scan(domain)
     veto = oracles.essential_by_removal(domain)
     split = tuple(Fraction(1, len(veto)) if i in veto else Fraction(0)
                   for i in range(domain.n_agents))
@@ -46,83 +46,51 @@ def _assert_closed_form_least_core(domain, result):
 
 # ----------------------------------------------------------- exact simplex
 
-def test_lp_basic_maximization():
-    # min -x - y  s.t.  x + y <= 1
-    solution = solve_exact([-1, -1], a_ub=[[1, 1]], b_ub=[1])
-    assert solution.objective == -1
-    assert sum(solution.x) == 1
-
-
-def test_lp_with_equality():
-    # min x1 s.t. x1 + x2 = 2, x1 >= 0.5 (as -x1 <= -0.5)
-    solution = solve_exact([1, 0], a_ub=[[-1, 0]], b_ub=[Fraction(-1, 2)],
-                           a_eq=[[1, 1]], b_eq=[2])
-    assert solution.x[0] == HALF
-    assert solution.x[1] == Fraction(3, 2)
-
-
-def test_lp_infeasible():
-    with pytest.raises(LPInfeasible):
-        solve_exact([1], a_ub=[[1], [-1]], b_ub=[1, -2])
-
-
-def test_lp_unbounded():
-    with pytest.raises(LPUnbounded):
-        solve_exact([-1], a_ub=[[-1]], b_ub=[0])
-
-
-def test_lp_degenerate_redundant_rows():
-    solution = solve_exact([1, 1], a_eq=[[1, 1], [2, 2]], b_eq=[1, 2])
-    assert solution.objective == 1
-
-
-def _lp_outcome(solver, problem):
-    try:
-        return solver(*problem)
-    except (LPInfeasible, LPUnbounded) as exc:
-        return type(exc)
+def _assert_covers(n, cuts, solution):
+    # x >= 0 pays every cut at least 1, and the objective is its sum.
+    x = solution.x
+    assert len(x) == n and min(x) >= 0
+    assert all(sum(x[i] for i in range(n) if cut >> i & 1) >= 1 for cut in cuts)
+    assert solution.objective == sum(x)
 
 
 @settings(max_examples=500, deadline=None)
-@given(problem=st.one_of(strategies.linear_programs(), strategies.least_core_programs()))
-def test_lp_matches_fraction_simplex(problem):
-    assert _lp_outcome(solve_exact, problem) == \
-        _lp_outcome(oracles.fraction_simplex, problem)
-
-
-@settings(max_examples=300, deadline=None)
-@given(problem=strategies.twin_column_programs())
-# The first row is scaled by 2, so its artificial coefficient is 2: phase 1's
-# reduced costs must weight it by 1/2 to enter the oracle's column.
-@example(problem=([0, 0, 0], [[-HALF, -1, -1], [-1, 0, 1], [1, 1, 1]], [0, 0, 1], [], []))
-def test_lp_with_twin_columns_matches_fraction_simplex(problem):
-    # Copied columns are dropped before the tableau is built; the oracle
-    # keeps them, so any pivot that differed would show here.
-    assert _lp_outcome(solve_exact, problem) == \
-        _lp_outcome(oracles.fraction_simplex, problem)
+@given(program=strategies.least_core_programs())
+@example(program=(3, [0b011, 0b110, 0b101]))  # every pair of three: 3/2
+def test_lp_matches_fraction_simplex(program):
+    # The dual simplex against the two-phase Fraction tableau on the same
+    # program in standard form: the same optimum, at a feasible point.
+    n, cuts = program
+    solution = solve_exact(n, cuts)
+    _assert_covers(n, cuts, solution)
+    assert solution.objective == oracles.covering_by_fraction_simplex(n, cuts).objective
 
 
 def test_lp_matches_fraction_simplex_on_least_core_lps(corpus, monkeypatch):
-    problems = []
+    programs = []
 
-    def recording(*problem):
-        problems.append(problem)
-        return solve_exact(*problem)
+    def recording(n, cuts):
+        programs.append((n, list(cuts)))
+        return solve_exact(n, cuts)
 
     monkeypatch.setattr(lp, "solve_exact", recording)
     for _, domain in corpus:
         least_core_value(domain)
     monkeypatch.undo()
-    assert max(len(problem[1]) for problem in problems) >= 5
-    for problem in problems:
-        assert solve_exact(*problem) == oracles.fraction_simplex(*problem)
+    assert max(len(cuts) for _, cuts in programs) >= 5
+    for n, cuts in programs:
+        solution = solve_exact(n, cuts)
+        _assert_covers(n, cuts, solution)
+        assert solution.objective == oracles.covering_by_fraction_simplex(n, cuts).objective
 
 
 def test_least_core_matches_fraction_simplex_at_bench_sizes(monkeypatch):
     # Twelve graphs of 10-16 agents at the density of the leastcore bench
     # workload (a quarter of all vertex pairs are edges), whose veto set
-    # loses: the least core by the integer simplex equals the one by the
-    # Fraction tableau, with the same number of restricted programs.
+    # loses: the least core by the integer dual simplex has the eps of the
+    # one whose programs the Fraction tableau solves. The two may end at
+    # different optimal vertices, so each imputation's maximal excess is
+    # checked to be that eps.
     rng = random.Random(20261019)
     domains = []
     while len(domains) < 12:
@@ -135,21 +103,40 @@ def test_least_core_matches_fraction_simplex_at_bench_sizes(monkeypatch):
     def least_cores(solver):
         calls = []
 
-        def counting(*problem):
-            calls.append(problem)
-            return solver(*problem)
+        def counting(n, cuts):
+            calls.append(cuts)
+            return solver(n, cuts)
 
         monkeypatch.setattr(lp, "solve_exact", counting)
-        results = []
-        for domain in domains:
-            before = len(calls)
-            result = least_core_value(domain)
-            results.append((result.epsilon, result.imputation, len(calls) - before))
-        return results
+        return [least_core_value(domain) for domain in domains], len(calls)
 
-    integer = least_cores(solve_exact)
-    assert integer == least_cores(oracles.fraction_simplex)
-    assert sum(solves for _, _, solves in integer) >= 3 * len(domains)
+    integer, solves = least_cores(solve_exact)
+    reference, _ = least_cores(oracles.covering_by_fraction_simplex)
+    for domain, ours, theirs in zip(domains, integer, reference):
+        assert ours.epsilon == theirs.epsilon
+        for result in (ours, theirs):
+            assert max_excess(domain, result.imputation).max_excess == result.epsilon
+    assert solves >= 3 * len(domains)
+
+
+def test_least_core_solves_one_program_a_round_with_its_cuts_second(monkeypatch):
+    # bench/tracing.py counts a least core's rounds as its lp.solve_exact
+    # calls and reads a program's rows from the call's second positional
+    # argument: each round solves once, on the last round's cuts plus one.
+    domain = oracles.connected_graph_domain(random.Random(16), 16, n_edges=40)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append((args[0], list(args[1]), len(args), kwargs))
+        return solve_exact(*args, **kwargs)
+
+    monkeypatch.setattr(lp, "solve_exact", recording)
+    least_core_value(domain)
+    assert len(calls) >= 3
+    assert all((n, arity, kwargs) == (16, 2, {}) for n, _, arity, kwargs in calls)
+    programs = [cuts for _, cuts, _, _ in calls]
+    assert programs[0] == [(1 << 16) - 1]
+    assert all(later[:-1] == earlier for earlier, later in zip(programs, programs[1:]))
 
 
 # ----------------------------------------------------------- veto players
@@ -700,9 +687,9 @@ def test_least_core_witness_is_feasible_and_optimal(corpus):
                     row[i] = -1
             rows.append(row)
             bounds.append(-(1 - tightened))
-        with pytest.raises(LPInfeasible):
-            solve_exact([0] * n, a_ub=rows, b_ub=bounds,
-                        a_eq=[[1] * n], b_eq=[1])
+        with pytest.raises(oracles.LPInfeasible):
+            oracles.fraction_simplex([0] * n, a_ub=rows, b_ub=bounds,
+                                     a_eq=[[1] * n], b_eq=[1])
 
 
 @settings(max_examples=200, deadline=None)
@@ -713,10 +700,12 @@ def test_least_core_witness_is_feasible_and_optimal(corpus):
 @example(domain=oracles.cycle4())
 @example(domain=oracles.random_graph_domain(random.Random(11), max_agents=8))
 def test_least_core_matches_table_scan(domain):
-    # Same eps, imputation and restricted programs, round by round, as
-    # separation over all 2^n coalitions. In the last example a payment tie
-    # between minimal winning coalitions of different sizes decides a cut.
-    # Degenerate domains, such as the first two examples, are refused.
+    # The eps of separation over all 2^n coalitions, whose programs the
+    # Fraction tableau solves, and an imputation whose maximal excess is eps:
+    # the two may end at different optimal vertices. In the last example a
+    # payment tie between minimal winning coalitions of different sizes
+    # decides a cut. Degenerate domains, such as the first two examples, are
+    # refused.
     if classify(domain).degenerate:
         with pytest.raises(DegenerateDomainError):
             least_core_value(domain)
@@ -724,18 +713,9 @@ def test_least_core_matches_table_scan(domain):
     if classify(domain).veto_wins:
         _assert_closed_form_least_core(domain, least_core_value(domain))
         return
-    programs = []
-
-    def recording(active, n, grand_value):
-        programs.append(tuple(active))
-        return solve_active(active, n, grand_value)
-
-    solve_active = stability._solve_active_exact
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stability, "_solve_active_exact", recording)
-        result = least_core_value(domain)
-    assert (result.epsilon, result.imputation, programs) == \
-        oracles.least_core_by_table_scan(domain)
+    result = least_core_value(domain)
+    assert result.epsilon == oracles.least_core_by_table_scan(domain)
+    assert max_excess(domain, result.imputation).max_excess == result.epsilon
 
 
 def test_least_core_refuses_past_the_enumeration_cap_before_any_table(monkeypatch):
@@ -773,14 +753,13 @@ def _least_core_programs(domain, form):
     """The least core through ``form``, with the active coalitions of every
     restricted program it solved."""
     programs = []
-    solve_active = stability._solve_active_exact
 
-    def recording(active, n, grand_value):
-        programs.append(tuple(active))
-        return solve_active(active, n, grand_value)
+    def recording(n, cuts):
+        programs.append(tuple(cuts))
+        return solve_exact(n, cuts)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(stability, "_solve_active_exact", recording)
+        mp.setattr(lp, "solve_exact", recording)
         mp.setattr(enumeration, "_exact_game", _forcing(form))
         result = least_core_value(domain)
     return result.epsilon, result.imputation, result.method, programs
@@ -800,15 +779,14 @@ def test_least_core_past_the_cap_refuses_a_program_past_its_budget(monkeypatch):
     assert not classify(domain).veto_wins
     programs = []
 
-    def recording(active, n, grand_value):
-        programs.append(len(active))
-        return solve_active(active, n, grand_value)
+    def recording(n, cuts):
+        programs.append(len(cuts))
+        return solve_exact(n, cuts)
 
     def unbounded(domain):
         raise AssertionError("a 2^500 win table was requested")
 
-    solve_active = stability._solve_active_exact
-    monkeypatch.setattr(stability, "_solve_active_exact", recording)
+    monkeypatch.setattr(lp, "solve_exact", recording)
     monkeypatch.setattr(enumeration, "win_table", unbounded)
     with pytest.raises(CapExceededError) as exc:
         least_core_value(domain)
