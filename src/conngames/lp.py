@@ -11,6 +11,13 @@ ties going to the lowest column: Bland's rule on the dual, which rules out
 cycling. The program is feasible (x = 1 pays every cut) and bounded below by
 0, so the dual simplex ends at an optimum.
 
+The cuts are appended, one row each, to an empty program or to the program
+a previous solution kept, so that constraint generation, which adds one cut
+a round, goes on from the last optimum in a few pivots. A new row enters with
+its slack basic, once the structural basic columns are eliminated from it.
+Its slack column is 0 in every other row and in the reduced costs, so the
+basis stays dual feasible, and the same loop goes on from there.
+
 The tableau is fraction-free (integer-preserving elimination, after Bareiss
 1968): each row is a positive multiple of the rational row whose basic
 coefficient is 1, divided by its gcd when an elimination scales it. Its basic
@@ -23,7 +30,7 @@ those of the rational tableau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
@@ -32,6 +39,9 @@ from typing import Sequence
 class LPSolution:
     x: tuple[Fraction, ...]
     objective: Fraction
+    # The final tableau, basis and reduced-cost row, which the next solve
+    # that starts from this solution takes over.
+    _program: tuple | None = field(default=None, repr=False, compare=False)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -60,13 +70,24 @@ def _pivot(tableau, basis, row, col):
     basis[row] = col
 
 
-def solve_exact(n: int, cuts: Sequence[int]) -> LPSolution:
-    """The least x >= 0 of sum(x) with x(C) >= 1 for every mask C in ``cuts``."""
-    m = len(cuts)
-    tableau = [[-(cut >> i & 1) for i in range(n)] + [int(k == r) for k in range(m)] + [-1]
-               for r, cut in enumerate(cuts)]
-    basis = list(range(n, n + m))
-    reduced = [1] * n + [0] * (m + 1)
+def solve_exact(n: int, cuts: Sequence[int], start: LPSolution | None = None) -> LPSolution:
+    """The least x >= 0 of sum(x) with x(C) >= 1 for every mask C in ``cuts``.
+
+    ``start``, a solution returned for a prefix of ``cuts`` over the same n
+    agents, is continued from: only the cuts it does not hold are appended.
+    Its program is taken over and changed in place, so a solution can be
+    started from once."""
+    tableau, basis, reduced = start._program if start else ([], [], [1] * n + [0])
+    for cut in cuts[len(basis):]:
+        for row in tableau:
+            row.insert(-1, 0)
+        reduced.insert(-1, 0)
+        new = [-(cut >> i & 1) for i in range(n)] + [0] * len(basis) + [1, -1]
+        for row, b in zip(tableau, basis):
+            if b < n:
+                new = _eliminate(new, row, b)
+        basis.append(n + len(basis))
+        tableau.append(new)
     while True:
         infeasible = [r for r, row in enumerate(tableau) if row[-1] < 0]
         if not infeasible:
@@ -82,4 +103,4 @@ def solve_exact(n: int, cuts: Sequence[int]) -> LPSolution:
     for row, b in zip(tableau, basis):
         if b < n:
             x[b] = Fraction(row[-1], row[b])
-    return LPSolution(tuple(x), sum(x, Fraction(0)))
+    return LPSolution(tuple(x), sum(x, Fraction(0)), (tableau, basis, reduced))

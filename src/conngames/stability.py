@@ -267,7 +267,9 @@ def least_core_value(domain: ConnectivityDomain, *,
     Steiner oracle, and ``lp.solve_exact`` solves each restricted covering
     program  min sum(x)  s.t.  x(W) >= 1, x >= 0, until every winning
     coalition is paid at least 1; then eps = 1 - 1/tau and the imputation is
-    x / tau, for tau = sum(x). Refuses degenerate domains.
+    x / tau, for tau = sum(x). Each round's solve starts from the last
+    round's solution and appends only the new cut to its optimal basis.
+    Refuses degenerate domains.
     """
     _refuse_degenerate(domain, "least-core")
     n = domain.n_agents
@@ -276,12 +278,13 @@ def least_core_value(domain: ConnectivityDomain, *,
         return LeastCoreResult(*game.least_core(), game.method)
     cuts = LEAST_CORE_BUDGET // (n + 1) if n > cap else None
     active = [(1 << n) - 1]
+    solution = None
     while True:
         if cuts is not None and len(active) > cuts:
             raise CapExceededError(
                 f"instance too large for exact solver: the least core of {n} agents "
                 f"needs more than {cuts} cuts past the enumeration cap of {cap}", cap)
-        solution = lp.solve_exact(n, active)
+        solution = lp.solve_exact(n, active, solution)
         scale, scaled = enumeration._scaled(solution.x)
         mask, payment = game.least_paid_winning(scaled)
         if payment >= scale:

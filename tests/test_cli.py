@@ -973,6 +973,26 @@ def test_leastcore_20_agent_output_is_pinned(capsys):
     assert out.encode() == (DATA / "leastcore20.json").read_bytes()
 
 
+def test_leastcore_96_agent_output_past_the_cap_is_pinned(capsys, monkeypatch):
+    # A dense 96-agent graph (a quarter of all vertex pairs are edges) whose
+    # veto set loses: past the enumeration cap, the Steiner oracle separates
+    # 71 rounds, each solve going on from the last round's program, to
+    # eps = 24/25.
+    solve = stability.lp.solve_exact
+    rounds = []
+
+    def counting(n, cuts, start):
+        rounds.append(len(cuts))
+        return solve(n, cuts, start)
+
+    monkeypatch.setattr(stability.lp, "solve_exact", counting)
+    code, out, err = run(capsys, ["leastcore", str(DATA / "leastcore96_domain.json"),
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "leastcore96.json").read_bytes()
+    assert rounds == list(range(1, 72))
+
+
 def test_ecm_17_agent_output_is_pinned(capsys):
     # A 17-agent non-tree graph. Six winning coalitions of three agents share
     # the least payment, so the witness is the smallest mask among them; agent

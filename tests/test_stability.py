@@ -1,7 +1,9 @@
+import json
 import random
 import time
 import tracemalloc
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -17,6 +19,7 @@ from conngames import (
     add_dummy,
     classify,
     coalition_value,
+    domain_from_dict,
     ecm,
     is_in_core,
     least_core_value,
@@ -30,6 +33,7 @@ from conngames import enumeration
 from conngames.enumeration import minimal_winning_masks, win_table
 from conngames.lp import solve_exact
 
+DATA = Path(__file__).resolve().parent / "data"
 HALF = Fraction(1, 2)
 
 
@@ -54,34 +58,81 @@ def _assert_covers(n, cuts, solution):
     assert solution.objective == sum(x)
 
 
+def _assert_duals_certify(n, cuts, solution):
+    # The kept reduced-cost row is a positive multiple of the rational one:
+    # 1 - sum of y_W over the cuts W that hold i for agent i, y_W for the
+    # slack of cut W, and -tau for the value. So each agent's entry plus its
+    # cuts' entries is that multiple, the same for every agent.
+    _, _, reduced = solution._program
+    assert len(reduced) == n + len(cuts) + 1
+    y = reduced[n:-1]
+    held = [sum(y_w for cut, y_w in zip(cuts, y) if cut >> i & 1) for i in range(n)]
+    scales = {reduced[i] + held[i] for i in range(n)}
+    assert len(scales) == 1
+    scale = scales.pop()
+    assert scale > 0
+    # Dual feasible (y >= 0, no agent's cuts hold more than 1 of y), and the
+    # dual value is the primal's: the basis carried on is optimal.
+    assert min(y) >= 0 and max(held) <= scale
+    assert Fraction(sum(y), scale) == solution.objective == Fraction(-reduced[-1], scale)
+
+
 @settings(max_examples=500, deadline=None)
 @given(program=strategies.least_core_programs())
 @example(program=(3, [0b011, 0b110, 0b101]))  # every pair of three: 3/2
 def test_lp_matches_fraction_simplex(program):
     # The dual simplex against the two-phase Fraction tableau on the same
-    # program in standard form: the same optimum, at a feasible point.
+    # program in standard form, with the cuts appended one at a time: on
+    # every prefix, solved cold and going on from the last prefix's
+    # solution, the same optimum, at a point that covers every cut; the
+    # duals the warm solution keeps certify it.
     n, cuts = program
-    solution = solve_exact(n, cuts)
+    warm = None
+    for k in range(1, len(cuts) + 1):
+        reference = oracles.covering_by_fraction_simplex(n, cuts[:k]).objective
+        warm = solve_exact(n, cuts[:k], warm)
+        _assert_duals_certify(n, cuts[:k], warm)
+        for solution in (warm, solve_exact(n, cuts[:k])):
+            _assert_covers(n, cuts[:k], solution)
+            assert solution.objective == reference
+
+
+def test_least_core_program_past_the_cap_carries_optimal_duals(monkeypatch):
+    # The last program of a 71-round least core past the cap, carried from
+    # round to round: its duals certify tau, so eps = 1 - 1/tau.
+    domain = domain_from_dict(json.loads((DATA / "leastcore96_domain.json").read_text()))
+    programs = []
+
+    def recording(n, cuts, start):
+        programs.append((n, list(cuts), solve_exact(n, cuts, start)))
+        return programs[-1][-1]
+
+    monkeypatch.setattr(lp, "solve_exact", recording)
+    result = least_core_value(domain)
+    n, cuts, solution = programs[-1]
+    assert (n, len(cuts), result.epsilon) == (96, 71, 1 - 1 / solution.objective)
+    _assert_duals_certify(n, cuts, solution)
     _assert_covers(n, cuts, solution)
-    assert solution.objective == oracles.covering_by_fraction_simplex(n, cuts).objective
 
 
 def test_lp_matches_fraction_simplex_on_least_core_lps(corpus, monkeypatch):
     programs = []
 
-    def recording(n, cuts):
-        programs.append((n, list(cuts)))
-        return solve_exact(n, cuts)
+    def recording(n, cuts, start):
+        programs.append((n, list(cuts), solve_exact(n, cuts, start)))
+        return programs[-1][-1]
 
     monkeypatch.setattr(lp, "solve_exact", recording)
     for _, domain in corpus:
         least_core_value(domain)
     monkeypatch.undo()
-    assert max(len(cuts) for _, cuts in programs) >= 5
-    for n, cuts in programs:
-        solution = solve_exact(n, cuts)
-        _assert_covers(n, cuts, solution)
-        assert solution.objective == oracles.covering_by_fraction_simplex(n, cuts).objective
+    assert max(len(cuts) for _, cuts, _ in programs) >= 5
+    # Each program solved warm, as the least core solved it, and cold.
+    for n, cuts, warm in programs:
+        reference = oracles.covering_by_fraction_simplex(n, cuts).objective
+        for solution in (warm, solve_exact(n, cuts)):
+            _assert_covers(n, cuts, solution)
+            assert solution.objective == reference
 
 
 def test_least_core_matches_fraction_simplex_at_bench_sizes(monkeypatch):
@@ -103,15 +154,16 @@ def test_least_core_matches_fraction_simplex_at_bench_sizes(monkeypatch):
     def least_cores(solver):
         calls = []
 
-        def counting(n, cuts):
+        def counting(n, cuts, start):
             calls.append(cuts)
-            return solver(n, cuts)
+            return solver(n, cuts, start)
 
         monkeypatch.setattr(lp, "solve_exact", counting)
         return [least_core_value(domain) for domain in domains], len(calls)
 
     integer, solves = least_cores(solve_exact)
-    reference, _ = least_cores(oracles.covering_by_fraction_simplex)
+    # The Fraction reference solves every program cold.
+    reference, _ = least_cores(lambda n, cuts, start: oracles.covering_by_fraction_simplex(n, cuts))
     for domain, ours, theirs in zip(domains, integer, reference):
         assert ours.epsilon == theirs.epsilon
         for result in (ours, theirs):
@@ -122,21 +174,27 @@ def test_least_core_matches_fraction_simplex_at_bench_sizes(monkeypatch):
 def test_least_core_solves_one_program_a_round_with_its_cuts_second(monkeypatch):
     # bench/tracing.py counts a least core's rounds as its lp.solve_exact
     # calls and reads a program's rows from the call's second positional
-    # argument: each round solves once, on the last round's cuts plus one.
+    # argument: each round solves once, on the last round's cuts plus one,
+    # starting from the solution the last round returned.
     domain = oracles.connected_graph_domain(random.Random(16), 16, n_edges=40)
     calls = []
 
     def recording(*args, **kwargs):
-        calls.append((args[0], list(args[1]), len(args), kwargs))
-        return solve_exact(*args, **kwargs)
+        solution = solve_exact(*args, **kwargs)
+        calls.append((args[0], list(args[1]), args[2], len(args), kwargs, solution))
+        return solution
 
     monkeypatch.setattr(lp, "solve_exact", recording)
     least_core_value(domain)
     assert len(calls) >= 3
-    assert all((n, arity, kwargs) == (16, 2, {}) for n, _, arity, kwargs in calls)
-    programs = [cuts for _, cuts, _, _ in calls]
+    assert all((n, arity, kwargs) == (16, 3, {}) for n, _, _, arity, kwargs, _ in calls)
+    programs = [cuts for _, cuts, _, _, _, _ in calls]
     assert programs[0] == [(1 << 16) - 1]
     assert all(later[:-1] == earlier for earlier, later in zip(programs, programs[1:]))
+    starts = [start for _, _, start, _, _, _ in calls]
+    returned = [solution for *_, solution in calls]
+    assert starts[0] is None
+    assert all(start is solution for start, solution in zip(starts[1:], returned))
 
 
 # ----------------------------------------------------------- veto players
@@ -754,9 +812,9 @@ def _least_core_programs(domain, form):
     restricted program it solved."""
     programs = []
 
-    def recording(n, cuts):
+    def recording(n, cuts, start):
         programs.append(tuple(cuts))
-        return solve_exact(n, cuts)
+        return solve_exact(n, cuts, start)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "solve_exact", recording)
@@ -779,9 +837,9 @@ def test_least_core_past_the_cap_refuses_a_program_past_its_budget(monkeypatch):
     assert not classify(domain).veto_wins
     programs = []
 
-    def recording(n, cuts):
+    def recording(n, cuts, start):
         programs.append(len(cuts))
-        return solve_exact(n, cuts)
+        return solve_exact(n, cuts, start)
 
     def unbounded(domain):
         raise AssertionError("a 2^500 win table was requested")
