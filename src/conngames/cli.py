@@ -107,6 +107,21 @@ def _rational(value) -> str | None:
     return None
 
 
+def _converted(values) -> list[tuple[float, str | None]]:
+    """``float`` and ``_rational`` of each value: a float as it is, any other
+    value once per distinct object, as the closed forms repeat two
+    ``Fraction`` objects over every agent. Keyed by identity: hashing a
+    ``Fraction`` costs more than the conversions it saves."""
+    seen: dict[int, tuple[float, str | None]] = {}
+    out = []
+    for value in values:
+        pair = (value, None) if type(value) is float else seen.get(id(value))
+        if pair is None:
+            pair = seen[id(value)] = (float(value), _rational(value))
+        out.append(pair)
+    return out
+
+
 def _domain_summary(domain, classification) -> dict:
     return {
         "agents": domain.n_agents,
@@ -205,13 +220,13 @@ def _value_cell(value: Fraction) -> str:
 # ---------------------------------------------------------------- indices
 
 def _index_payload(domain, vector: powerindex.IndexVector) -> dict:
-    floats = [float(value) for value in vector.values]
-    values = [{"agent": agent, "vertex": vertex, "value_rational": _rational(value),
+    converted = _converted(vector.values)
+    values = [{"agent": agent, "vertex": vertex, "value_rational": rational,
                "value_float": value_float}
-              for agent, (vertex, value, value_float)
-              in enumerate(zip(domain.standard, vector.values, floats))]
+              for agent, (vertex, (value_float, rational))
+              in enumerate(zip(domain.standard, converted))]
     # Descending value, ties by agent: the sort is stable over ascending agents.
-    ranking = sorted(range(domain.n_agents), key=[-f for f in floats].__getitem__)
+    ranking = sorted(range(domain.n_agents), key=[-f for f, _ in converted].__getitem__)
     return {
         "index_kind": vector.kind,
         "method": vector.method,
@@ -372,8 +387,8 @@ def cmd_leastcore(args) -> int:
         "epsilon_min": float(epsilon),
         "epsilon_min_rational": _rational(epsilon),
         "imputation": [
-            {"agent": i, "value_rational": _rational(v), "value_float": float(v)}
-            for i, v in enumerate(imputation)
+            {"agent": i, "value_rational": rational, "value_float": value_float}
+            for i, (value_float, rational) in enumerate(_converted(imputation))
         ],
     }
     if args.format == "json":
@@ -383,8 +398,8 @@ def cmd_leastcore(args) -> int:
             print(line)
         print(f"method: {method}")
         print(f"least-core epsilon: {_value_cell(epsilon)}")
-        for i, v in enumerate(imputation):
-            print(f"  agent {i}: {_value_cell(v)}")
+        for row in report["imputation"]:
+            print(f"  agent {row['agent']}: {row['value_rational']} ({row['value_float']!r})")
     return EXIT_OK
 
 

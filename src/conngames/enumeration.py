@@ -11,9 +11,9 @@ the equal split. Otherwise ``_Table`` reads the win table, which is refused
 past the enumeration cap before it is built. A solver that needs only
 least-paid winning coalitions (maximal excess, the least core's separation)
 may get ``_Steiner`` instead, a minimum node-weighted Steiner tree search
-over the primaries, where a deterministic estimate of its work beats the
-table's 2^n coalitions, and past the cap where the estimate fits the fixed
-``STEINER_BUDGET``. Every form answers ``least_paid_winning`` for payoffs
+over the primaries, where a deterministic estimate of one search's work is
+at most the table's 2^n - 1 coalitions, and past the cap where it fits the
+fixed ``STEINER_BUDGET``. Every form answers ``least_paid_winning`` for payoffs
 of any sign, scaled to ints over one denominator (``_scaled``), the agents
 of N-, those paid below 0, taken as free: the least-paid winning coalition
 is m | N- for some minimal winning m, as every winning coalition holds such
@@ -95,8 +95,10 @@ def criticality_histograms(domain: ConnectivityDomain) -> np.ndarray:
         win_table(domain), domain.n_agents))
 
 
+@functools.cache
 def _periodic_bitset(i: int, nbytes: int) -> int:
-    """Bit m set iff bit i of m is set, for every m below 8 * ``nbytes``."""
+    """Bit m set iff bit i of m is set, for every m below 8 * ``nbytes``;
+    kept for every table size, about 1.1 MB in all."""
     if i < 3:
         period = bytes([_IN_BYTE[i]])
     else:
@@ -410,26 +412,25 @@ STEINER_BUDGET = 1 << 20
 
 
 def _exact_game(domain: ConnectivityDomain, cap: int,
-                separations: int = 0) -> _Unanimity | _Table | _Steiner:
+                separates: bool = False) -> _Unanimity | _Table | _Steiner:
     """The domain's exact form, chosen by a deterministic cost estimate.
 
     Where the veto agents win on their own it is the unanimity game, at any
-    size. ``separations`` is how many least-paid winning coalitions the
-    caller will ask for; 0 means it needs the table's histograms. A caller
-    that separates gets the Steiner oracle where ``separations`` times its
-    work is under the 2^n coalitions of the table, and past ``cap`` agents
-    where its work fits ``STEINER_BUDGET``. Otherwise it is the win table,
-    refused past ``cap`` (``CapExceededError``) before anything is built.
+    size. A caller that ``separates`` asks only for least-paid winning
+    coalitions (maximal excess, each round of the least core); any other
+    needs the table's histograms. One rule plans every separating caller:
+    it gets the Steiner oracle where one search's work is at most the
+    table's 2^n - 1 coalitions, and past ``cap`` agents where that work fits
+    ``STEINER_BUDGET``. Otherwise it is the win table, refused past ``cap``
+    (``CapExceededError``) before anything is built.
     """
     classification = classify(domain)
     n = domain.n_agents
     if classification.veto_wins:
         return _Unanimity(n, classification.veto_agents)
-    if separations:
+    if separates:
         steiner = _Steiner(domain)
-        # Past the cap the fixed budget; under it, 2^n coalitions over the separations.
-        budget = STEINER_BUDGET if n > cap else ((1 << n) - 1) // separations
-        if steiner.work <= budget:
+        if steiner.work <= (STEINER_BUDGET if n > cap else (1 << n) - 1):
             return steiner
     _check_cap(n, cap)
     return _Table(domain)

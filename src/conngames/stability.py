@@ -33,7 +33,7 @@ s.t.  x(W) >= 1  over winning W, x >= 0: with x = p / (1 - eps), eps =
 game for the least-paid winning coalition under x, which is minimal
 (Maschler, Peleg & Shapley 1979): the table lists the minimal winning
 coalitions once and scores them exactly in Python integers, or the Steiner
-oracle searches. No cut is added twice, so the rounds are bounded by the
+oracle searches, planned by the rule maximal excess takes. No cut is added twice, so the rounds are bounded by the
 number of minimal winning coalitions. Behind the enumeration cap that number
 bounds them; past it, where each search fits the oracle's budget,
 ``LEAST_CORE_BUDGET`` bounds the restricted program's size, and so the
@@ -59,12 +59,6 @@ EXACT_LP = "exact-lp"
 # within the tolerance of y iff |x - y scale| * _TOL_INVERSE <= scale.
 _TOL_INVERSE = 10 ** 9
 IMPUTATION_TOL = Fraction(1, _TOL_INVERSE)
-
-# The least core's separations as ``enumeration._exact_game`` weighs them
-# against the 2^n table below the cap (the oracle runs once per round): with
-# 128, bench-style graphs of 4 primaries leave the table from 17 agents
-# (2 primary regions) to 21 (4 regions), and none of 16 or fewer does.
-LEAST_CORE_SEPARATIONS = 128
 
 # Past the enumeration cap, the most coefficients, cuts times (n + 1), that
 # the least core's restricted program may hold; a program that needs more
@@ -214,7 +208,7 @@ def max_excess(domain: ConnectivityDomain, payoffs, *,
     Payments are scored in ints, the payoffs scaled to one denominator.
     """
     values = _fractions(payoffs)
-    game = enumeration._exact_game(domain, cap, separations=1)
+    game = enumeration._exact_game(domain, cap, separates=True)
     scale, scaled = _scaled_imputation(domain, values)
     if not allow_negative:
         for i, x in enumerate(scaled):
@@ -273,7 +267,7 @@ def least_core_value(domain: ConnectivityDomain, *,
     """
     _refuse_degenerate(domain, "least-core")
     n = domain.n_agents
-    game = enumeration._exact_game(domain, cap, separations=LEAST_CORE_SEPARATIONS)
+    game = enumeration._exact_game(domain, cap, separates=True)
     if game.method == TREE_CLOSED_FORM:
         return LeastCoreResult(*game.least_core(), game.method)
     cuts = LEAST_CORE_BUDGET // (n + 1) if n > cap else None

@@ -973,6 +973,22 @@ def test_leastcore_20_agent_output_is_pinned(capsys):
     assert out.encode() == (DATA / "leastcore20.json").read_bytes()
 
 
+@pytest.mark.parametrize("name", ["leastcore14", "leastcore16", "leastcore18"])
+def test_leastcore_under_the_cap_builds_no_win_table(capsys, monkeypatch, name):
+    # Bench-style graphs of 14, 16 and 18 agents (the last in 3 primary
+    # regions): one Steiner search's work is at most the table's 2^n - 1
+    # coalitions, so the least core separates with the oracle, as maximal
+    # excess would, and prints the same golden as through the table.
+    def unbounded(domain):
+        raise AssertionError("a win table was requested")
+
+    monkeypatch.setattr(enumeration, "win_table", unbounded)
+    code, out, err = run(capsys, ["leastcore", str(DATA / f"{name}_domain.json"),
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / f"{name}.json").read_bytes()
+
+
 def test_leastcore_96_agent_output_past_the_cap_is_pinned(capsys, monkeypatch):
     # A dense 96-agent graph (a quarter of all vertex pairs are edges) whose
     # veto set loses: past the enumeration cap, the Steiner oracle separates

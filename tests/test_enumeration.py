@@ -21,7 +21,6 @@ from conngames import (
     is_critical,
     max_excess,
     shapley_exact,
-    stability,
     vertexcover_to_ecm,
     veto_players,
 )
@@ -328,7 +327,7 @@ def test_steiner_least_paid_winning_matches_the_minimal_winning_scan(domain, dat
         payment, _, mask = min(scored)
         expected = (mask, payment * scale)
     assert enumeration._Steiner(domain).least_paid_winning(scaled) == expected
-    game = enumeration._exact_game(domain, 16, separations=1)
+    game = enumeration._exact_game(domain, 16, separates=True)
     assert game.least_paid_winning(scaled) == expected
 
 
@@ -356,27 +355,31 @@ def _bench_graph(seed: int, n: int) -> ConnectivityDomain:
             return domain
 
 
-@pytest.mark.parametrize("domain, cap, separations, form", [
-    (_bench_graph(14, 14), 24, 1, "_Steiner"),
-    (_bench_graph(14, 14), 24, 0, "_Table"),
-    (_bench_graph(16, 16), 24, stability.LEAST_CORE_SEPARATIONS, "_Table"),
-    (_bench_graph(22, 22), 24, stability.LEAST_CORE_SEPARATIONS, "_Steiner"),
+@pytest.mark.parametrize("domain, cap, separates, form", [
+    (_bench_graph(14, 14), 24, True, "_Steiner"),
+    (_bench_graph(14, 14), 24, False, "_Table"),
+    (_bench_graph(16, 16), 24, True, "_Steiner"),
+    (_bench_graph(22, 22), 24, True, "_Steiner"),
+    (_bench_graph(1, 10), 24, True, "_Table"),
     (vertexcover_to_ecm(VertexCoverInstance(
         12, tuple((u, v) for u in range(12) for v in range(u + 1, 12) if (u + v) % 3 == 0),
-        6))[0], 24, 1, "_Table"),
-    (oracles.connected_graph_domain(random.Random(30), 30, n_edges=70), 24, 1, "_Steiner"),
-    (oracles.connected_graph_domain(random.Random(30), 30, n_edges=70), 24, 0, None),
-    (oracles.many_primaries_domain(), 24, 1, None),
-    (oracles.many_primaries_domain(), 30, 1, "_Table"),
-    (oracles.lollipop(3), 0, 1, "_Unanimity"),
-], ids=["ecm-14", "indices-14", "leastcore-16", "leastcore-22", "ecm-vertexcover",
-        "ecm-past-cap", "indices-past-cap", "ecm-past-budget", "ecm-past-budget-under-cap",
-        "unanimity"])
-def test_exact_game_picks_the_form_by_its_cost_estimate(domain, cap, separations, form):
-    # Under the cap the oracle answers where separations x 3^k (V + E) is
-    # below 2^n; past it, where 3^k (V + E) fits the budget, else exit 3.
+        6))[0], 24, True, "_Table"),
+    (oracles.connected_graph_domain(random.Random(30), 30, n_edges=70), 24, True, "_Steiner"),
+    (oracles.connected_graph_domain(random.Random(30), 30, n_edges=70), 24, False, None),
+    (oracles.many_primaries_domain(), 24, True, None),
+    (oracles.many_primaries_domain(), 30, True, "_Table"),
+    (oracles.lollipop(3), 0, True, "_Unanimity"),
+], ids=["ecm-14", "indices-14", "leastcore-16", "leastcore-22", "leastcore-table",
+        "ecm-vertexcover", "ecm-past-cap", "indices-past-cap", "ecm-past-budget",
+        "ecm-past-budget-under-cap", "unanimity"])
+def test_exact_game_picks_the_form_by_its_cost_estimate(domain, cap, separates, form):
+    # One rule for maximal excess and the least core alike: under the cap the
+    # oracle answers where one search's work, 3^k (V + E) for k primary
+    # regions, is at most the table's 2^n - 1 coalitions (not so for 10
+    # agents in 3 regions, 1485 > 1023); past it, where that work fits the
+    # budget, else exit 3.
     if form is None:
         with pytest.raises(CapExceededError):
-            enumeration._exact_game(domain, cap, separations)
+            enumeration._exact_game(domain, cap, separates)
     else:
-        assert type(enumeration._exact_game(domain, cap, separations)).__name__ == form
+        assert type(enumeration._exact_game(domain, cap, separates)).__name__ == form
