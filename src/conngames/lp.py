@@ -1,15 +1,15 @@
 """Exact solver, in integers, for the least core's covering program.
 
 Solves  min sum(x)  s.t.  x(C) >= 1 for every cut C,  x >= 0,  where each cut
-is a nonempty coalition given as a bitmask over n agents, and returns
-``fractions.Fraction`` values. Each cut is one row, -x(C) + s_C = -1, with its
-own slack. Every cost is 1 >= 0, so the slack basis is dual feasible, and a
-dual simplex starts there: no phase 1, no artificial columns. It takes as the
-leaving row the one of the lowest basic index whose value is negative, and as
-the entering column the one of least ratio of reduced cost to |coefficient|,
-ties going to the lowest column: Bland's rule on the dual, which rules out
-cycling. The program is feasible (x = 1 pays every cut) and bounded below by
-0, so the dual simplex ends at an optimum.
+is a nonempty coalition given as a bitmask over n agents, and returns x as
+ints over one common denominator. Each cut is one row, -x(C) + s_C = -1, with
+its own slack. Every cost is 1 >= 0, so the slack basis is dual feasible, and
+a dual simplex starts there: no phase 1, no artificial columns. It takes as
+the leaving row the one of the lowest basic index whose value is negative,
+and as the entering column the one of least ratio of reduced cost to
+|coefficient|, ties going to the lowest column: Bland's rule on the dual,
+which rules out cycling. The program is feasible (x = 1 pays every cut) and
+bounded below by 0, so the dual simplex ends at an optimum.
 
 The cuts are appended, one row each, to an empty program or to the program
 a previous solution kept, so that constraint generation, which adds one cut
@@ -21,10 +21,12 @@ basis stays dual feasible, and the same loop goes on from there.
 The tableau is fraction-free (integer-preserving elimination, after Bareiss
 1968): each row is a positive multiple of the rational row whose basic
 coefficient is 1, divided by its gcd when an elimination scales it. Its basic
-variable's value is ``Fraction(rhs, coefficient)``. The reduced costs are an
-integer row updated by the same elimination. Positive multiples keep every
-sign, and the ratio test compares by cross-multiplication, so the pivots are
-those of the rational tableau.
+variable's value is rhs / coefficient. The reduced costs are an integer row
+updated by the same elimination. Positive multiples keep every sign, and the
+ratio test compares by cross-multiplication, so the pivots are those of the
+rational tableau. At the optimum each value is reduced by one gcd, and the
+values are put over the lcm of their denominators: the ints that
+``enumeration._scaled`` would make of the Fractions, with no Fraction built.
 """
 
 from __future__ import annotations
@@ -37,11 +39,21 @@ from typing import Sequence
 
 @dataclass(frozen=True)
 class LPSolution:
-    x: tuple[Fraction, ...]
-    objective: Fraction
+    # The optimal x over one common denominator: x_i = scaled[i] / scale,
+    # with scale the lcm of the values' reduced denominators.
+    scale: int
+    scaled: tuple[int, ...]
     # The final tableau, basis and reduced-cost row, which the next solve
     # that starts from this solution takes over.
     _program: tuple | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def x(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(v, self.scale) for v in self.scaled)
+
+    @property
+    def objective(self) -> Fraction:
+        return Fraction(sum(self.scaled), self.scale)
 
 
 def _primitive(row: list[int]) -> list[int]:
@@ -99,8 +111,11 @@ def solve_exact(n: int, cuts: Sequence[int], start: LPSolution | None = None) ->
                 entering, num, den = j, reduced[j], -a
         _pivot(tableau, basis, leaving, entering)
         reduced = _eliminate(reduced, tableau[leaving], entering)
-    x = [Fraction(0)] * n
+    values = [(0, 1)] * n  # (numerator, denominator) of each x_i, in lowest terms
     for row, b in zip(tableau, basis):
         if b < n:
-            x[b] = Fraction(row[-1], row[b])
-    return LPSolution(tuple(x), sum(x, Fraction(0)), (tableau, basis, reduced))
+            g = math.gcd(row[-1], row[b])
+            values[b] = row[-1] // g, row[b] // g
+    scale = math.lcm(*(d for _, d in values))
+    return LPSolution(scale, tuple(v * (scale // d) for v, d in values),
+                      (tableau, basis, reduced))

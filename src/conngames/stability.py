@@ -33,11 +33,14 @@ s.t.  x(W) >= 1  over winning W, x >= 0: with x = p / (1 - eps), eps =
 game for the least-paid winning coalition under x, which is minimal
 (Maschler, Peleg & Shapley 1979): the table lists the minimal winning
 coalitions once and scores them exactly in Python integers, or the Steiner
-oracle searches, planned by the rule maximal excess takes. No cut is added twice, so the rounds are bounded by the
-number of minimal winning coalitions. Behind the enumeration cap that number
-bounds them; past it, where each search fits the oracle's budget,
-``LEAST_CORE_BUDGET`` bounds the restricted program's size, and so the
-rounds: a least core that needs more cuts is refused.
+oracle searches, planned by the rule maximal excess takes. The rounds run in
+ints: the program's solution comes as x over one common denominator, which
+the separation takes as it is, and Fractions are built once, for the result.
+No cut is added twice, so the rounds are bounded by the number of minimal
+winning coalitions. Behind the enumeration cap that number bounds them;
+past it, where each search fits the oracle's budget, ``LEAST_CORE_BUDGET``
+bounds the restricted program's size, and so the rounds: a least core that
+needs more cuts is refused.
 """
 
 from __future__ import annotations
@@ -262,8 +265,9 @@ def least_core_value(domain: ConnectivityDomain, *,
     program  min sum(x)  s.t.  x(W) >= 1, x >= 0, until every winning
     coalition is paid at least 1; then eps = 1 - 1/tau and the imputation is
     x / tau, for tau = sum(x). Each round's solve starts from the last
-    round's solution and appends only the new cut to its optimal basis.
-    Refuses degenerate domains.
+    round's solution and appends only the new cut to its optimal basis. The
+    rounds score x in ints, as the solver scales it; eps and the imputation
+    become Fractions once, after the last round. Refuses degenerate domains.
     """
     _refuse_degenerate(domain, "least-core")
     n = domain.n_agents
@@ -279,15 +283,18 @@ def least_core_value(domain: ConnectivityDomain, *,
                 f"instance too large for exact solver: the least core of {n} agents "
                 f"needs more than {cuts} cuts past the enumeration cap of {cap}", cap)
         solution = lp.solve_exact(n, active, solution)
-        scale, scaled = enumeration._scaled(solution.x)
-        mask, payment = game.least_paid_winning(scaled)
-        if payment >= scale:
+        mask, payment = game.least_paid_winning(solution.scaled)
+        if payment >= solution.scale:
             break
         if mask in active:  # a cut the program already holds: no progress
             raise RuntimeError("least-core constraint generation failed to converge")
         active.append(mask)
-    tau = solution.objective
-    eps_star = 1 - 1 / tau
+    # With x = scaled / scale and total = sum(scaled), tau = total / scale,
+    # so eps = 1 - 1/tau = (total - scale) / total and p = x / tau = scaled / total.
+    total = sum(solution.scaled)
+    eps_star = Fraction(total - solution.scale, total)
     if (eps_star == 0) == (not classify(domain).veto_agents):
         raise RuntimeError("least-core solution inconsistent with the veto-player analysis")
-    return LeastCoreResult(eps_star, tuple(v / tau for v in solution.x), EXACT_LP)
+    # One object per distinct share, which cli._converted converts once.
+    shares = {v: Fraction(v, total) for v in set(solution.scaled)}
+    return LeastCoreResult(eps_star, tuple(map(shares.__getitem__, solution.scaled)), EXACT_LP)

@@ -10,10 +10,10 @@ least core's program in standard form for the integer dual simplex.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import permutations
-from math import factorial
+from math import factorial, lcm
 
 from conngames import (
     Coalition,
@@ -24,7 +24,6 @@ from conngames import (
     derive_seed,
     enumeration,
 )
-from conngames.lp import LPSolution
 
 
 class LPInfeasible(Exception):
@@ -290,6 +289,25 @@ def min_agent_cut(domain: ConnectivityDomain) -> int:
 
 # ----------------------------------------------------------- LP oracle
 
+@dataclass(frozen=True)
+class FractionSolution:
+    """An optimum of ``fraction_simplex``: x and the objective as Fractions,
+    and x over one common denominator, as ``lp.LPSolution`` holds it, for a
+    caller of ``lp.solve_exact`` that is handed this solution instead."""
+
+    x: tuple[Fraction, ...]
+    objective: Fraction
+
+    @property
+    def scale(self) -> int:
+        return lcm(*(v.denominator for v in self.x))
+
+    @property
+    def scaled(self) -> tuple[int, ...]:
+        scale = self.scale
+        return tuple(v.numerator * scale // v.denominator for v in self.x)
+
+
 def _fraction_pivot(tableau, basis, row, col):
     piv = tableau[row][col]
     tableau[row] = [v / piv for v in tableau[row]]
@@ -333,7 +351,7 @@ def _fraction_optimize(tableau, basis, costs, banned):
         _fraction_pivot(tableau, basis, leaving, entering)
 
 
-def fraction_simplex(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPSolution:
+def fraction_simplex(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> FractionSolution:
     """Reference for ``lp.solve_exact``: min c.x  s.t.  A_ub x <= b_ub,
     A_eq x = b_eq, x >= 0, by a two-phase Bland's-rule primal simplex on a
     tableau of ``Fraction`` rows, with every reduced cost recomputed from the
@@ -393,10 +411,10 @@ def fraction_simplex(c, a_ub=(), b_ub=(), a_eq=(), b_eq=()) -> LPSolution:
         if b < nv:
             x[b] = tableau[r][-1]
     objective = sum((ci * xi for ci, xi in zip(c, x)), start=zero)
-    return LPSolution(tuple(x), objective)
+    return FractionSolution(tuple(x), objective)
 
 
-def covering_by_fraction_simplex(n: int, cuts) -> LPSolution:
+def covering_by_fraction_simplex(n: int, cuts) -> FractionSolution:
     """The program of ``lp.solve_exact(n, cuts)`` in standard form, min sum(x)
     s.t. -x(C) <= -1 for every cut C, x >= 0, by ``fraction_simplex``."""
     a_ub = [[-(cut >> i & 1) for i in range(n)] for cut in cuts]

@@ -58,6 +58,14 @@ def _assert_covers(n, cuts, solution):
     assert solution.objective == sum(x)
 
 
+def _assert_scaled(solution, objective):
+    # x over one common denominator, the one enumeration._scaled takes for
+    # its Fractions, never below 0, and summing to the objective.
+    assert (solution.scale, list(solution.scaled)) == enumeration._scaled(solution.x)
+    assert min(solution.scaled) >= 0
+    assert Fraction(sum(solution.scaled), solution.scale) == objective
+
+
 def _assert_duals_certify(n, cuts, solution):
     # The kept reduced-cost row is a positive multiple of the rational one:
     # 1 - sum of y_W over the cuts W that hold i for agent i, y_W for the
@@ -84,8 +92,9 @@ def test_lp_matches_fraction_simplex(program):
     # The dual simplex against the two-phase Fraction tableau on the same
     # program in standard form, with the cuts appended one at a time: on
     # every prefix, solved cold and going on from the last prefix's
-    # solution, the same optimum, at a point that covers every cut; the
-    # duals the warm solution keeps certify it.
+    # solution, the same optimum, at a point that covers every cut and is
+    # given over one common denominator; the duals the warm solution keeps
+    # certify it.
     n, cuts = program
     warm = None
     for k in range(1, len(cuts) + 1):
@@ -94,7 +103,7 @@ def test_lp_matches_fraction_simplex(program):
         _assert_duals_certify(n, cuts[:k], warm)
         for solution in (warm, solve_exact(n, cuts[:k])):
             _assert_covers(n, cuts[:k], solution)
-            assert solution.objective == reference
+            _assert_scaled(solution, reference)
 
 
 def test_least_core_program_past_the_cap_carries_optimal_duals(monkeypatch):
@@ -132,7 +141,7 @@ def test_lp_matches_fraction_simplex_on_least_core_lps(corpus, monkeypatch):
         reference = oracles.covering_by_fraction_simplex(n, cuts).objective
         for solution in (warm, solve_exact(n, cuts)):
             _assert_covers(n, cuts, solution)
-            assert solution.objective == reference
+            _assert_scaled(solution, reference)
 
 
 def test_least_core_matches_fraction_simplex_at_bench_sizes(monkeypatch):
@@ -169,6 +178,33 @@ def test_least_core_matches_fraction_simplex_at_bench_sizes(monkeypatch):
         for result in (ours, theirs):
             assert max_excess(domain, result.imputation).max_excess == result.epsilon
     assert solves >= 3 * len(domains)
+
+
+@pytest.mark.parametrize("name", ["leastcore16", "leastcore96"])
+def test_least_core_rounds_build_no_fraction(monkeypatch, name):
+    # Under the cap and past it, the rounds run in ints: the solver builds no
+    # Fraction and no payoff is scaled. The result's Fractions are built
+    # after the last round, one for eps and one per distinct share, and are
+    # the pinned golden's.
+    def refused(*args):
+        raise AssertionError("a Fraction was built or scaled in a round")
+
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    domain = domain_from_dict(json.loads((DATA / f"{name}_domain.json").read_text()))
+    golden = json.loads((DATA / f"{name}.json").read_text())
+    monkeypatch.setattr(lp, "Fraction", refused)
+    monkeypatch.setattr(enumeration, "_scaled", refused)
+    monkeypatch.setattr(stability, "Fraction", counting)
+    result = least_core_value(domain)
+    assert str(result.epsilon) == golden["epsilon_min_rational"]
+    assert [str(v) for v in result.imputation] == [
+        row["value_rational"] for row in golden["imputation"]]
+    assert len(built) == 1 + len(set(result.imputation))
 
 
 def test_least_core_solves_one_program_a_round_with_its_cuts_second(monkeypatch):
