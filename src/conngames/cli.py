@@ -4,8 +4,9 @@ method is chosen, exact or Monte Carlo; how an exact answer is computed, by
 the closed forms of a unanimity game, from the win table or, for ``ecm`` and
 ``leastcore``, by the Steiner oracle, is the exact solvers' choice, and each
 report names it by the tag they return. The enumeration cap bounds the win
-table only; the oracle's work budget, and past the cap the size of the
-least core's program, are fixed.
+table only; past it a query has one fixed work budget, which ``ecm``
+spends on one search and ``leastcore`` on its rounds' searches and
+programs.
 
 Exit codes: 0 ok, 2 input or usage error, 3 resource cap exceeded,
 4 degenerate domain. The handlers raise on every refusal, and ``main`` alone
@@ -491,7 +492,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"agents allowed for the exact win table "
                         f"(default {powerindex.DEFAULT_ENUMERATION_CAP}, "
                         f"env {ENV_EXACT_CAP}); the Steiner oracle answers "
-                        f"past it within a fixed work budget")
+                        f"past it where one search fits the query's fixed "
+                        f"work budget")
     p.set_defaults(func=cmd_ecm)
 
     p = sub.add_parser("leastcore", help="least-core value and an optimal imputation")

@@ -59,29 +59,8 @@ class Coalition:
             mask |= 1 << i
         return cls(mask, n_agents)
 
-    @classmethod
-    def empty(cls, n_agents: int) -> "Coalition":
-        return cls(0, n_agents)
-
-    @classmethod
-    def grand(cls, n_agents: int) -> "Coalition":
-        return cls((1 << n_agents) - 1, n_agents)
-
     def members(self) -> tuple[int, ...]:
         return tuple(self)
-
-    def add(self, agent: int) -> "Coalition":
-        if not 0 <= agent < self.n_agents:
-            raise ValueError(f"agent index {agent} out of range")
-        return Coalition(self.mask | (1 << agent), self.n_agents)
-
-    def remove(self, agent: int) -> "Coalition":
-        if not 0 <= agent < self.n_agents:
-            raise ValueError(f"agent index {agent} out of range")
-        return Coalition(self.mask & ~(1 << agent), self.n_agents)
-
-    def union(self, other: "Coalition") -> "Coalition":
-        return Coalition(self.mask | other.mask, self.n_agents)
 
     def __contains__(self, agent: int) -> bool:
         return 0 <= agent < self.n_agents and bool(self.mask >> agent & 1)

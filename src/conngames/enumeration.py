@@ -12,8 +12,9 @@ past the enumeration cap before it is built. A solver that needs only
 least-paid winning coalitions (maximal excess, the least core's separation)
 may get ``_Steiner`` instead, a minimum node-weighted Steiner tree search
 over the primaries, where a deterministic estimate of one search's work is
-at most the table's 2^n - 1 coalitions, and past the cap where it fits the
-fixed ``STEINER_BUDGET``. Every form answers ``least_paid_winning`` for payoffs
+at most the table's 2^n - 1 coalitions, and past the cap where it fits
+``WORK_BUDGET``, the work one query may spend there, in the same unit: one
+win-table coalition. Every form answers ``least_paid_winning`` for payoffs
 of any sign, scaled to ints over one denominator (``_scaled``), the agents
 of N-, those paid below 0, taken as free: the least-paid winning coalition
 is m | N- for some minimal winning m, as every winning coalition holds such
@@ -407,8 +408,10 @@ class _Steiner:
         return total if total < unreached else None
 
 
-# Steiner work (``_Steiner.work``) allowed per separation past the enumeration cap.
-STEINER_BUDGET = 1 << 20
+# Past the enumeration cap, the work one query may spend, in units of
+# ``_Steiner.work``: one unit stands for one win-table coalition. At 500
+# agents in 4 primary regions one search is 2.3M units (about 10 ms).
+WORK_BUDGET = 1 << 26
 
 
 def _exact_game(domain: ConnectivityDomain, cap: int,
@@ -420,9 +423,11 @@ def _exact_game(domain: ConnectivityDomain, cap: int,
     coalitions (maximal excess, each round of the least core); any other
     needs the table's histograms. One rule plans every separating caller:
     it gets the Steiner oracle where one search's work is at most the
-    table's 2^n - 1 coalitions, and past ``cap`` agents where that work fits
-    ``STEINER_BUDGET``. Otherwise it is the win table, refused past ``cap``
-    (``CapExceededError``) before anything is built.
+    table's 2^n - 1 coalitions, and past ``cap`` agents where it fits
+    ``WORK_BUDGET``, the query's budget: maximal excess spends one search,
+    and the least core charges each round a search and its program
+    (``stability.least_core_value``). Otherwise it is the win table, refused
+    past ``cap`` (``CapExceededError``) before anything is built.
     """
     classification = classify(domain)
     n = domain.n_agents
@@ -430,7 +435,7 @@ def _exact_game(domain: ConnectivityDomain, cap: int,
         return _Unanimity(n, classification.veto_agents)
     if separates:
         steiner = _Steiner(domain)
-        if steiner.work <= (STEINER_BUDGET if n > cap else (1 << n) - 1):
+        if steiner.work <= (WORK_BUDGET if n > cap else (1 << n) - 1):
             return steiner
     _check_cap(n, cap)
     return _Table(domain)

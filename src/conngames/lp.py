@@ -24,9 +24,10 @@ coefficient is 1, divided by its gcd when an elimination scales it. Its basic
 variable's value is rhs / coefficient. The reduced costs are an integer row
 updated by the same elimination. Positive multiples keep every sign, and the
 ratio test compares by cross-multiplication, so the pivots are those of the
-rational tableau. At the optimum each value is reduced by one gcd, and the
-values are put over the lcm of their denominators: the ints that
-``enumeration._scaled`` would make of the Fractions, with no Fraction built.
+rational tableau. At the optimum each nonzero value is reduced by one gcd,
+and the values are put over the lcm of their denominators above 1: the ints
+that ``enumeration._scaled`` would make of the Fractions, with no Fraction
+built.
 """
 
 from __future__ import annotations
@@ -113,9 +114,9 @@ def solve_exact(n: int, cuts: Sequence[int], start: LPSolution | None = None) ->
         reduced = _eliminate(reduced, tableau[leaving], entering)
     values = [(0, 1)] * n  # (numerator, denominator) of each x_i, in lowest terms
     for row, b in zip(tableau, basis):
-        if b < n:
+        if b < n and row[-1]:
             g = math.gcd(row[-1], row[b])
             values[b] = row[-1] // g, row[b] // g
-    scale = math.lcm(*(d for _, d in values))
+    scale = math.lcm(*(d for _, d in values if d > 1))
     return LPSolution(scale, tuple(v * (scale // d) for v, d in values),
                       (tableau, basis, reduced))

@@ -15,8 +15,8 @@ payment. The domain's exact game (``enumeration._exact_game``) gives it by
 ``least_paid_winning``: from the veto set where it wins, at any size; else
 from the minimal winning coalitions read from the win table, behind the
 enumeration cap; or, where a cost estimate favours it, and past the cap
-within its budget, by a minimum node-weighted Steiner tree on the
-primaries, with N- free and no table. The losing candidate is N- itself
+within the query's work budget, by a minimum node-weighted Steiner tree on
+the primaries, with N- free and no table. The losing candidate is N- itself
 when N- loses, and there is none when it wins, in two steps: any losing L
 pays p(L) >= p(N-), a tie only for N- plus zero-paid agents, so no losing
 coalition has more excess than N-, nor as much with fewer members; and if
@@ -38,9 +38,9 @@ ints: the program's solution comes as x over one common denominator, which
 the separation takes as it is, and Fractions are built once, for the result.
 No cut is added twice, so the rounds are bounded by the number of minimal
 winning coalitions. Behind the enumeration cap that number bounds them;
-past it, where each search fits the oracle's budget, ``LEAST_CORE_BUDGET``
-bounds the restricted program's size, and so the rounds: a least core that
-needs more cuts is refused.
+past it the query's work does, in the unit of ``enumeration.WORK_BUDGET``:
+each round is charged its search's work and its program's tableau, and a
+least core that would spend more than the budget is refused.
 """
 
 from __future__ import annotations
@@ -63,12 +63,11 @@ EXACT_LP = "exact-lp"
 _TOL_INVERSE = 10 ** 9
 IMPUTATION_TOL = Fraction(1, _TOL_INVERSE)
 
-# Past the enumeration cap, the most coefficients, cuts times (n + 1), that
-# the least core's restricted program may hold; a program that needs more
-# is refused. It allows 334 cuts at 48 agents, 168 at 96 and 32 at 500. The
-# covering program holds n coefficients a cut; (n + 1), a cut of the eps
-# program it replaced, keeps every refusal where it was.
-LEAST_CORE_BUDGET = 1 << 14
+# Past the enumeration cap, the units of ``enumeration.WORK_BUDGET`` that one
+# entry of the least core's tableau, cuts x (n + cuts), is charged: on 48-500
+# agents (one Xeon core, CPython 3.11) a search unit took 1.4-21 ns and a
+# tableau entry 18-247 ns.
+ENTRY_WORK = 16
 
 
 _EXPONENT = re.compile(r"e([-+]?[\d_]+)\s*\Z", re.IGNORECASE)
@@ -254,10 +253,12 @@ def least_core_value(domain: ConnectivityDomain, *,
     are exact rationals. Where the veto set wins, eps is 0 and the imputation
     is the equal split over the veto agents, tagged ``tree-closed-form``.
     Past the enumeration ``cap`` a domain whose veto set loses is answered
-    only where the Steiner oracle's work fits its budget, and refused
-    (``CapExceededError``) otherwise, before any table is built; there a
-    least core that needs more than ``LEAST_CORE_BUDGET // (n + 1)`` cuts
-    is refused too, before the program that would hold them is solved.
+    only by the Steiner oracle, within one budget for the query,
+    ``enumeration.WORK_BUDGET``, and refused (``CapExceededError``)
+    otherwise, before any table is built. Each round is charged, before it
+    solves and searches, one search's ``work`` plus ``ENTRY_WORK`` for each
+    entry of its program's tableau, cuts x (n + cuts); the round that would
+    pass the budget is refused.
     Cuts are generated lazily: each round adds the least-paid winning
     coalition under x, which the exact game's ``least_paid_winning`` finds
     from the table's minimal winning coalitions, listed once, or by the
@@ -274,14 +275,18 @@ def least_core_value(domain: ConnectivityDomain, *,
     game = enumeration._exact_game(domain, cap, separates=True)
     if game.method == TREE_CLOSED_FORM:
         return LeastCoreResult(*game.least_core(), game.method)
-    cuts = LEAST_CORE_BUDGET // (n + 1) if n > cap else None
+    budget = enumeration.WORK_BUDGET if n > cap else None
+    spent = 0
     active = [(1 << n) - 1]
     solution = None
     while True:
-        if cuts is not None and len(active) > cuts:
-            raise CapExceededError(
-                f"instance too large for exact solver: the least core of {n} agents "
-                f"needs more than {cuts} cuts past the enumeration cap of {cap}", cap)
+        if budget is not None:
+            spent += game.work + ENTRY_WORK * len(active) * (n + len(active))
+            if spent > budget:
+                raise CapExceededError(
+                    f"instance too large for exact solver: the least core of {n} agents "
+                    f"needs more than {budget} units of work past the enumeration cap "
+                    f"of {cap}", cap)
         solution = lp.solve_exact(n, active, solution)
         mask, payment = game.least_paid_winning(solution.scaled)
         if payment >= solution.scale:

@@ -622,21 +622,65 @@ def test_leastcore_past_the_enumeration_cap_exits_before_any_table(files, capsys
                        f"exceeds the enumeration cap of {cap}\n")
 
 
-def test_leastcore_past_the_program_budget_exits3(files, capsys):
-    # 500 agents in 2 primary regions: each Steiner search fits its budget,
-    # but the least core needs more cuts than LEAST_CORE_BUDGET lets its
-    # program hold, so it is refused after 32 rounds; ecm is answered.
-    domain = oracles.connected_graph_domain(random.Random(6), 500, n_edges=6312,
-                                            n_primary=2)
-    path = write_json(files["tmp"] / "graph500.json", domain_to_dict(domain))
-    code, out, err = run(capsys, ["leastcore", path])
+def test_leastcore_past_the_program_budget_exits3(files, capsys, monkeypatch):
+    # 500 agents in 4 primary regions: one Steiner search fits the query's
+    # work budget, so ecm is answered, but the least core's rounds would
+    # pass it, so leastcore is refused, and no table is built.
+    domain = str(DATA / "ecm500_domain.json")
+
+    def unbounded(domain):
+        raise AssertionError("a 2^500 win table was requested")
+
+    monkeypatch.setattr(enumeration, "win_table", unbounded)
+    code, out, err = run(capsys, ["leastcore", domain])
     assert (code, out) == (3, "")
     assert err == ("error: instance too large for exact solver: the least core of "
-                   "500 agents needs more than 32 cuts past the enumeration cap of 24\n")
-    ppath = write_json(files["tmp"] / "pay.json", {"imputation": ["1/500"] * 500})
-    code, out, err = run(capsys, ["ecm", path, ppath, "--epsilon", "0.5"])
+                   "500 agents needs more than 67108864 units of work past the "
+                   "enumeration cap of 24\n")
+    code, out, err = run(capsys, ["ecm", domain, str(DATA / "ecm500_imputation.json"),
+                                  "--epsilon", "0.75", "--format", "json"])
     assert (code, err) == (0, "")
-    assert "method: exact-steiner" in out
+    assert out == (DATA / "ecm500.json").read_text()
+
+
+def test_a_small_work_budget_refuses_before_the_search_or_solve_past_it(capsys, monkeypatch):
+    # steiner48: one search is 17253 units of work. A budget one unit short
+    # of it refuses ecm and leastcore before any search; one unit short of
+    # the least core's third round refuses leastcore before its third solve
+    # and search, while ecm, one search, is answered.
+    domain = str(DATA / "steiner48_domain.json")
+    ecm_argv = ["ecm", domain, str(DATA / "steiner48_imputation.json"), "--epsilon", "0.75",
+                "--format", "json"]
+    work = enumeration._Steiner(domain_from_dict(json.loads(Path(domain).read_text()))).work
+    assert work == 17253
+    calls = []
+    search, solve = enumeration._Steiner.least_paid_winning, stability.lp.solve_exact
+
+    def searching(self, scaled):
+        calls.append("search")
+        return search(self, scaled)
+
+    def solving(n, cuts, start):
+        calls.append("solve")
+        return solve(n, cuts, start)
+
+    monkeypatch.setattr(enumeration._Steiner, "least_paid_winning", searching)
+    monkeypatch.setattr(stability.lp, "solve_exact", solving)
+    monkeypatch.setattr(enumeration, "WORK_BUDGET", work - 1)
+    over_cap = ("error: instance too large for exact solver: 48 agents exceeds "
+                "the enumeration cap of 24\n")
+    assert run(capsys, ecm_argv) == (3, "", over_cap)
+    assert run(capsys, ["leastcore", domain]) == (3, "", over_cap)
+    assert calls == []
+    budget = sum(work + stability.ENTRY_WORK * cuts * (48 + cuts) for cuts in (1, 2, 3)) - 1
+    monkeypatch.setattr(enumeration, "WORK_BUDGET", budget)
+    assert run(capsys, ecm_argv) == (0, (DATA / "ecm48.json").read_text(), "")
+    assert calls == ["search"]
+    calls.clear()
+    assert run(capsys, ["leastcore", domain]) == (3, "", (
+        f"error: instance too large for exact solver: the least core of 48 agents "
+        f"needs more than {budget} units of work past the enumeration cap of 24\n"))
+    assert calls == ["solve", "search"] * 2
 
 
 def test_leastcore_past_the_enumeration_cap_answers_without_a_table(files, capsys,

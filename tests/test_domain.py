@@ -89,7 +89,7 @@ def test_solvers_reject_invalid_domain():
 def test_coalition_value_path3():
     domain = oracles.path3()
     assert coalition_value(domain, Coalition.from_members([0], 1)) == 1
-    assert coalition_value(domain, Coalition.empty(1)) == 0
+    assert coalition_value(domain, Coalition(0, 1)) == 0
 
 
 def test_coalition_value_cycle4_single_agent():
@@ -119,13 +119,7 @@ def test_is_critical_rejects_nonmember():
 @pytest.mark.parametrize("agent", [-1, 2])
 def test_is_critical_rejects_out_of_range_agent(agent):
     with pytest.raises(ValueError, match="out of range"):
-        is_critical(oracles.cycle4(), agent, Coalition.grand(2))
-
-
-@pytest.mark.parametrize("agent", [-1, 2])
-def test_coalition_remove_rejects_out_of_range_agent(agent):
-    with pytest.raises(ValueError, match="out of range"):
-        Coalition.grand(2).remove(agent)
+        is_critical(oracles.cycle4(), agent, Coalition(0b11, 2))
 
 
 def test_classify_single_primary_all_win():

@@ -528,7 +528,7 @@ def test_max_excess_on_all_win_domain_empty_coalition():
 
 
 def test_max_excess_cap():
-    # Past the cap and the Steiner budget, refused before the payoffs are checked.
+    # Past the cap and the work budget, refused before the payoffs are checked.
     with pytest.raises(CapExceededError):
         max_excess(oracles.many_primaries_domain(), [HALF, HALF], cap=1)
 
@@ -548,25 +548,28 @@ def test_max_excess_past_the_cap_within_the_steiner_budget():
 
 
 def test_max_excess_past_the_cap_counts_the_width_of_the_weights(monkeypatch):
-    # Two primaries joined by two agent paths: the oracle answers 200 agents,
-    # whose least-paid winning coalition is the path of smaller masks, and
-    # refuses 3000 before it searches or a table is built, as each of its
-    # node weights is a 47-word integer; 9 (V + E) alone fits the budget.
-    small = oracles.ladder_domain(100)
-    report = max_excess(small, [Fraction(1, 200)] * 200)
-    assert (report.max_excess, report.witness.members(), report.method) == \
-        (HALF, tuple(range(100)), "exact-steiner")
-    wide = oracles.ladder_domain(1500)
-    assert 9 * (wide.vertex_count + len(wide.edges)) <= enumeration.STEINER_BUDGET
+    # Two primaries joined by two agent paths: the oracle answers 200 and
+    # 3000 agents, whose least-paid winning coalition is the path of smaller
+    # masks, and refuses 16000 before it searches or a table is built, as
+    # each of its node weights is a 251-word integer; 9 (V + E) alone fits
+    # the budget.
+    for length in (100, 1500):
+        n = 2 * length
+        report = max_excess(oracles.ladder_domain(length), [Fraction(1, n)] * n)
+        assert (report.max_excess, report.witness.members(), report.method) == \
+            (HALF, tuple(range(length)), "exact-steiner")
+    wide = oracles.ladder_domain(8000)
+    assert 9 * (wide.vertex_count + len(wide.edges)) <= enumeration.WORK_BUDGET \
+        < enumeration._Steiner(wide).work
 
     def unbounded(*args):
-        raise AssertionError("a 2^3000 win table or a Steiner search was requested")
+        raise AssertionError("a 2^16000 win table or a Steiner search was requested")
 
     monkeypatch.setattr(enumeration, "win_table", unbounded)
     monkeypatch.setattr(enumeration._Steiner, "_lightest_tree", unbounded)
     with pytest.raises(CapExceededError) as exc:
-        max_excess(wide, [Fraction(1, 3000)] * 3000)
-    assert str(exc.value) == ("instance too large for exact solver: 3000 agents "
+        max_excess(wide, [Fraction(1, 16000)] * 16000)
+    assert str(exc.value) == ("instance too large for exact solver: 16000 agents "
                               "exceeds the enumeration cap of 24")
 
 
@@ -762,6 +765,19 @@ def test_least_core_past_the_cap_within_the_steiner_budget():
     assert least_core_value(oracles.cycle4(), cap=1) == least_core_value(oracles.cycle4())
 
 
+def test_least_core_under_the_cap_spends_no_work_budget(monkeypatch):
+    # The work budget holds past the cap only: under it the Steiner oracle
+    # separates with no round limit, so a zero budget changes nothing. Past
+    # the cap the same least core is refused before any round.
+    domain = domain_from_dict(json.loads((DATA / "steiner48_domain.json").read_text()))
+    monkeypatch.setattr(enumeration, "WORK_BUDGET", 0)
+    assert type(enumeration._exact_game(domain, 48, separates=True)).__name__ == "_Steiner"
+    result = least_core_value(domain, cap=48)
+    assert (result.epsilon, result.method) == (Fraction(5, 6), "exact-lp")
+    with pytest.raises(CapExceededError):
+        least_core_value(domain)
+
+
 def test_least_core_witness_is_feasible_and_optimal(corpus):
     for name, domain in corpus:
         if domain.n_agents > 10:
@@ -813,7 +829,7 @@ def test_least_core_matches_table_scan(domain):
 
 
 def test_least_core_refuses_past_the_enumeration_cap_before_any_table(monkeypatch):
-    # Past the cap and the Steiner budget: refused before a 2^30 table is
+    # Past the cap and the work budget: refused before a 2^30 table is
     # allocated or the oracle searches.
     domain = oracles.many_primaries_domain()
 
@@ -859,37 +875,46 @@ def _least_core_programs(domain, form):
     return result.epsilon, result.imputation, result.method, programs
 
 
-def _sparse_graph_of_500_agents():
-    """500 agents, 2 primary regions and 6312 edges: a least core past the
-    cap that needs more than the 32 cuts its program may hold."""
-    return oracles.connected_graph_domain(random.Random(6), 500, n_edges=6312, n_primary=2)
-
-
 def test_least_core_past_the_cap_refuses_a_program_past_its_budget(monkeypatch):
-    # Each Steiner search fits its budget, but the rounds do not: the 33rd
-    # cut would put 33 * 501 coefficients in the program, past
-    # LEAST_CORE_BUDGET, so 32 programs are solved, and no table is built.
-    domain = _sparse_graph_of_500_agents()
-    assert not classify(domain).veto_wins
-    programs = []
+    # 500 agents in 4 primary regions (the ``ecm500`` golden): one search
+    # fits the query's budget, but the least core's rounds do not. Each is
+    # charged its search's work and ENTRY_WORK a tableau entry; 27 rounds
+    # fit and the 28th would pass the budget, so 27 programs are solved and
+    # searched, and no table is built. 500 agents in 2 primary regions fit:
+    # 49 rounds, 34.5M units.
+    domain = domain_from_dict(json.loads((DATA / "ecm500_domain.json").read_text()))
+    work = enumeration._Steiner(domain).work
+    charges = [work + stability.ENTRY_WORK * cuts * (500 + cuts) for cuts in range(1, 29)]
+    assert sum(charges[:27]) <= enumeration.WORK_BUDGET < sum(charges)
+    programs, searches = [], []
+    search = enumeration._Steiner.least_paid_winning
 
     def recording(n, cuts, start):
         programs.append(len(cuts))
         return solve_exact(n, cuts, start)
 
+    def counting(self, scaled):
+        searches.append(len(programs))
+        return search(self, scaled)
+
     def unbounded(domain):
         raise AssertionError("a 2^500 win table was requested")
 
     monkeypatch.setattr(lp, "solve_exact", recording)
+    monkeypatch.setattr(enumeration._Steiner, "least_paid_winning", counting)
     monkeypatch.setattr(enumeration, "win_table", unbounded)
     with pytest.raises(CapExceededError) as exc:
         least_core_value(domain)
     assert exc.value.cap == 24
     assert str(exc.value) == ("instance too large for exact solver: the least core of "
-                              "500 agents needs more than 32 cuts past the enumeration "
-                              "cap of 24")
-    assert programs == list(range(1, 33))
-    assert stability.LEAST_CORE_BUDGET // 501 == 32
+                              "500 agents needs more than 67108864 units of work past "
+                              "the enumeration cap of 24")
+    assert programs == searches == list(range(1, 28))
+    programs.clear()
+    two_regions = oracles.connected_graph_domain(random.Random(6), 500, n_edges=6312,
+                                                 n_primary=2)
+    assert least_core_value(two_regions).epsilon == Fraction(21, 22)
+    assert len(programs) == 49
 
 
 def test_least_core_through_either_form_solves_the_same_programs():
