@@ -23,6 +23,10 @@ No form lists losing coalitions, as maximal excess needs only one: any
 losing L pays p(L) >= p(N-), a tie only for N- plus zero-paid agents, so the
 losing candidate is N- if N- loses; if N- wins, the least-paid winning
 coalition's excess is at least 1 - p(N-), above that of every losing one.
+The oracle's contraction, one node per agent and per region of primary and
+backbone vertices, is built once per domain (``_steiner``). With two
+terminal regions its ``least_cut`` max-flow gives a minimum agent cut
+between them, which is the least core's answer, with no search.
 
 numpy is imported on first use, by the table and its reductions only.
 
@@ -292,7 +296,8 @@ class _Steiner:
     ``work`` = 3^k (V + E) (n // 64 + 1), with the domain's vertex and edge
     counts and the 64-bit words of 2^n, estimates it before the contracted
     edges are built, on the first search, and before the payoffs, whose
-    digits widen the weights further, are known.
+    digits widen the weights further, are known. It keeps the domain's edge
+    list, not the domain, which memoizes it (``_steiner``).
 
     The agents of N-, paid below 0, are free: their nodes weigh 0, as do
     the regions'. Any other agent i's node weighs
@@ -307,7 +312,7 @@ class _Steiner:
     method = EXACT_STEINER
 
     def __init__(self, domain: ConnectivityDomain):
-        self.domain, self.n = domain, domain.n_agents
+        self.n, self._edges = domain.n_agents, domain.edges
         adjacency = domain._adjacency
         node = [-1] * domain.vertex_count  # agent i is node i, regions follow
         for i, v in enumerate(domain.standard):
@@ -333,7 +338,7 @@ class _Steiner:
         """The contracted graph's adjacency lists."""
         node = self._node
         nbrs: list[set[int]] = [set() for _ in range(self._nodes)]
-        for u, v in self.domain.edges:
+        for u, v in self._edges:
             if node[u] != node[v]:
                 nbrs[node[u]].add(node[v])
                 nbrs[node[v]].add(node[u])
@@ -407,11 +412,66 @@ class _Steiner:
         total = best[full][root]
         return total if total < unreached else None
 
+    def least_cut(self) -> int:
+        """Mask of a minimum agent cut between two terminals: the one nearest
+        the first, whose size is the largest number of agent-disjoint paths
+        between them (Menger 1927).
+
+        One max-flow: agent i is an in-node i and an out-node nodes + i,
+        joined by an arc of capacity 1; a region is one node of both sides;
+        each contracted edge is an arc from either end's out-side to the
+        other's in-side, of capacity n + 1, more than any flow. Flow is
+        pushed along BFS augmenting paths, each arc beside its residual twin
+        (index ^ 1), so at most min(deg source, deg sink) + 1 passes over
+        V + E. The cut is the agents whose in-node the last pass reaches and
+        whose out-node it does not.
+        """
+        n, nodes = self.n, self._nodes
+        source, sink = self.terminals
+        edges = [(i, nodes + i, 1) for i in range(n)]
+        edges += [(nodes + v if v < n else v, u, n + 1)
+                  for v, us in enumerate(self._nbrs) for u in us]
+        heads: list[int] = []
+        caps: list[int] = []
+        arcs: list[list[int]] = [[] for _ in range(nodes + n)]
+        for a, b, cap in edges:
+            arcs[a].append(len(heads))
+            arcs[b].append(len(heads) + 1)
+            heads += b, a
+            caps += cap, 0
+        while True:
+            reached = [-1] * (nodes + n)  # the arc each node was reached by
+            reached[source] = len(heads)
+            queue = [source]
+            for a in queue:
+                for e in arcs[a]:
+                    if caps[e] and reached[heads[e]] < 0:
+                        reached[heads[e]] = e
+                        queue.append(heads[e])
+                if reached[sink] >= 0:
+                    break
+            else:
+                return sum(1 << i for i in range(n) if reached[i] >= 0 > reached[nodes + i])
+            b = sink
+            while b != source:
+                e = reached[b]
+                caps[e] -= 1
+                caps[e ^ 1] += 1
+                b = heads[e ^ 1]
+
 
 # Past the enumeration cap, the work one query may spend, in units of
 # ``_Steiner.work``: one unit stands for one win-table coalition. At 500
 # agents in 4 primary regions one search is 2.3M units (about 10 ms).
 WORK_BUDGET = 1 << 26
+
+
+def _steiner(domain: ConnectivityDomain) -> _Steiner:
+    """The domain's ``_Steiner`` form, its contraction built once per domain."""
+    cached = domain.__dict__.get("_steiner_cache")
+    if cached is None:
+        cached = domain.__dict__["_steiner_cache"] = _Steiner(domain)
+    return cached
 
 
 def _exact_game(domain: ConnectivityDomain, cap: int,
@@ -425,16 +485,16 @@ def _exact_game(domain: ConnectivityDomain, cap: int,
     it gets the Steiner oracle where one search's work is at most the
     table's 2^n - 1 coalitions, and past ``cap`` agents where it fits
     ``WORK_BUDGET``, the query's budget: maximal excess spends one search,
-    and the least core charges each round a search and its program
-    (``stability.least_core_value``). Otherwise it is the win table, refused
-    past ``cap`` (``CapExceededError``) before anything is built.
+    and the least core's rounds charge each a search and its program
+    (``stability._least_core_by_rounds``). Otherwise it is the win table,
+    refused past ``cap`` (``CapExceededError``) before anything is built.
     """
     classification = classify(domain)
     n = domain.n_agents
     if classification.veto_wins:
         return _Unanimity(n, classification.veto_agents)
     if separates:
-        steiner = _Steiner(domain)
+        steiner = _steiner(domain)
         if steiner.work <= (WORK_BUDGET if n > cap else (1 << n) - 1):
             return steiner
     _check_cap(n, cap)

@@ -29,9 +29,14 @@ over the veto agents. Otherwise it solves  min eps  s.t.  p(C) >= v(C) - eps
 over nonempty coalitions, exactly, as the covering program  tau = min sum(x)
 s.t.  x(W) >= 1  over winning W, x >= 0: with x = p / (1 - eps), eps =
 1 - 1/tau and p = x / tau (tau - 1 is the cost of stability, Bachrach et al.
-2009). Its cuts are generated lazily. Each round's separation asks the exact
-game for the least-paid winning coalition under x, which is minimal
-(Maschler, Peleg & Shapley 1979): the table lists the minimal winning
+2009). Where the primaries lie in two always-usable regions, a coalition
+wins iff it holds a path between them, so tau is kappa, the largest number
+of agent-disjoint paths (Menger 1927), and x = 1 on a minimum agent cut is
+optimal: one max-flow on the Steiner oracle's contraction answers, at any
+size, with no program, round, table or budget. Otherwise its cuts are
+generated lazily. Each round's separation asks the exact game for the
+least-paid winning coalition under x, which is minimal (Maschler, Peleg &
+Shapley 1979): the table lists the minimal winning
 coalitions once and scores them exactly in Python integers, or the Steiner
 oracle searches, planned by the rule maximal excess takes. The rounds run in
 ints: the program's solution comes as x over one common denominator, which
@@ -53,7 +58,7 @@ from typing import Sequence
 
 from . import enumeration, lp
 from .domain import Coalition, ConnectivityDomain, classify
-from .enumeration import DEFAULT_ENUMERATION_CAP, TREE_CLOSED_FORM
+from .enumeration import DEFAULT_ENUMERATION_CAP
 from .errors import CapExceededError, DegenerateDomainError
 
 EXACT_LP = "exact-lp"
@@ -252,29 +257,52 @@ def least_core_value(domain: ConnectivityDomain, *,
     Deviating coalitions are the nonempty ones. Both eps and the imputation
     are exact rationals. Where the veto set wins, eps is 0 and the imputation
     is the equal split over the veto agents, tagged ``tree-closed-form``.
-    Past the enumeration ``cap`` a domain whose veto set loses is answered
-    only by the Steiner oracle, within one budget for the query,
-    ``enumeration.WORK_BUDGET``, and refused (``CapExceededError``)
-    otherwise, before any table is built. Each round is charged, before it
-    solves and searches, one search's ``work`` plus ``ENTRY_WORK`` for each
-    entry of its program's tableau, cuts x (n + cuts); the round that would
-    pass the budget is refused.
-    Cuts are generated lazily: each round adds the least-paid winning
-    coalition under x, which the exact game's ``least_paid_winning`` finds
-    from the table's minimal winning coalitions, listed once, or by the
-    Steiner oracle, and ``lp.solve_exact`` solves each restricted covering
-    program  min sum(x)  s.t.  x(W) >= 1, x >= 0, until every winning
-    coalition is paid at least 1; then eps = 1 - 1/tau and the imputation is
-    x / tau, for tau = sum(x). Each round's solve starts from the last
-    round's solution and appends only the new cut to its optimal basis. The
-    rounds score x in ints, as the solver scales it; eps and the imputation
-    become Fractions once, after the last round. Refuses degenerate domains.
+    Otherwise, where the primaries lie in two regions of the Steiner
+    oracle's contraction, a coalition wins iff it holds a path between them,
+    so the covering program's tau is kappa, the largest number of
+    agent-disjoint paths (Menger), and 1/kappa on each agent of a minimum
+    cut is optimal: eps = 1 - 1/kappa. One max-flow
+    (``enumeration._Steiner.least_cut``) answers, at any size, with no
+    program, round or table, tagged ``exact-maxflow``; its cut is the one
+    nearest the first primary's region. Its cost is polynomial, at most
+    min(deg source, deg sink) + 1 BFS passes over V + E, so it is charged
+    nothing to ``enumeration.WORK_BUDGET``. Any other least core takes the
+    rounds of ``_least_core_by_rounds``. Refuses degenerate domains.
     """
     _refuse_degenerate(domain, "least-core")
-    n = domain.n_agents
-    game = enumeration._exact_game(domain, cap, separates=True)
-    if game.method == TREE_CLOSED_FORM:
+    if classify(domain).veto_wins:
+        game = enumeration._exact_game(domain, cap)
         return LeastCoreResult(*game.least_core(), game.method)
+    steiner = enumeration._steiner(domain)
+    if len(steiner.terminals) == 2:
+        cut = steiner.least_cut()
+        return _least_core_result(domain, 1, [cut >> i & 1 for i in range(domain.n_agents)],
+                                  "exact-maxflow")
+    return _least_core_by_rounds(domain, enumeration._exact_game(domain, cap, separates=True),
+                                 cap)
+
+
+def _least_core_by_rounds(domain: ConnectivityDomain, game, cap: int) -> LeastCoreResult:
+    """The least core by lazily generated cuts, separated by ``game``.
+
+    Past the enumeration ``cap`` a domain is answered only by the Steiner
+    oracle, within one budget for the query, ``enumeration.WORK_BUDGET``,
+    and refused (``CapExceededError``) otherwise, before any table is built.
+    Each round is charged, before it solves and searches, one search's
+    ``work`` plus ``ENTRY_WORK`` for each entry of its program's tableau,
+    cuts x (n + cuts); the round that would pass the budget is refused.
+    Each round adds the least-paid winning coalition under x, which the
+    exact game's ``least_paid_winning`` finds from the table's minimal
+    winning coalitions, listed once, or by the Steiner oracle, and
+    ``lp.solve_exact`` solves each restricted covering program
+    min sum(x)  s.t.  x(W) >= 1, x >= 0, until every winning coalition is
+    paid at least 1; then eps = 1 - 1/tau and the imputation is x / tau, for
+    tau = sum(x). Each round's solve starts from the last round's solution
+    and appends only the new cut to its optimal basis. The rounds score x in
+    ints, as the solver scales it; eps and the imputation become Fractions
+    once, after the last round.
+    """
+    n = domain.n_agents
     budget = enumeration.WORK_BUDGET if n > cap else None
     spent = 0
     active = [(1 << n) - 1]
@@ -294,12 +322,20 @@ def least_core_value(domain: ConnectivityDomain, *,
         if mask in active:  # a cut the program already holds: no progress
             raise RuntimeError("least-core constraint generation failed to converge")
         active.append(mask)
-    # With x = scaled / scale and total = sum(scaled), tau = total / scale,
-    # so eps = 1 - 1/tau = (total - scale) / total and p = x / tau = scaled / total.
-    total = sum(solution.scaled)
-    eps_star = Fraction(total - solution.scale, total)
+    return _least_core_result(domain, solution.scale, solution.scaled, EXACT_LP)
+
+
+def _least_core_result(domain: ConnectivityDomain, scale: int, scaled: Sequence[int],
+                       method: str) -> LeastCoreResult:
+    """eps = 1 - 1/tau and the imputation x / tau for the optimal covering
+    x = scaled / scale, checked against the veto agents: eps = 0 iff one
+    exists."""
+    # With tau = total / scale for total = sum(scaled), eps = 1 - 1/tau =
+    # (total - scale) / total and p = x / tau = scaled / total.
+    total = sum(scaled)
+    eps_star = Fraction(total - scale, total)
     if (eps_star == 0) == (not classify(domain).veto_agents):
         raise RuntimeError("least-core solution inconsistent with the veto-player analysis")
     # One object per distinct share, which cli._converted converts once.
-    shares = {v: Fraction(v, total) for v in set(solution.scaled)}
-    return LeastCoreResult(eps_star, tuple(map(shares.__getitem__, solution.scaled)), EXACT_LP)
+    shares = {v: Fraction(v, total) for v in set(scaled)}
+    return LeastCoreResult(eps_star, tuple(map(shares.__getitem__, scaled)), method)

@@ -575,7 +575,8 @@ def test_leastcore_cycle(files, capsys):
     assert code == 0
     report = json.loads(out)
     assert report["epsilon_min_rational"] == "1/2"
-    assert report["method"] == "exact-lp"
+    # Its two primaries are two regions: two agent-disjoint paths, one max-flow.
+    assert report["method"] == "exact-maxflow"
 
 
 def test_leastcore_degenerate_exit4(files, capsys):
@@ -597,7 +598,7 @@ def test_leastcore_over_cap_within_the_steiner_budget_answers_exactly(files, cap
     code, out, err = run(capsys, ["leastcore", files["cycle4"], "--format", "json"])
     assert (code, err) == (0, "")
     report = json.loads(out)
-    assert (report["method"], report["epsilon_min_rational"]) == ("exact-lp", "1/2")
+    assert (report["method"], report["epsilon_min_rational"]) == ("exact-maxflow", "1/2")
 
 
 def test_leastcore_past_the_enumeration_cap_exits_before_any_table(files, capsys,
@@ -1009,8 +1010,8 @@ def test_leastcore_16_agent_optimal_vertex_is_pinned(capsys):
 
 
 def test_leastcore_20_agent_output_is_pinned(capsys):
-    # A 20-agent non-tree graph past the old least-core LP cap of 16; its 24
-    # minimal winning coalitions bound the rounds, the enumeration cap the table.
+    # A 20-agent non-tree graph past the old least-core LP cap of 16, whose
+    # primaries lie in two regions: one max-flow answers, with no rounds.
     code, out, err = run(capsys, ["leastcore", str(DATA / "leastcore20_domain.json"),
                                   "--format", "json"])
     assert (code, err) == (0, "")
@@ -1051,6 +1052,22 @@ def test_leastcore_96_agent_output_past_the_cap_is_pinned(capsys, monkeypatch):
     assert (code, err) == (0, "")
     assert out.encode() == (DATA / "leastcore96.json").read_bytes()
     assert rounds == list(range(1, 72))
+
+
+def test_leastcore_500_agent_two_region_output_is_pinned(capsys, monkeypatch):
+    # 500 agents (6312 edges) whose two primaries are two regions: one
+    # max-flow answers past the enumeration cap, eps = 21/22 with 1/22 on
+    # each agent of a 22-agent cut, with no program, search or table.
+    def refused(*args):
+        raise AssertionError("a program, a Steiner search or a win table was requested")
+
+    monkeypatch.setattr(stability.lp, "solve_exact", refused)
+    monkeypatch.setattr(enumeration._Steiner, "least_paid_winning", refused)
+    monkeypatch.setattr(enumeration, "win_table", refused)
+    code, out, err = run(capsys, ["leastcore", str(DATA / "leastcore500_domain.json"),
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "leastcore500.json").read_bytes()
 
 
 def test_ecm_17_agent_output_is_pinned(capsys):

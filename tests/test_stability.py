@@ -147,7 +147,8 @@ def test_lp_matches_fraction_simplex_on_least_core_lps(corpus, monkeypatch):
 def test_least_core_matches_fraction_simplex_at_bench_sizes(monkeypatch):
     # Twelve graphs of 10-16 agents at the density of the leastcore bench
     # workload (a quarter of all vertex pairs are edges), whose veto set
-    # loses: the least core by the integer dual simplex has the eps of the
+    # loses and whose primaries lie in three or more regions, so the rounds
+    # answer: the least core by the integer dual simplex has the eps of the
     # one whose programs the Fraction tableau solves. The two may end at
     # different optimal vertices, so each imputation's maximal excess is
     # checked to be that eps.
@@ -157,7 +158,7 @@ def test_least_core_matches_fraction_simplex_at_bench_sizes(monkeypatch):
         n = 10 + len(domains) * 6 // 11
         domain = oracles.connected_graph_domain(rng, n, (n + 5) * (n + 4) // 8)
         c = classify(domain)
-        if not (c.degenerate or c.veto_wins):
+        if not (c.degenerate or c.veto_wins or len(enumeration._steiner(domain).terminals) == 2):
             domains.append(domain)
 
     def least_cores(solver):
@@ -211,8 +212,10 @@ def test_least_core_solves_one_program_a_round_with_its_cuts_second(monkeypatch)
     # bench/tracing.py counts a least core's rounds as its lp.solve_exact
     # calls and reads a program's rows from the call's second positional
     # argument: each round solves once, on the last round's cuts plus one,
-    # starting from the solution the last round returned.
-    domain = oracles.connected_graph_domain(random.Random(16), 16, n_edges=40)
+    # starting from the solution the last round returned. The graph's
+    # primaries lie in four regions, so the rounds answer.
+    domain = oracles.connected_graph_domain(random.Random(14), 16, n_edges=40)
+    assert len(enumeration._steiner(domain).terminals) == 4
     calls = []
 
     def recording(*args, **kwargs):
@@ -860,8 +863,9 @@ def test_least_core_past_the_enumeration_cap_builds_no_table(monkeypatch):
 
 
 def _least_core_programs(domain, form):
-    """The least core through ``form``, with the active coalitions of every
-    restricted program it solved."""
+    """The least core by the rounds separated through ``form``, whatever the
+    domain's regions, with the active coalitions of every restricted
+    program it solved."""
     programs = []
 
     def recording(n, cuts, start):
@@ -870,8 +874,8 @@ def _least_core_programs(domain, form):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(lp, "solve_exact", recording)
-        mp.setattr(enumeration, "_exact_game", _forcing(form))
-        result = least_core_value(domain)
+        result = stability._least_core_by_rounds(domain, form(domain),
+                                                 enumeration.DEFAULT_ENUMERATION_CAP)
     return result.epsilon, result.imputation, result.method, programs
 
 
@@ -880,8 +884,9 @@ def test_least_core_past_the_cap_refuses_a_program_past_its_budget(monkeypatch):
     # fits the query's budget, but the least core's rounds do not. Each is
     # charged its search's work and ENTRY_WORK a tableau entry; 27 rounds
     # fit and the 28th would pass the budget, so 27 programs are solved and
-    # searched, and no table is built. 500 agents in 2 primary regions fit:
-    # 49 rounds, 34.5M units.
+    # searched, and no table is built. 500 agents in 2 primary regions (the
+    # ``leastcore500`` golden) are answered by one max-flow, charged nothing:
+    # no program and no search.
     domain = domain_from_dict(json.loads((DATA / "ecm500_domain.json").read_text()))
     work = enumeration._Steiner(domain).work
     charges = [work + stability.ENTRY_WORK * cuts * (500 + cuts) for cuts in range(1, 29)]
@@ -911,10 +916,12 @@ def test_least_core_past_the_cap_refuses_a_program_past_its_budget(monkeypatch):
                               "the enumeration cap of 24")
     assert programs == searches == list(range(1, 28))
     programs.clear()
+    searches.clear()
     two_regions = oracles.connected_graph_domain(random.Random(6), 500, n_edges=6312,
                                                  n_primary=2)
-    assert least_core_value(two_regions).epsilon == Fraction(21, 22)
-    assert len(programs) == 49
+    result = least_core_value(two_regions)
+    assert (result.epsilon, result.method) == (Fraction(21, 22), "exact-maxflow")
+    assert programs == searches == []
 
 
 def test_least_core_through_either_form_solves_the_same_programs():
@@ -940,8 +947,8 @@ def test_least_core_through_either_form_solves_the_same_programs():
 def test_least_core_through_either_form_solves_the_same_programs_on_drawn_domains(domain):
     # Both forms give the least (payment, size, mask) winning coalition, so
     # whichever the planner picks, the least core solves the same programs
-    # and gives the same eps, imputation and method tag. Forced forms run
-    # the programs where the veto set wins too, to eps = 0.
+    # and gives the same eps, imputation and method tag. The rounds run
+    # where the veto set wins too, to eps = 0, and on two regions.
     assume(not classify(domain).degenerate)
     assert _least_core_programs(domain, enumeration._Steiner) == \
         _least_core_programs(domain, enumeration._Table)
@@ -992,7 +999,7 @@ def test_least_core_with_two_primary_regions_is_one_minus_inverse_cut():
         kappa = oracles.min_agent_cut(domain)
         result = least_core_value(domain)
         unanimity = oracles.reference_value(domain, oracles.essential_by_removal(domain))
-        assert result.method == ("tree-closed-form" if unanimity else "exact-lp")
+        assert result.method == ("tree-closed-form" if unanimity else "exact-maxflow")
         assert result.epsilon == 1 - Fraction(1, kappa), (n, kappa)
         cuts[(n > 12) + (n > 16)].add(kappa)
     assert all(len(kappas) >= 3 for kappas in cuts.values())
@@ -1009,18 +1016,73 @@ def test_least_core_past_the_cap_with_two_primary_regions_is_one_minus_inverse_c
         result = least_core_value(domain)
         assert result.epsilon == 1 - Fraction(1, kappa), (n, kappa)
         unanimity = oracles.reference_value(domain, oracles.essential_by_removal(domain))
-        assert result.method == ("tree-closed-form" if unanimity else "exact-lp")
+        assert result.method == ("tree-closed-form" if unanimity else "exact-maxflow")
         kappas.add(kappa)
     assert len(kappas) >= 3
 
 
+def _assert_flow_least_core(domain, epsilon):
+    # The max-flow's least core has the reference eps, and pays 1/kappa to
+    # each agent of a minimum cut: the cut's size is the oracle's kappa, and
+    # everyone else, N minus the cut, loses.
+    result = least_core_value(domain)
+    assert (result.epsilon, result.method) == (epsilon, "exact-maxflow")
+    cut = [i for i, share in enumerate(result.imputation) if share]
+    kappa = oracles.min_agent_cut(domain)
+    assert len(cut) == kappa and set(result.imputation) <= {0, Fraction(1, kappa)}
+    assert oracles.reference_value(domain, set(range(domain.n_agents)) - set(cut)) == 0
+    assert max_excess(domain, result.imputation).max_excess == epsilon
+
+
+@st.composite
+def _two_region_domains(draw, max_agents):
+    """``oracles.two_region_domain`` draws whose veto set loses."""
+    n = draw(st.integers(1, max_agents))
+    domain = oracles.two_region_domain(random.Random(draw(st.integers(0, 2 ** 32))), n)
+    assume(not classify(domain).veto_wins)
+    return domain
+
+
+@settings(max_examples=120, deadline=None)
+@given(domain=_two_region_domains(16), form=st.sampled_from(["_Steiner", "_Table"]))
+def test_least_core_by_max_flow_matches_the_rounds(domain, form):
+    # Up to 16 agents, the rounds separated by either form give the same
+    # eps as the max-flow.
+    rounds = stability._least_core_by_rounds(domain, getattr(enumeration, form)(domain),
+                                             enumeration.DEFAULT_ENUMERATION_CAP)
+    assert rounds.method == "exact-lp"
+    _assert_flow_least_core(domain, rounds.epsilon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(domain=_two_region_domains(12))
+def test_least_core_by_max_flow_matches_table_scan(domain):
+    # Up to 12 agents, the eps of separation over all 2^n coalitions.
+    _assert_flow_least_core(domain, oracles.least_core_by_table_scan(domain))
+
+
+def test_least_core_by_max_flow_with_a_losing_veto_set():
+    # region - a - {b | c} - d - region: a and d are veto, but lose without
+    # b or c. kappa = 1, so eps = 0, and the cut nearest the first
+    # primary's region is {a}; with the primaries swapped it is {d}.
+    edges = ((0, 1), (1, 2), (1, 3), (2, 4), (3, 4), (4, 5))
+    for primary, paid in (((0, 5), 0), ((5, 0), 3)):
+        domain = ConnectivityDomain(6, edges, primary, (), (1, 2, 3, 4))
+        assert classify(domain).veto_agents == (0, 3) and not classify(domain).veto_wins
+        result = least_core_value(domain)
+        assert (result.epsilon, result.method) == (0, "exact-maxflow")
+        assert result.imputation == tuple(Fraction(i == paid) for i in range(4))
+        assert is_in_core(domain, result.imputation)
+
+
 def test_least_core_memory_at_16_agents():
-    domain = oracles.connected_graph_domain(random.Random(16), 16, n_edges=40)
+    # Four primary regions, so the rounds answer.
+    domain = oracles.connected_graph_domain(random.Random(14), 16, n_edges=40)
     tracemalloc.start()
     try:
         result = least_core_value(domain)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert result.epsilon > 0
+    assert (result.method, result.epsilon > 0) == ("exact-lp", True)
     assert peak < 2 ** 20

@@ -62,7 +62,7 @@ def test_essential_ignores_hanging_leaf():
 def test_essential_rejects_cycles():
     domain = oracles.cycle4()
     assert _takes_the_table(domain)
-    assert least_core_value(domain).method == "exact-lp"
+    assert least_core_value(domain).method == "exact-maxflow"
 
 
 def test_essential_accepts_a_cycle_off_the_veto_set():
