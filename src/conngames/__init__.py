@@ -43,7 +43,6 @@ from .powerindex import (
 from .reductions import (
     SetCoverInstance,
     VertexCoverInstance,
-    add_dummy,
     count_set_covers,
     min_vertex_cover,
     setcover_from_dict,
@@ -75,8 +74,8 @@ __all__ = [
     "DEFAULT_ENUMERATION_CAP", "ApproxParams", "IndexVector",
     "banzhaf_exact", "banzhaf_mc", "banzhaf_mc_all", "derive_seed",
     "shapley_exact", "shapley_mc", "shapley_mc_all",
-    "SetCoverInstance", "VertexCoverInstance", "add_dummy", "count_set_covers",
-    "min_vertex_cover", "setcover_from_dict", "setcover_to_cg", "setcover_to_dict",
+    "SetCoverInstance", "VertexCoverInstance", "count_set_covers", "min_vertex_cover",
+    "setcover_from_dict", "setcover_to_cg", "setcover_to_dict",
     "vertexcover_from_dict", "vertexcover_to_dict", "vertexcover_to_ecm",
     "CoreDescription", "ExcessReport", "Imputation", "LeastCoreResult",
     "ecm", "is_in_core", "least_core_value", "max_excess", "veto_players",

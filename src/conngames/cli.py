@@ -2,12 +2,12 @@
 emit deterministic text/JSON/CSV reports. ``_plan`` is the one place where a
 method is chosen, exact or Monte Carlo; how an exact answer is computed, by
 the closed forms of a unanimity game, from the win table, for ``ecm`` and
-``leastcore`` by the Steiner oracle, or for a ``leastcore`` whose primaries
-lie in two regions by one max-flow (``exact-maxflow``), is the exact
-solvers' choice, and each report names it by the tag they return. The
-enumeration cap bounds the win table only; past it a query has one fixed
-work budget, which ``ecm`` spends on one search and ``leastcore`` on its
-rounds' searches and programs. The max-flow is polynomial, and spends none.
+``leastcore`` by the Steiner oracle, or for a ``leastcore`` whose least cut
+they certify by max-flows (``exact-maxflow``), is the exact solvers'
+choice, and each report names it by the tag they return. The enumeration
+cap bounds the win table only; past it a query has one fixed work budget,
+which ``ecm`` spends on one search and ``leastcore`` on its rounds'
+searches and programs. The max-flows are polynomial, and spend none.
 
 Exit codes: 0 ok, 2 input or usage error, 3 resource cap exceeded,
 4 degenerate domain. The handlers raise on every refusal, and ``main`` alone

@@ -24,9 +24,10 @@ losing L pays p(L) >= p(N-), a tie only for N- plus zero-paid agents, so the
 losing candidate is N- if N- loses; if N- wins, the least-paid winning
 coalition's excess is at least 1 - p(N-), above that of every losing one.
 The oracle's contraction, one node per agent and per region of primary and
-backbone vertices, is built once per domain (``_steiner``). With two
-terminal regions its ``least_cut`` max-flow gives a minimum agent cut
-between them, which is the least core's answer, with no search.
+backbone vertices, is built once per domain (``_steiner``). Its
+``least_cut`` max-flows give a minimum agent cut that every winning
+coalition meets and, where they can, as many disjoint winning coalitions:
+then the cut is the least core's answer, with no search.
 
 numpy is imported on first use, by the table and its reductions only.
 
@@ -412,22 +413,50 @@ class _Steiner:
         total = best[full][root]
         return total if total < unreached else None
 
-    def least_cut(self) -> int:
-        """Mask of a minimum agent cut between two terminals: the one nearest
-        the first, whose size is the largest number of agent-disjoint paths
-        between them (Menger 1927).
+    def least_cut(self) -> tuple[int, list[int] | None]:
+        """Mask of a minimum agent cut that every winning coalition meets,
+        and a packing of as many pairwise disjoint winning coalitions as
+        masks, or None in its place where the flows below build none.
 
-        One max-flow: agent i is an in-node i and an out-node nodes + i,
-        joined by an arc of capacity 1; a region is one node of both sides;
-        each contracted edge is an arc from either end's out-side to the
-        other's in-side, of capacity n + 1, more than any flow. Flow is
-        pushed along BFS augmenting paths, each arc beside its residual twin
-        (index ^ 1), so at most min(deg source, deg sink) + 1 passes over
-        V + E. The cut is the agents whose in-node the last pass reaches and
-        whose out-node it does not.
+        With r the first terminal, a winning coalition joins r to every other
+        terminal t, so it meets every agent cut between them. Each r-t
+        max-flow gives the largest number of agent-disjoint r-t paths, the
+        size of a minimum cut (Menger 1927); kappa is the least of them. The
+        cut is the minimum r-t* cut nearest r, t* the first t of least flow:
+        the agents whose in-node the last pass of that flow reaches and
+        whose out-node it does not. Its kappa paths join r and t*, and one
+        more flow extends them to each further terminal (``_extended``).
+        Each flow makes at most kappa + 1 BFS passes over V + E, the first
+        at most min(deg r, deg t) + 1.
         """
         n, nodes = self.n, self._nodes
-        source, sink = self.terminals
+        heads, caps, arcs = self._split_graph()
+        root, *others = self.terminals
+        best = None
+        for t in others:
+            residual = caps[:]
+            # Past the least flow so far, t cannot be t*: stop there.
+            flow, reached = _max_flow(heads, residual, arcs, root, t,
+                                      n + 1 if best is None else best[0])
+            if best is None or flow < best[0]:
+                best = flow, t, residual, reached
+        kappa, nearest, residual, reached = best
+        cut = sum(1 << i for i in range(n) if reached[i] >= 0 > reached[nodes + i])
+        packing = _flow_paths(heads, residual, arcs, [root] * kappa, nearest, n)
+        for t in others:
+            if t != nearest and packing is not None:
+                packing = self._extended(heads, caps, arcs, packing, t)
+        return cut, packing
+
+    def _split_graph(self) -> tuple[list[int], list[int], list[list[int]]]:
+        """The contracted graph as a flow network: ``heads`` and ``caps`` per
+        arc, each arc beside its residual twin (index ^ 1) of capacity 0, and
+        the arcs leaving each node. Agent i is an in-node i and an out-node
+        nodes + i, joined by arc 2i of capacity 1; a region is one node of
+        both sides; each contracted edge is an arc from either end's
+        out-side to the other's in-side, of capacity n + 1, more than any
+        flow."""
+        n, nodes = self.n, self._nodes
         edges = [(i, nodes + i, 1) for i in range(n)]
         edges += [(nodes + v if v < n else v, u, n + 1)
                   for v, us in enumerate(self._nbrs) for u in us]
@@ -439,25 +468,92 @@ class _Steiner:
             arcs[b].append(len(heads) + 1)
             heads += b, a
             caps += cap, 0
-        while True:
-            reached = [-1] * (nodes + n)  # the arc each node was reached by
-            reached[source] = len(heads)
-            queue = [source]
-            for a in queue:
-                for e in arcs[a]:
-                    if caps[e] and reached[heads[e]] < 0:
-                        reached[heads[e]] = e
-                        queue.append(heads[e])
-                if reached[sink] >= 0:
+        return heads, caps, arcs
+
+    def _extended(self, heads: list[int], caps: list[int], arcs: list[list[int]],
+                  packing: list[int], terminal: int) -> list[int] | None:
+        """The disjoint coalitions of ``packing``, each joined to
+        ``terminal`` by agents of no coalition, or None if one flow cannot
+        join them all. A source gives one unit to a node per coalition,
+        which passes it to its agents' out-nodes: it enters at their
+        neighbours, the regions the coalition joins among them. Each
+        coalition's agents are closed to every unit by their arcs 2i."""
+        base = self.n + self._nodes
+        source = base + len(packing)
+        heads, caps, arcs = heads[:], caps[:], [*arcs, *([] for _ in range(len(packing) + 1))]
+
+        def join(a: int, b: int) -> None:
+            arcs[a] = [*arcs[a], len(heads)]
+            arcs[b] = [*arcs[b], len(heads) + 1]
+            heads.extend((b, a))
+            caps.extend((1, 0))
+
+        for j, mask in enumerate(packing):
+            join(source, base + j)
+            while mask:
+                i = (mask & -mask).bit_length() - 1
+                caps[2 * i] = 0
+                join(base + j, self._nodes + i)
+                mask &= mask - 1
+        flow, _ = _max_flow(heads, caps, arcs, source, terminal, len(packing))
+        if flow < len(packing):
+            return None
+        paths = _flow_paths(heads, caps, arcs, range(base, source), terminal, self.n)
+        return [mask | path for mask, path in zip(packing, paths)]
+
+
+def _max_flow(heads: list[int], caps: list[int], arcs: list[list[int]], source: int,
+              sink: int, limit: int) -> tuple[int, list[int]]:
+    """Unit flow pushed from ``source`` to ``sink`` along BFS augmenting
+    paths, changing ``caps`` into the residual capacities, until none is left
+    or the flow reaches ``limit``: the flow, and per node the arc the last
+    pass reached it by, -1 where it did not (the source: ``len(heads)``);
+    no list where the flow reached ``limit``."""
+    flow = 0
+    while flow < limit:
+        reached = [-1] * len(arcs)
+        reached[source] = len(heads)
+        queue = [source]
+        for a in queue:
+            for e in arcs[a]:
+                if caps[e] and reached[heads[e]] < 0:
+                    reached[heads[e]] = e
+                    queue.append(heads[e])
+            if reached[sink] >= 0:
+                break
+        else:
+            return flow, reached
+        b = sink
+        while b != source:
+            e = reached[b]
+            caps[e] -= 1
+            caps[e ^ 1] += 1
+            b = heads[e ^ 1]
+        flow += 1
+    return flow, []
+
+
+def _flow_paths(heads: list[int], caps: list[int], arcs: list[list[int]],
+                starts: Sequence[int], sink: int, n: int) -> list[int]:
+    """Per start node, the agents a unit of the flow passes from it to
+    ``sink``, as a mask; ``caps`` are the flow's residual capacities, and
+    the flow on arc e of even index is ``caps[e ^ 1]``, which each walk
+    spends. A walk may go round a cycle of the flow: its agents join the
+    coalition, which stays connected. An agent's unit is spent once, so the
+    masks are disjoint."""
+    masks = []
+    for node in starts:
+        mask = 0
+        while node != sink:
+            for e in arcs[node]:
+                if caps[e ^ 1] and not e & 1:
                     break
-            else:
-                return sum(1 << i for i in range(n) if reached[i] >= 0 > reached[nodes + i])
-            b = sink
-            while b != source:
-                e = reached[b]
-                caps[e] -= 1
-                caps[e ^ 1] += 1
-                b = heads[e ^ 1]
+            caps[e ^ 1] -= 1
+            node = heads[e]
+            if node < n:
+                mask |= 1 << node
+        masks.append(mask)
+    return masks
 
 
 # Past the enumeration cap, the work one query may spend, in units of

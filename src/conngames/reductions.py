@@ -213,19 +213,6 @@ def min_vertex_cover(instance: VertexCoverInstance, *, cap: int = ORACLE_CAP) ->
     return n
 
 
-def add_dummy(domain: ConnectivityDomain) -> ConnectivityDomain:
-    """Append one isolated standard vertex as the last agent (a null player)."""
-    domain.ensure_valid()
-    new_vertex = domain.vertex_count
-    return ConnectivityDomain(
-        vertex_count=new_vertex + 1,
-        edges=domain.edges,
-        primary=domain.primary,
-        backbone=domain.backbone,
-        standard=domain.standard + (new_vertex,),
-    )
-
-
 def setcover_to_dict(instance: SetCoverInstance) -> dict:
     return {"universe": instance.universe_size, "sets": [list(s) for s in instance.sets]}
 

@@ -29,11 +29,13 @@ over the veto agents. Otherwise it solves  min eps  s.t.  p(C) >= v(C) - eps
 over nonempty coalitions, exactly, as the covering program  tau = min sum(x)
 s.t.  x(W) >= 1  over winning W, x >= 0: with x = p / (1 - eps), eps =
 1 - 1/tau and p = x / tau (tau - 1 is the cost of stability, Bachrach et al.
-2009). Where the primaries lie in two always-usable regions, a coalition
-wins iff it holds a path between them, so tau is kappa, the largest number
-of agent-disjoint paths (Menger 1927), and x = 1 on a minimum agent cut is
-optimal: one max-flow on the Steiner oracle's contraction answers, at any
-size, with no program, round, table or budget. Otherwise its cuts are
+2009). A winning coalition joins the first primary's region to every other,
+so it meets every agent cut between them: x = 1 on a minimum one, of kappa
+agents, is feasible, and tau <= kappa. Where kappa pairwise disjoint
+coalitions win, y = 1 on each is a dual packing of kappa, so tau = kappa and
+that x is optimal. Max-flows on the Steiner oracle's contraction find both
+(``enumeration._Steiner.least_cut``), where they can: then they answer, at
+any size, with no program, round, table or budget. Otherwise its cuts are
 generated lazily. Each round's separation asks the exact game for the
 least-paid winning coalition under x, which is minimal (Maschler, Peleg &
 Shapley 1979): the table lists the minimal winning
@@ -257,25 +259,24 @@ def least_core_value(domain: ConnectivityDomain, *,
     Deviating coalitions are the nonempty ones. Both eps and the imputation
     are exact rationals. Where the veto set wins, eps is 0 and the imputation
     is the equal split over the veto agents, tagged ``tree-closed-form``.
-    Otherwise, where the primaries lie in two regions of the Steiner
-    oracle's contraction, a coalition wins iff it holds a path between them,
-    so the covering program's tau is kappa, the largest number of
-    agent-disjoint paths (Menger), and 1/kappa on each agent of a minimum
-    cut is optimal: eps = 1 - 1/kappa. One max-flow
-    (``enumeration._Steiner.least_cut``) answers, at any size, with no
-    program, round or table, tagged ``exact-maxflow``; its cut is the one
-    nearest the first primary's region. Its cost is polynomial, at most
-    min(deg source, deg sink) + 1 BFS passes over V + E, so it is charged
-    nothing to ``enumeration.WORK_BUDGET``. Any other least core takes the
+    Otherwise max-flows on the Steiner oracle's contraction
+    (``enumeration._Steiner.least_cut``) give a minimum agent cut of kappa
+    agents that every winning coalition meets, so the covering program's
+    tau is at most kappa, and, where they can, kappa pairwise disjoint
+    winning coalitions, so tau is at least kappa. With both, 1/kappa on each
+    agent of the cut is optimal: eps = 1 - 1/kappa, at any size, with no
+    program, round or table, tagged ``exact-maxflow``; the cut is the one
+    nearest the first primary's region. The flows' cost is polynomial, at
+    most 2k - 3 max-flows for k primary regions, each of a few BFS passes
+    over V + E, so they are charged nothing to ``enumeration.WORK_BUDGET``. Any other least core takes the
     rounds of ``_least_core_by_rounds``. Refuses degenerate domains.
     """
     _refuse_degenerate(domain, "least-core")
     if classify(domain).veto_wins:
         game = enumeration._exact_game(domain, cap)
         return LeastCoreResult(*game.least_core(), game.method)
-    steiner = enumeration._steiner(domain)
-    if len(steiner.terminals) == 2:
-        cut = steiner.least_cut()
+    cut, packing = enumeration._steiner(domain).least_cut()
+    if packing is not None:
         return _least_core_result(domain, 1, [cut >> i & 1 for i in range(domain.n_agents)],
                                   "exact-maxflow")
     return _least_core_by_rounds(domain, enumeration._exact_game(domain, cap, separates=True),

@@ -531,11 +531,12 @@ def connected_graph_domain(rng: random.Random, n_agents: int, n_edges: int,
                               backbone=(ids[n_primary],), standard=tuple(ids[n_primary + 1:]))
 
 
-def two_region_domain(rng: random.Random, n_agents: int) -> ConnectivityDomain:
-    """Non-degenerate domain whose quotient has exactly two primary regions:
-    2-3 primaries and 0-2 backbones on a random spanning tree plus chords."""
+def region_domain(rng: random.Random, n_agents: int, regions: int = 2) -> ConnectivityDomain:
+    """Non-degenerate domain whose quotient has exactly ``regions`` primary
+    regions: ``regions`` or one more primaries and 0-2 backbones on a random
+    spanning tree plus chords."""
     for _ in range(1000):
-        n_primary = rng.randint(2, 3)
+        n_primary = rng.randint(regions, regions + 1)
         n_backbone = rng.randint(0, 2)
         total = n_agents + n_primary + n_backbone
         edges = {(rng.randrange(v), v) for v in range(1, total)}
@@ -549,9 +550,24 @@ def two_region_domain(rng: random.Random, n_agents: int) -> ConnectivityDomain:
             backbone=tuple(ids[n_primary:n_primary + n_backbone]),
             standard=tuple(ids[n_primary + n_backbone:]))
         _, region = _usable_regions(domain)
-        if len({region[p] for p in domain.primary}) == 2 and not classify(domain).degenerate:
+        if len({region[p] for p in domain.primary}) == regions \
+                and not classify(domain).degenerate:
             return domain
-    raise RuntimeError("failed to sample a two-region domain")
+    raise RuntimeError(f"failed to sample a {regions}-region domain")
+
+
+def with_triangle(domain: ConnectivityDomain) -> ConnectivityDomain:
+    """``domain`` with two more primaries B and C and three more agents, the
+    last three: x between the first primary A and B, y between B and C, and
+    z between C and A. A winning coalition holds two of x, y and z, so no
+    two disjoint coalitions win, while at most two agents part A from B. On
+    a primary A alone this is the triangle game: any two agents win, the
+    least core's tau is 3/2 and eps = 1/3."""
+    a, (b, c, x, y, z) = domain.primary[0], range(domain.vertex_count, domain.vertex_count + 5)
+    return ConnectivityDomain(domain.vertex_count + 5,
+                              (*domain.edges, (a, x), (x, b), (b, y), (y, c), (c, z), (z, a)),
+                              domain.primary + (b, c), domain.backbone,
+                              domain.standard + (x, y, z))
 
 
 def random_imputation(rng: random.Random, n: int, allow_negative=False) -> list[float]:
@@ -661,6 +677,21 @@ def many_primaries_domain() -> ConnectivityDomain:
     the enumeration cap, and 3^15 terminal subsets put the Steiner oracle
     far past its budget."""
     return connected_graph_domain(random.Random(30), 30, n_edges=75, n_primary=24)
+
+
+def triangle_domain() -> ConnectivityDomain:
+    """Primaries 0, 1 and 2, each pair joined through one agent: the
+    triangle game of ``with_triangle`` on a lone primary."""
+    return with_triangle(ConnectivityDomain(1, (), (0,), (), ()))
+
+
+def many_regions_triangle_domain() -> ConnectivityDomain:
+    """33 agents and 26 primaries in 14 regions, with no veto agent: a
+    30-agent graph ``with_triangle``, so the flows cannot certify its least
+    cut (2), and 3^14 terminal subsets put the Steiner oracle far past its
+    budget. The least core's rounds are refused past the enumeration cap."""
+    return with_triangle(connected_graph_domain(random.Random(182), 30, n_edges=90,
+                                                n_primary=24))
 
 
 def ladder_domain(length: int) -> ConnectivityDomain:

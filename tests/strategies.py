@@ -11,6 +11,19 @@ from conngames import ConnectivityDomain
 WIDE_VERTICES = 63  # past the width of one int64 lane
 
 
+def add_dummy(domain: ConnectivityDomain) -> ConnectivityDomain:
+    """Append one isolated standard vertex as the last agent (a null player)."""
+    domain.ensure_valid()
+    new_vertex = domain.vertex_count
+    return ConnectivityDomain(
+        vertex_count=new_vertex + 1,
+        edges=domain.edges,
+        primary=domain.primary,
+        backbone=domain.backbone,
+        standard=domain.standard + (new_vertex,),
+    )
+
+
 @st.composite
 def domains(draw, max_agents: int = 10, wide: bool | None = None,
             tree: bool = False) -> ConnectivityDomain:

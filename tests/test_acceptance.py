@@ -13,9 +13,9 @@ from fractions import Fraction
 import numpy as np
 
 import oracles
+from strategies import add_dummy
 from conngames import (
     ConnectivityDomain,
-    add_dummy,
     banzhaf_exact,
     banzhaf_mc,
     coalition_value,

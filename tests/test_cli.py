@@ -336,8 +336,7 @@ def test_ecm_cycle(files, capsys):
 
 def test_ecm_closed_form_reports_max_excess(files, capsys, tmp_path):
     # Agents 0 and 1 of path4 are veto and paid 1/2 in all; the dummy gets 1/2.
-    from conngames import add_dummy
-    domain = add_dummy(oracles.path4())
+    domain = strategies.add_dummy(oracles.path4())
     dpath = write_json(tmp_path / "dummy.json", domain_to_dict(domain))
     ppath = write_json(tmp_path / "p3.json", {"imputation": [0.25, 0.25, 0.5]})
     code, out, _ = run(capsys, ["ecm", dpath, ppath, "--epsilon", "0.5"])
@@ -585,8 +584,10 @@ def test_leastcore_degenerate_exit4(files, capsys):
 
 
 def test_leastcore_over_cap_exit3(files, capsys, monkeypatch):
+    # The flows cannot certify this domain, so the rounds are asked.
     monkeypatch.setenv("CONNGAMES_EXACT_CAP", "1")
-    big = write_json(files["tmp"] / "big.json", domain_to_dict(oracles.many_primaries_domain()))
+    big = write_json(files["tmp"] / "big.json",
+                     domain_to_dict(oracles.many_regions_triangle_domain()))
     code, _, err = run(capsys, ["leastcore", big])
     assert code == 3
     assert "cap" in err
@@ -604,13 +605,14 @@ def test_leastcore_over_cap_within_the_steiner_budget_answers_exactly(files, cap
 def test_leastcore_past_the_enumeration_cap_exits_before_any_table(files, capsys,
                                                                     monkeypatch):
     # Past the enumeration cap (24, or CONNGAMES_EXACT_CAP) and the Steiner
-    # budget, the refusal comes before a 2^30 table is allocated or the
-    # oracle searches.
-    domain = oracles.many_primaries_domain()
-    path = write_json(files["tmp"] / "graph30.json", domain_to_dict(domain))
+    # budget, the refusal comes before a 2^33 table is allocated or the
+    # oracle searches. The flows cannot certify this domain, so the rounds
+    # are asked.
+    domain = oracles.many_regions_triangle_domain()
+    path = write_json(files["tmp"] / "graph33.json", domain_to_dict(domain))
 
     def unbounded(*args):
-        raise AssertionError("a 2^30 win table or a Steiner search was requested")
+        raise AssertionError("a 2^33 win table or a Steiner search was requested")
 
     monkeypatch.setattr(enumeration, "win_table", unbounded)
     monkeypatch.setattr(enumeration._Steiner, "least_paid_winning", unbounded)
@@ -619,26 +621,37 @@ def test_leastcore_past_the_enumeration_cap_exits_before_any_table(files, capsys
             monkeypatch.setenv("CONNGAMES_EXACT_CAP", env)
         code, out, err = run(capsys, ["leastcore", path])
         assert (code, out) == (3, "")
-        assert err == (f"error: instance too large for exact solver: 30 agents "
+        assert err == (f"error: instance too large for exact solver: 33 agents "
                        f"exceeds the enumeration cap of {cap}\n")
 
 
 def test_leastcore_past_the_program_budget_exits3(files, capsys, monkeypatch):
-    # 500 agents in 4 primary regions: one Steiner search fits the query's
-    # work budget, so ecm is answered, but the least core's rounds would
-    # pass it, so leastcore is refused, and no table is built.
-    domain = str(DATA / "ecm500_domain.json")
+    # The 500-agent graph of ``ecm500`` in 4 primary regions, with a
+    # triangle that keeps the flows from certifying its least cut: 503
+    # agents in 6 regions. One Steiner search fits the query's work budget,
+    # so ecm is answered, but the least core's rounds would pass it, so
+    # leastcore is refused, and no table is built. ecm500 itself is answered
+    # as pinned.
+    ecm500 = DATA / "ecm500_domain.json"
+    domain = write_json(files["tmp"] / "graph503.json", domain_to_dict(
+        oracles.with_triangle(domain_from_dict(json.loads(ecm500.read_text())))))
+    payoffs = json.loads((DATA / "ecm500_imputation.json").read_text())["imputation"]
+    imputation = write_json(files["tmp"] / "pay503.json", {"imputation": payoffs + [0] * 3})
 
     def unbounded(domain):
-        raise AssertionError("a 2^500 win table was requested")
+        raise AssertionError("a 2^503 win table was requested")
 
     monkeypatch.setattr(enumeration, "win_table", unbounded)
     code, out, err = run(capsys, ["leastcore", domain])
     assert (code, out) == (3, "")
     assert err == ("error: instance too large for exact solver: the least core of "
-                   "500 agents needs more than 67108864 units of work past the "
+                   "503 agents needs more than 67108864 units of work past the "
                    "enumeration cap of 24\n")
-    code, out, err = run(capsys, ["ecm", domain, str(DATA / "ecm500_imputation.json"),
+    code, out, err = run(capsys, ["ecm", domain, imputation, "--epsilon", "0.75",
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["method"] == "exact-steiner"
+    code, out, err = run(capsys, ["ecm", str(ecm500), str(DATA / "ecm500_imputation.json"),
                                   "--epsilon", "0.75", "--format", "json"])
     assert (code, err) == (0, "")
     assert out == (DATA / "ecm500.json").read_text()
@@ -686,10 +699,10 @@ def test_a_small_work_budget_refuses_before_the_search_or_solve_past_it(capsys, 
 
 def test_leastcore_past_the_enumeration_cap_answers_without_a_table(files, capsys,
                                                                     monkeypatch):
-    # The 30-agent graph of 4 primaries is answered by the Steiner oracle,
-    # whatever the cap, and the imputation's maximal excess is the least
-    # core's epsilon.
-    domain = oracles.connected_graph_domain(random.Random(30), 30, n_edges=70)
+    # A 30-agent graph of 4 primary regions whose least cut the flows do not
+    # certify is answered by the Steiner oracle, whatever the cap, and the
+    # imputation's maximal excess is the least core's epsilon.
+    domain = oracles.connected_graph_domain(random.Random(17), 30, n_edges=70)
     path = write_json(files["tmp"] / "graph30.json", domain_to_dict(domain))
 
     def unbounded(domain):
@@ -735,7 +748,8 @@ _OVER_CAP = ("error: instance too large for exact solver: 30 agents exceeds "
     (["ecm", "{many}", "{big_pay}", "--epsilon", "0.5"], 3, _OVER_CAP),
     (["ecm", "{big}", "{big_pay}", "--epsilon", "0.5"], 0, "exact-steiner"),
     (["indices", "{big}", "--method", "exact"], 3, _OVER_CAP),
-    (["leastcore", "{big}"], 0, "exact-lp"),
+    (["leastcore", "{big}"], 0, "exact-maxflow"),
+    (["leastcore", "{big_rounds}"], 0, "exact-lp"),
     (["ecm", "{graph17}", "{pay17}", "--epsilon", "0.5"], 0, "exact-steiner"),
     (["ecm", "{graph17}", "{negative17}", "--epsilon", "0.5"], 0, "exact-steiner"),
     (["leastcore", "{forest}"], 0, "tree-closed-form"),
@@ -746,11 +760,12 @@ _OVER_CAP = ("error: instance too large for exact solver: 30 agents exceeds "
         "indices-auto-degenerate", "indices-exact-degenerate", "indices-exact-tree",
         "indices-mc-tree", "indices-auto-over-cap", "ecm-forest", "ecm-degenerate",
         "ecm-over-cap", "ecm-steiner-over-cap", "indices-exact-over-cap",
-        "leastcore-steiner-over-cap", "ecm-steiner-under-cap", "ecm-negative-payoff-steiner",
+        "leastcore-maxflow-over-cap", "leastcore-steiner-over-cap", "ecm-steiner-under-cap", "ecm-negative-payoff-steiner",
         "leastcore-forest", "indices-auto-lollipop", "ecm-lollipop", "leastcore-lollipop"])
 def test_planner_dispatch(files, capsys, argv, code, expected):
     # ``ecm`` reports the Steiner oracle's tag; the least core's report is
-    # exact-lp whichever form separates. A payoff below 0, here ecm17's
+    # exact-maxflow where the flows certify it, and exact-lp whichever form
+    # separates otherwise. A payoff below 0, here ecm17's
     # tolerated -1e-12, leaves the choice of form as it is: the oracle takes
     # the negatively paid agents as free.
     tmp = files["tmp"]
@@ -760,6 +775,8 @@ def test_planner_dispatch(files, capsys, argv, code, expected):
     paths = dict(files,
                  forest=write_json(tmp / "forest.json", domain_to_dict(forest)),
                  big=write_json(tmp / "big.json", domain_to_dict(big)),
+                 big_rounds=write_json(tmp / "big_rounds.json", domain_to_dict(
+                     oracles.connected_graph_domain(random.Random(17), 30, n_edges=70))),
                  many=write_json(tmp / "many.json",
                                  domain_to_dict(oracles.many_primaries_domain())),
                  graph17=str(DATA / "ecm17_domain.json"),
@@ -976,8 +993,8 @@ def test_indices_mc_output_is_pinned(capsys):
 
 
 def test_leastcore_exact_output_is_pinned(capsys):
-    # A 14-agent non-tree graph: an exact rational least core where a float
-    # LP answered before.
+    # A 14-agent non-tree graph in 3 primary regions: an exact rational
+    # least core where a float LP answered before, now by the flows.
     code, out, err = run(capsys, ["leastcore", str(DATA / "leastcore14_domain.json"),
                                   "--format", "json"])
     assert (code, err) == (0, "")
@@ -985,7 +1002,8 @@ def test_leastcore_exact_output_is_pinned(capsys):
 
 
 def test_leastcore_16_agent_output_is_pinned(capsys):
-    # A 16-agent non-tree graph whose least core takes 17 restricted programs.
+    # A 16-agent non-tree graph in 3 primary regions, whose least core took
+    # 17 restricted programs: the flows certify it, with the same shares.
     code, out, err = run(capsys, ["leastcore", str(DATA / "leastcore16_domain.json"),
                                   "--format", "json"])
     assert (code, err) == (0, "")
@@ -1001,12 +1019,19 @@ def test_leastcore_16_agent_text_report_is_pinned(capsys):
 
 def test_leastcore_16_agent_optimal_vertex_is_pinned(capsys):
     # A 16-agent graph whose least core (eps = 5/6) has more than one optimal
-    # imputation, from a bench leastcore cycle: the dual simplex's leaving
-    # and entering rules decide which one is reported.
-    code, out, err = run(capsys, ["leastcore", str(DATA / "leastcore16_tie_domain.json"),
-                                  "--format", "json"])
+    # imputation, from a bench leastcore cycle. The flows certify it and pay
+    # the minimum cut nearest the first primary's region. The rounds, whose
+    # dual simplex's leaving and entering rules decide among the optimal
+    # vertices, reach the same one, pinned here too.
+    path = DATA / "leastcore16_tie_domain.json"
+    code, out, err = run(capsys, ["leastcore", str(path), "--format", "json"])
     assert (code, err) == (0, "")
     assert out.encode() == (DATA / "leastcore16_tie.json").read_bytes()
+    domain = domain_from_dict(json.loads(path.read_text()))
+    rounds = stability._least_core_by_rounds(domain, enumeration._steiner(domain), 24)
+    assert (rounds.epsilon, rounds.method) == (Fraction(5, 6), "exact-lp")
+    assert [str(share) for share in rounds.imputation] == [
+        row["value_rational"] for row in json.loads(out)["imputation"]]
 
 
 def test_leastcore_20_agent_output_is_pinned(capsys):
@@ -1020,25 +1045,31 @@ def test_leastcore_20_agent_output_is_pinned(capsys):
 
 @pytest.mark.parametrize("name", ["leastcore14", "leastcore16", "leastcore18"])
 def test_leastcore_under_the_cap_builds_no_win_table(capsys, monkeypatch, name):
-    # Bench-style graphs of 14, 16 and 18 agents (the last in 3 primary
-    # regions): one Steiner search's work is at most the table's 2^n - 1
-    # coalitions, so the least core separates with the oracle, as maximal
-    # excess would, and prints the same golden as through the table.
+    # Bench-style graphs of 14, 16 and 18 agents in 3 primary regions: the
+    # flows print the golden with no table. Where they would not certify,
+    # one Steiner search's work is at most the table's 2^n - 1 coalitions,
+    # so the rounds separate with the oracle, as maximal excess would, and
+    # reach the golden's eps with no table either.
     def unbounded(domain):
         raise AssertionError("a win table was requested")
 
     monkeypatch.setattr(enumeration, "win_table", unbounded)
-    code, out, err = run(capsys, ["leastcore", str(DATA / f"{name}_domain.json"),
-                                  "--format", "json"])
+    path = DATA / f"{name}_domain.json"
+    code, out, err = run(capsys, ["leastcore", str(path), "--format", "json"])
     assert (code, err) == (0, "")
     assert out.encode() == (DATA / f"{name}.json").read_bytes()
+    domain = domain_from_dict(json.loads(path.read_text()))
+    game = enumeration._exact_game(domain, 24, separates=True)
+    assert type(game) is enumeration._Steiner
+    rounds = stability._least_core_by_rounds(domain, game, 24)
+    assert str(rounds.epsilon) == json.loads(out)["epsilon_min_rational"]
 
 
 def test_leastcore_96_agent_output_past_the_cap_is_pinned(capsys, monkeypatch):
     # A dense 96-agent graph (a quarter of all vertex pairs are edges) whose
-    # veto set loses: past the enumeration cap, the Steiner oracle separates
-    # 71 rounds, each solve going on from the last round's program, to
-    # eps = 24/25.
+    # veto set loses, in 3 primary regions: past the enumeration cap, the
+    # flows certify eps = 24/25 with no program. The rounds, which took 71
+    # programs, are pinned by test_stability's duals test.
     solve = stability.lp.solve_exact
     rounds = []
 
@@ -1051,7 +1082,7 @@ def test_leastcore_96_agent_output_past_the_cap_is_pinned(capsys, monkeypatch):
                                   "--format", "json"])
     assert (code, err) == (0, "")
     assert out.encode() == (DATA / "leastcore96.json").read_bytes()
-    assert rounds == list(range(1, 72))
+    assert rounds == []
 
 
 def test_leastcore_500_agent_two_region_output_is_pinned(capsys, monkeypatch):
@@ -1068,6 +1099,32 @@ def test_leastcore_500_agent_two_region_output_is_pinned(capsys, monkeypatch):
                                   "--format", "json"])
     assert (code, err) == (0, "")
     assert out.encode() == (DATA / "leastcore500.json").read_bytes()
+
+
+def test_leastcore_500_agent_four_region_output_is_pinned(capsys, monkeypatch):
+    # The 500-agent graph of ``ecm500`` (3049 edges, 4 primary regions),
+    # whose rounds the work budget refuses: the flows certify eps = 6/7,
+    # with no program, search or table.
+    def refused(*args):
+        raise AssertionError("a program, a Steiner search or a win table was requested")
+
+    monkeypatch.setattr(stability.lp, "solve_exact", refused)
+    monkeypatch.setattr(enumeration._Steiner, "least_paid_winning", refused)
+    monkeypatch.setattr(enumeration, "win_table", refused)
+    code, out, err = run(capsys, ["leastcore", str(DATA / "ecm500_domain.json"),
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "leastcore_ecm500.json").read_bytes()
+
+
+def test_leastcore_triangle_output_is_pinned(capsys):
+    # Primaries A, B and C, each pair joined through one agent: the least
+    # cut is 2, but no two disjoint coalitions win, so the flows cannot
+    # certify, and the rounds answer eps = 1/3.
+    code, out, err = run(capsys, ["leastcore", str(DATA / "leastcore_triangle_domain.json"),
+                                  "--format", "json"])
+    assert (code, err) == (0, "")
+    assert out.encode() == (DATA / "leastcore_triangle.json").read_bytes()
 
 
 def test_ecm_17_agent_output_is_pinned(capsys):
@@ -1194,7 +1251,8 @@ def test_queries_without_a_table_do_not_load_numpy(files, argv):
 
 
 def test_leastcore_run_does_not_load_scipy():
-    path = DATA / "leastcore14_domain.json"
+    # steiner48's least core takes the rounds.
+    path = DATA / "steiner48_domain.json"
     script = ("import sys\n"
               "from conngames.cli import main\n"
               f"assert main(['leastcore', {str(path)!r}]) == 0\n"

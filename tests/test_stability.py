@@ -6,17 +6,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 import oracles
 import strategies
+from strategies import add_dummy
 from conngames import (
     CapExceededError,
     ConnectivityDomain,
     DegenerateDomainError,
     Imputation,
-    add_dummy,
     classify,
     coalition_value,
     domain_from_dict,
@@ -46,6 +46,13 @@ def _assert_closed_form_least_core(domain, result):
                   for i in range(domain.n_agents))
     assert (result.epsilon, result.imputation, result.method) == (eps, split, "tree-closed-form")
     assert max_excess(domain, result.imputation).max_excess == eps
+
+
+def _rounds(domain, cap=enumeration.DEFAULT_ENUMERATION_CAP):
+    """The least core by the rounds, separated by the form ``least_core_value``
+    plans for a domain whose least cut the flows do not certify."""
+    return stability._least_core_by_rounds(
+        domain, enumeration._exact_game(domain, cap, separates=True), cap)
 
 
 # ----------------------------------------------------------- exact simplex
@@ -108,7 +115,8 @@ def test_lp_matches_fraction_simplex(program):
 
 def test_least_core_program_past_the_cap_carries_optimal_duals(monkeypatch):
     # The last program of a 71-round least core past the cap, carried from
-    # round to round: its duals certify tau, so eps = 1 - 1/tau.
+    # round to round: its duals certify tau, so eps = 1 - 1/tau. The flows
+    # answer this domain, so the rounds are called as they are.
     domain = domain_from_dict(json.loads((DATA / "leastcore96_domain.json").read_text()))
     programs = []
 
@@ -117,7 +125,7 @@ def test_least_core_program_past_the_cap_carries_optimal_duals(monkeypatch):
         return programs[-1][-1]
 
     monkeypatch.setattr(lp, "solve_exact", recording)
-    result = least_core_value(domain)
+    result = _rounds(domain)
     n, cuts, solution = programs[-1]
     assert (n, len(cuts), result.epsilon) == (96, 71, 1 - 1 / solution.objective)
     _assert_duals_certify(n, cuts, solution)
@@ -132,8 +140,9 @@ def test_lp_matches_fraction_simplex_on_least_core_lps(corpus, monkeypatch):
         return programs[-1][-1]
 
     monkeypatch.setattr(lp, "solve_exact", recording)
-    for _, domain in corpus:
-        least_core_value(domain)
+    for _, domain in corpus:  # the rounds, also where the flows would answer
+        if not classify(domain).veto_wins:
+            _rounds(domain)
     monkeypatch.undo()
     assert max(len(cuts) for _, cuts, _ in programs) >= 5
     # Each program solved warm, as the least core solved it, and cold.
@@ -147,11 +156,11 @@ def test_lp_matches_fraction_simplex_on_least_core_lps(corpus, monkeypatch):
 def test_least_core_matches_fraction_simplex_at_bench_sizes(monkeypatch):
     # Twelve graphs of 10-16 agents at the density of the leastcore bench
     # workload (a quarter of all vertex pairs are edges), whose veto set
-    # loses and whose primaries lie in three or more regions, so the rounds
-    # answer: the least core by the integer dual simplex has the eps of the
-    # one whose programs the Fraction tableau solves. The two may end at
-    # different optimal vertices, so each imputation's maximal excess is
-    # checked to be that eps.
+    # loses and whose primaries lie in three or more regions, by the rounds
+    # (the flows would answer most of them): the least core by the integer
+    # dual simplex has the eps of the one whose programs the Fraction
+    # tableau solves. The two may end at different optimal vertices, so
+    # each imputation's maximal excess is checked to be that eps.
     rng = random.Random(20261019)
     domains = []
     while len(domains) < 12:
@@ -169,7 +178,7 @@ def test_least_core_matches_fraction_simplex_at_bench_sizes(monkeypatch):
             return solver(n, cuts, start)
 
         monkeypatch.setattr(lp, "solve_exact", counting)
-        return [least_core_value(domain) for domain in domains], len(calls)
+        return [_rounds(domain) for domain in domains], len(calls)
 
     integer, solves = least_cores(solve_exact)
     # The Fraction reference solves every program cold.
@@ -186,7 +195,8 @@ def test_least_core_rounds_build_no_fraction(monkeypatch, name):
     # Under the cap and past it, the rounds run in ints: the solver builds no
     # Fraction and no payoff is scaled. The result's Fractions are built
     # after the last round, one for eps and one per distinct share, and are
-    # the pinned golden's.
+    # the pinned golden's: the flows answer both domains, at the vertex the
+    # rounds reach.
     def refused(*args):
         raise AssertionError("a Fraction was built or scaled in a round")
 
@@ -201,7 +211,7 @@ def test_least_core_rounds_build_no_fraction(monkeypatch, name):
     monkeypatch.setattr(lp, "Fraction", refused)
     monkeypatch.setattr(enumeration, "_scaled", refused)
     monkeypatch.setattr(stability, "Fraction", counting)
-    result = least_core_value(domain)
+    result = _rounds(domain)
     assert str(result.epsilon) == golden["epsilon_min_rational"]
     assert [str(v) for v in result.imputation] == [
         row["value_rational"] for row in golden["imputation"]]
@@ -213,9 +223,11 @@ def test_least_core_solves_one_program_a_round_with_its_cuts_second(monkeypatch)
     # calls and reads a program's rows from the call's second positional
     # argument: each round solves once, on the last round's cuts plus one,
     # starting from the solution the last round returned. The graph's
-    # primaries lie in four regions, so the rounds answer.
-    domain = oracles.connected_graph_domain(random.Random(14), 16, n_edges=40)
-    assert len(enumeration._steiner(domain).terminals) == 4
+    # primaries lie in four regions, and the flows do not certify its least
+    # cut, so the rounds answer.
+    domain = oracles.connected_graph_domain(random.Random(8), 16, n_edges=40)
+    steiner = enumeration._steiner(domain)
+    assert (len(steiner.terminals), steiner.least_cut()[1]) == (4, None)
     calls = []
 
     def recording(*args, **kwargs):
@@ -760,8 +772,9 @@ def test_least_core_single_agent_all_win_domain():
 
 
 def test_least_core_cap():
+    # The flows cannot certify this domain, so the rounds are asked.
     with pytest.raises(CapExceededError):
-        least_core_value(oracles.many_primaries_domain(), cap=1)
+        least_core_value(oracles.many_regions_triangle_domain(), cap=1)
 
 
 def test_least_core_past_the_cap_within_the_steiner_budget():
@@ -832,12 +845,13 @@ def test_least_core_matches_table_scan(domain):
 
 
 def test_least_core_refuses_past_the_enumeration_cap_before_any_table(monkeypatch):
-    # Past the cap and the work budget: refused before a 2^30 table is
-    # allocated or the oracle searches.
-    domain = oracles.many_primaries_domain()
+    # Past the cap and the work budget: refused before a 2^33 table is
+    # allocated or the oracle searches. The flows cannot certify this
+    # domain, so the rounds are asked.
+    domain = oracles.many_regions_triangle_domain()
 
     def unbounded(*args):
-        raise AssertionError("a 2^30 win table or a Steiner search was requested")
+        raise AssertionError("a 2^33 win table or a Steiner search was requested")
 
     monkeypatch.setattr(enumeration, "win_table", unbounded)
     monkeypatch.setattr(enumeration._Steiner, "least_paid_winning", unbounded)
@@ -848,9 +862,10 @@ def test_least_core_refuses_past_the_enumeration_cap_before_any_table(monkeypatc
 
 
 def test_least_core_past_the_enumeration_cap_builds_no_table(monkeypatch):
-    # The 30-agent graph of 4 primaries that the cap refused before: the
-    # oracle separates, and the imputation's maximal excess is epsilon.
-    domain = oracles.connected_graph_domain(random.Random(30), 30, n_edges=70)
+    # A 30-agent graph of 4 primary regions whose least cut the flows do not
+    # certify: past the cap the oracle separates, and the imputation's
+    # maximal excess is epsilon.
+    domain = oracles.connected_graph_domain(random.Random(17), 30, n_edges=70)
 
     def unbounded(domain):
         raise AssertionError("a 2^30 win table was requested")
@@ -884,9 +899,11 @@ def test_least_core_past_the_cap_refuses_a_program_past_its_budget(monkeypatch):
     # fits the query's budget, but the least core's rounds do not. Each is
     # charged its search's work and ENTRY_WORK a tableau entry; 27 rounds
     # fit and the 28th would pass the budget, so 27 programs are solved and
-    # searched, and no table is built. 500 agents in 2 primary regions (the
-    # ``leastcore500`` golden) are answered by one max-flow, charged nothing:
-    # no program and no search.
+    # searched, and no table is built. The flows certify this domain's
+    # least cut, so the rounds are called as they are; through
+    # ``least_core_value`` the flows answer it, as they answer 500 agents in
+    # 2 primary regions (the ``leastcore500`` golden), charged nothing: no
+    # program and no search.
     domain = domain_from_dict(json.loads((DATA / "ecm500_domain.json").read_text()))
     work = enumeration._Steiner(domain).work
     charges = [work + stability.ENTRY_WORK * cuts * (500 + cuts) for cuts in range(1, 29)]
@@ -909,7 +926,7 @@ def test_least_core_past_the_cap_refuses_a_program_past_its_budget(monkeypatch):
     monkeypatch.setattr(enumeration._Steiner, "least_paid_winning", counting)
     monkeypatch.setattr(enumeration, "win_table", unbounded)
     with pytest.raises(CapExceededError) as exc:
-        least_core_value(domain)
+        _rounds(domain)
     assert exc.value.cap == 24
     assert str(exc.value) == ("instance too large for exact solver: the least core of "
                               "500 agents needs more than 67108864 units of work past "
@@ -919,8 +936,9 @@ def test_least_core_past_the_cap_refuses_a_program_past_its_budget(monkeypatch):
     searches.clear()
     two_regions = oracles.connected_graph_domain(random.Random(6), 500, n_edges=6312,
                                                  n_primary=2)
-    result = least_core_value(two_regions)
-    assert (result.epsilon, result.method) == (Fraction(21, 22), "exact-maxflow")
+    for flows, epsilon in ((domain, Fraction(6, 7)), (two_regions, Fraction(21, 22))):
+        result = least_core_value(flows)
+        assert (result.epsilon, result.method) == (epsilon, "exact-maxflow")
     assert programs == searches == []
 
 
@@ -982,7 +1000,7 @@ def test_min_agent_cut_matches_largest_losing_coalition():
     # Removing a minimum agent cut leaves the largest losing coalition.
     rng = random.Random(1414)
     for n in [*range(1, 11), *range(1, 11)]:
-        domain = oracles.two_region_domain(rng, n)
+        domain = oracles.region_domain(rng, n)
         table = oracles.reference_table(domain)
         largest = max(m.bit_count() for m in range(1 << n) if not table[m])
         assert oracles.min_agent_cut(domain) == n - largest
@@ -995,7 +1013,7 @@ def test_least_core_with_two_primary_regions_is_one_minus_inverse_cut():
     rng = random.Random(1313)
     cuts = {0: set(), 1: set(), 2: set()}
     for n in [*range(1, 13), *range(1, 13), *range(13, 17), *range(13, 17), *range(17, 25)]:
-        domain = oracles.two_region_domain(rng, n)
+        domain = oracles.region_domain(rng, n)
         kappa = oracles.min_agent_cut(domain)
         result = least_core_value(domain)
         unanimity = oracles.reference_value(domain, oracles.essential_by_removal(domain))
@@ -1011,7 +1029,7 @@ def test_least_core_past_the_cap_with_two_primary_regions_is_one_minus_inverse_c
     rng = random.Random(2525)
     kappas = set()
     for n in (25, 25, 32, 48, 48, 64, 96):
-        domain = oracles.two_region_domain(rng, n)
+        domain = oracles.region_domain(rng, n)
         kappa = oracles.min_agent_cut(domain)
         result = least_core_value(domain)
         assert result.epsilon == 1 - Fraction(1, kappa), (n, kappa)
@@ -1021,30 +1039,50 @@ def test_least_core_past_the_cap_with_two_primary_regions_is_one_minus_inverse_c
     assert len(kappas) >= 3
 
 
+def _assert_certified(domain, result):
+    # An exact-maxflow least core pays 1/kappa to each agent of a cut that
+    # everyone else, N minus the cut, cannot win without, and the flows'
+    # packing holds kappa pairwise disjoint coalitions that each win: eps is
+    # 1 - 1/kappa, by the reference search alone.
+    everyone = set(range(domain.n_agents))
+    cut = {i for i, share in enumerate(result.imputation) if share}
+    kappa = len(cut)
+    assert set(result.imputation) <= {0, Fraction(1, kappa)}
+    assert result.epsilon == 1 - Fraction(1, kappa)
+    assert oracles.reference_value(domain, everyone - cut) == 0
+    packing = enumeration._steiner(domain).least_cut()[1]
+    members = [{i for i in everyone if mask >> i & 1} for mask in packing]
+    assert len(members) == kappa
+    assert sum(map(len, members)) == len(set().union(*members))
+    assert all(oracles.reference_value(domain, coalition) == 1 for coalition in members)
+
+
 def _assert_flow_least_core(domain, epsilon):
-    # The max-flow's least core has the reference eps, and pays 1/kappa to
-    # each agent of a minimum cut: the cut's size is the oracle's kappa, and
-    # everyone else, N minus the cut, loses.
+    # The max-flow's least core has the reference eps, is certified, and its
+    # cut's size is the oracle's kappa.
     result = least_core_value(domain)
     assert (result.epsilon, result.method) == (epsilon, "exact-maxflow")
-    cut = [i for i, share in enumerate(result.imputation) if share]
-    kappa = oracles.min_agent_cut(domain)
-    assert len(cut) == kappa and set(result.imputation) <= {0, Fraction(1, kappa)}
-    assert oracles.reference_value(domain, set(range(domain.n_agents)) - set(cut)) == 0
+    _assert_certified(domain, result)
+    assert sum(1 for share in result.imputation if share) == oracles.min_agent_cut(domain)
     assert max_excess(domain, result.imputation).max_excess == epsilon
 
 
 @st.composite
-def _two_region_domains(draw, max_agents):
-    """``oracles.two_region_domain`` draws whose veto set loses."""
+def _region_domains(draw, max_agents, regions=(2,)):
+    """``oracles.region_domain`` draws of one of ``regions`` primary regions
+    whose veto set loses."""
     n = draw(st.integers(1, max_agents))
-    domain = oracles.two_region_domain(random.Random(draw(st.integers(0, 2 ** 32))), n)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    try:
+        domain = oracles.region_domain(rng, n, draw(st.sampled_from(regions)))
+    except RuntimeError:  # no draw of 1000 joins 4 regions through 1 agent
+        reject()
     assume(not classify(domain).veto_wins)
     return domain
 
 
 @settings(max_examples=120, deadline=None)
-@given(domain=_two_region_domains(16), form=st.sampled_from(["_Steiner", "_Table"]))
+@given(domain=_region_domains(16), form=st.sampled_from(["_Steiner", "_Table"]))
 def test_least_core_by_max_flow_matches_the_rounds(domain, form):
     # Up to 16 agents, the rounds separated by either form give the same
     # eps as the max-flow.
@@ -1055,10 +1093,56 @@ def test_least_core_by_max_flow_matches_the_rounds(domain, form):
 
 
 @settings(max_examples=60, deadline=None)
-@given(domain=_two_region_domains(12))
+@given(domain=_region_domains(12))
 def test_least_core_by_max_flow_matches_table_scan(domain):
     # Up to 12 agents, the eps of separation over all 2^n coalitions.
     _assert_flow_least_core(domain, oracles.least_core_by_table_scan(domain))
+
+
+def _assert_flows_or_rounds(domain, epsilon):
+    # Three or four regions: the flows answer where their packing holds
+    # kappa coalitions, certified; elsewhere the rounds answer, unchanged.
+    # Either way eps is the reference's, and the imputation attains it.
+    result = least_core_value(domain)
+    assert result.epsilon == epsilon
+    assert max_excess(domain, result.imputation).max_excess == epsilon
+    if result.method == "exact-maxflow":
+        _assert_certified(domain, result)
+    else:
+        assert enumeration._steiner(domain).least_cut()[1] is None
+        assert result == _rounds(domain)
+
+
+@settings(max_examples=150, deadline=None)
+@given(domain=_region_domains(16, regions=(3, 4)))
+@example(domain=oracles.triangle_domain())
+def test_least_core_of_three_or_four_regions_matches_the_rounds(domain):
+    # Up to 16 agents, the rounds through the table give the same eps.
+    rounds = stability._least_core_by_rounds(domain, enumeration._Table(domain),
+                                             enumeration.DEFAULT_ENUMERATION_CAP)
+    _assert_flows_or_rounds(domain, rounds.epsilon)
+
+
+@settings(max_examples=60, deadline=None)
+@given(domain=_region_domains(12, regions=(3, 4)))
+@example(domain=oracles.triangle_domain())
+def test_least_core_of_three_or_four_regions_matches_table_scan(domain):
+    # Up to 12 agents, the eps of separation over all 2^n coalitions.
+    _assert_flows_or_rounds(domain, oracles.least_core_by_table_scan(domain))
+
+
+def test_least_core_of_the_triangle_takes_the_rounds():
+    # Primaries A, B and C, each pair joined through one agent: any two
+    # agents win, so no two disjoint coalitions do, and the covering
+    # program's tau is 3/2, below the least cut kappa = 2. The flows cannot
+    # certify, and the rounds answer eps = 1/3 with the equal split.
+    domain = oracles.triangle_domain()
+    cut, packing = enumeration._steiner(domain).least_cut()
+    assert (cut.bit_count(), packing) == (2, None)
+    result = least_core_value(domain)
+    third = Fraction(1, 3)
+    assert result == stability.LeastCoreResult(third, (third,) * 3, "exact-lp")
+    assert oracles.least_core_by_table_scan(domain) == third
 
 
 def test_least_core_by_max_flow_with_a_losing_veto_set():
@@ -1076,8 +1160,9 @@ def test_least_core_by_max_flow_with_a_losing_veto_set():
 
 
 def test_least_core_memory_at_16_agents():
-    # Four primary regions, so the rounds answer.
-    domain = oracles.connected_graph_domain(random.Random(14), 16, n_edges=40)
+    # Four primary regions whose least cut the flows do not certify, so the
+    # rounds answer.
+    domain = oracles.connected_graph_domain(random.Random(8), 16, n_edges=40)
     tracemalloc.start()
     try:
         result = least_core_value(domain)

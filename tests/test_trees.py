@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 
 import oracles
 import strategies
+from strategies import add_dummy
 from conngames import (
     ConnectivityDomain,
     DegenerateDomainError,
-    add_dummy,
     banzhaf_exact,
     classify,
     ecm,
